@@ -114,32 +114,6 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(points, max_blocks):
-    """All partitions of `points` into at most max_blocks nonempty blocks,
-    as tuples of tuples, via restricted growth strings."""
-    n = len(points)
-    if n == 0:
-        return
-    rgs = [0] * n
-
-    def emit():
-        blocks = {}
-        for i, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(points[i])
-        yield tuple(tuple(bl) for bl in blocks.values())
-
-    def rec(i, used):
-        if i == n:
-            yield from emit()
-            return
-        top = min(used + 1, max_blocks)
-        for b in range(top):
-            rgs[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(1, 1)  # first point is always in block 0
-
-
 def _strong_block(p, w, partition, floor):
     """A block of the partition on which w has a successor above floor."""
     for block in partition:

@@ -211,6 +211,7 @@ class HalvingPairFamily(AtomicParameter):
     def __init__(self, base_size: int = 16, name: str = "halving-pairs"):
         self.name = name
         self.n = base_size
+        self._nor_memo = {}  # (size, e2) -> norm; n * E_STEPS keys over the creatures
 
     def base(self):
         return frozenset(range(self.n))
@@ -246,10 +247,12 @@ class HalvingPairFamily(AtomicParameter):
         return k.bit_length() - 1
 
     def nor_key(self, size: int, e2: int) -> LogReal:
-        arg = frac(self._floor_log2(size)) - frac(e2) / 2
-        if arg <= 1:
-            return lr(0)
-        return lr_log2_fraction(arg)
+        key = (size, e2)
+        hit = self._nor_memo.get(key)
+        if hit is None:
+            arg = frac(self._floor_log2(size)) - frac(e2) / 2
+            hit = self._nor_memo[key] = lr(0) if arg <= 1 else lr_log2_fraction(arg)
+        return hit
 
     def nor(self, w):
         v, e2 = w
@@ -462,23 +465,22 @@ class ReservoirFamily(AtomicParameter):
 
     def bigness_witness(self, w, color, B: int, x):
         """Successor on which `color` (a function on val pairs) is constant,
-        with norm above nor(w) - x, for a concrete coloring."""
+        with norm above nor(w) - x, for a concrete coloring: the largest
+        color class of the first selector, in order, whose class clears
+        that floor."""
         floor = self.nor(w) - x
         if w[0] == "free":
             s_points, t_points = w[1], range(self.T_SIZE)
         else:
             s_points, t_points = (w[1],), w[2]
-        best = None
         for s in s_points:
             classes = {}
             for t in t_points:
                 classes.setdefault(color(s * self.T_SIZE + t), []).append(t)
-            cls = max(classes.values(), key=len)
-            cand = ("com", s, tuple(cls))
-            if self.nor(cand) <= self.nor(w) and self.nor(cand) > floor:
-                if best is None or self.nor(cand) > self.nor(best):
-                    best = cand
-        return best
+            cand = ("com", s, tuple(max(classes.values(), key=len)))
+            if floor < self.nor(cand) <= self.nor(w):
+                return cand
+        return None
 
     def describe(self):
         return json.dumps(

@@ -363,7 +363,10 @@ def cond_separate_support(p: FiniteCondition, profile) -> FiniteCondition:
             raise NormTooSmall(f"level {n} separation fails replay: {diag}")
         for a in range(len(mus)):
             for b in range(a + 1, len(mus)):
-                assert star.val(c.w_eps[mus[a]]).isdisjoint(star.val(c.w_eps[mus[b]]))
+                if not star.val(c.w_eps[mus[a]]).isdisjoint(star.val(c.w_eps[mus[b]])):
+                    raise NotSeparated(
+                        f"level {n}: {mus[a]} and {mus[b]} still overlap after separation"
+                    )
     ok, diag = cond_leq(q, p, profile)
     if not ok:
         raise NormTooSmall(f"separated fragment fails order replay: {diag}")

@@ -222,8 +222,10 @@ def _interval_sign(x: LogReal) -> int:
 
 def lr_compare(a: LogReal, b: LogReal) -> int:
     """Total order: -1, 0, 1.  Equality is decided symbolically."""
-    d = _coerce(a) - _coerce(b)
-    return d.sign()
+    a, b = _coerce(a), _coerce(b)
+    if not a.logs and not b.logs:
+        return (a.q > b.q) - (a.q < b.q)
+    return (a - b).sign()
 
 
 def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:

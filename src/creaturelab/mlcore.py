@@ -269,7 +269,7 @@ def ml_norm_cmp(c: MlCreature, n: int, profile, threshold) -> int:
     z = ml_nor_z(c, profile)
     if z <= lr_from_rational(1):
         return -t.sign()  # nor clips to 0
-    if t.is_rational:
+    if t.is_rational():
         return lr_cmp_pow2(z, profile.maxposs(n) * t.q)
     raise Indeterminate("irrational norm thresholds are not supported exactly")
 

@@ -243,12 +243,22 @@ class ToyProfile:
     value set of size two or more.  The constraint report states, per
     recursion item, whether the toy numbers honor it or relax it; relaxed
     entries list the operations that must receive capacities explicitly.
+
+    The profile owns its families: each level's star family and each
+    (level, slot) family is built once, here, and every call hands out the
+    same object, so callers must not mutate them.
     """
 
     def __init__(self, universe: IndexUniverse, levels: list, report: list):
         self.universe = universe
         self._levels = levels
         self.report = report
+        self._stars = [plateau_family(r.height, r.kstar, name=f"star-{n}")
+                       for n, r in enumerate(levels)]
+        self._slots = [
+            [plateau_family(r.height, s, name=f"slot-{n}-{k}") for k, s in enumerate(r.slot_sizes)]
+            for n, r in enumerate(levels)
+        ]
 
     @property
     def height(self) -> int:
@@ -285,11 +295,12 @@ class ToyProfile:
         return row.slot_sizes[k]
 
     def star_param(self, n):
-        row = self._row(n)
-        return plateau_family(row.height, row.kstar, name=f"star-{n}")
+        self._row(n)  # refuses a missing level
+        return self._stars[n]
 
     def slot_param(self, n, k):
-        return plateau_family(self._row(n).height, self.slot_size(n, k), name=f"slot-{n}-{k}")
+        self.slot_size(n, k)  # refuses a missing level or selector value
+        return self._slots[n][k]
 
     def describe(self):
         return json.dumps(

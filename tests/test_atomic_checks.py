@@ -25,7 +25,7 @@ from creaturelab.atomic import (
     validate_atomic,
 )
 from creaturelab.errors import ModeUnsound, SizeInfeasible, UsageError
-from creaturelab.logreal import lr_from_rational
+from creaturelab.logreal import lr_from_rational, lr_log2_fraction
 
 LR = lr_from_rational
 
@@ -209,6 +209,19 @@ def test_drift_family_is_halvable():
             assert p.in_succ(v2, w)
             assert p.val(v2) <= p.val(v)
             assert p.nor(v2) >= p.nor(w) - LR(x)
+
+
+def test_halving_pair_norms_match_the_formula():
+    # nor = log2(floor(log2 |v|) - e), clipped to 0 when the argument is <= 1
+    for n in (1, 5, 16):
+        p = HalvingPairFamily(n)
+        for size in range(1, n + 1):
+            for e2 in range(p.E_STEPS):
+                arg = Fraction(size.bit_length() - 1) - Fraction(e2, 2)
+                fresh = LR(0) if arg <= 1 else lr_log2_fraction(arg)
+                got = p.nor_key(size, e2)
+                assert got == fresh
+                assert p.nor_key(size, e2) is got
 
 
 def test_plateau_creatures_are_their_own_halves():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from creaturelab import conditions
+from creaturelab.atomic import SubsetLadderFamily
 from creaturelab.conditions import (
     FiniteCondition,
     NameTable,
@@ -284,6 +286,15 @@ def test_separate_support():
     assert a.isdisjoint(b) and len(a) >= 2 and len(b) >= 2
 
 
+def test_separate_support_refuses_an_overlap_it_did_not_remove(monkeypatch):
+    # a separation step that leaves the value sets overlapping must be
+    # refused with a typed error, also under python -O
+    monkeypatch.setattr(conditions, "disjoint_successors", lambda p, w1, w2, x: (w1, w2))
+    prof = wide_profile()
+    with pytest.raises(NotSeparated):
+        cond_separate_support(wide_fragment(prof), prof)
+
+
 def test_separate_support_single_selector_is_identity():
     prof = chain_profile()
     p = chain_fragment(prof)
@@ -494,3 +505,21 @@ def test_cover_then_evade_compose():
         key = tuple((i, nu.get(1, i)) for i in Y["indices"])
         assert name_value(r, 1, nu, q, prof) in Y["table"][key]
         assert nu.get(1, "a1") not in Y["table"][key]
+
+
+def test_cover_and_evade_build_each_family_once(monkeypatch):
+    built = []
+    init = SubsetLadderFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsetLadderFamily, "__init__", counting_init)
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    r = seeded_name(p, prof, [1], 4, seed=5)
+    _, Y = cover_step(p, 1, r, "e0", prof)
+    evade_step(p, 1, Y, "a1", prof)
+    levels, kstar = prof.height, WIDE_LVL["kstar"]
+    assert len(built) <= levels * (1 + kstar), sorted(set(built))

@@ -126,6 +126,37 @@ def test_rational_embedding_is_order_preserving(a, b):
     assert c == (a > b) - (a < b)
 
 
+@given(rationals, rationals)
+@settings(max_examples=200, deadline=None)
+def test_rational_compare_agrees_with_fraction_order_and_sign(a, b):
+    x, y = lr_from_rational(a), lr_from_rational(b)
+    assert lr_compare(x, y) == (a > b) - (a < b) == (x - y).sign()
+
+
+def test_compare_takes_sign_exactly_when_a_log_is_present(monkeypatch):
+    signs = []
+    sign = LogReal.sign
+
+    def counting_sign(self):
+        signs.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(LogReal, "sign", counting_sign)
+    assert lr_compare(lr_from_rational(F(3, 2)), lr_from_rational(F(-7, 4))) == 1
+    assert signs == []
+    log3, log5 = lr_log2_int(3), lr_log2_int(5)
+    cases = [
+        (lr_from_rational(F(8, 5)), log3, 1),  # 3^5 = 243 < 256 = 2^8
+        (log3, lr_from_rational(F(19, 12)), 1),  # 3^12 = 531441 > 2^19
+        (log3, log5, -1),
+        (log3.scale(2), lr_log2_int(9), 0),
+    ]
+    for a, b, want in cases:
+        signs.clear()
+        assert lr_compare(a, b) == want
+        assert signs == [a - b]
+
+
 @given(ints)
 @settings(max_examples=100, deadline=None)
 def test_sign_of_difference(n):

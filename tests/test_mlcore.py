@@ -9,6 +9,7 @@ import pytest
 from creaturelab.errors import (
     CapacityExceeded,
     DomainMismatch,
+    Indeterminate,
     NormTooSmall,
     PreconditionFailed,
     TypeMismatch,
@@ -187,6 +188,20 @@ def test_nor_z_formula():
     assert ml_norm_cmp(cs, 1, prof, 1) == 0  # z = 4 = 2^(2*1)
     assert ml_norm_cmp(cs, 1, prof, Fraction(1, 2)) == 1
     assert ml_norm_positive(cs, prof)
+
+
+def test_norm_cmp_refuses_irrational_thresholds():
+    prof = profile(height=9)
+    c = top_creature(prof, 1, {"e0"})  # z = 9, so nor = log2(9) / 2 = log2(3)
+    with pytest.raises(Indeterminate):
+        ml_norm_cmp(c, 1, prof, lr_log2_int(9))  # threshold 2 * log2(3)
+    # rational thresholds t are decided exactly: z = 9 against 2^(2t)
+    for t, want in [(0, 1), (1, 1), (Fraction(3, 2), 1), (Fraction(79, 50), 1),
+                    (Fraction(8, 5), -1), (2, -1)]:
+        assert ml_norm_cmp(c, 1, prof, t) == want
+    # a clipped norm is 0, which any threshold's sign decides
+    c.d = lr_from_rational(8)
+    assert ml_norm_cmp(c, 1, prof, lr_log2_int(3)) == -1
 
 
 def test_norm_clips_to_zero():

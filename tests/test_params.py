@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from creaturelab.atomic import plateau_family
 from creaturelab.errors import SizeInfeasible, UsageError
 from creaturelab.params import (
     ParamRow,
@@ -124,6 +125,26 @@ def test_toy_profile_families():
     for w in slot.ids():
         if slot.val_size(w) >= 2:
             assert slot.nor(w) == slot.max_norm()
+
+
+def test_toy_profile_hands_out_one_family_per_slot():
+    prof = make_toy_profile(TOY_SPEC)
+    for n in range(prof.height):
+        star = prof.star_param(n)
+        assert prof.star_param(n) is star
+        assert star.name == f"star-{n}"
+        assert star.describe() == plateau_family(9, prof.kstar(n)).describe()
+        for k in range(prof.kstar(n)):
+            slot = prof.slot_param(n, k)
+            assert prof.slot_param(n, k) is slot
+            assert slot.name == f"slot-{n}-{k}"
+            assert slot.describe() == plateau_family(9, prof.slot_size(n, k)).describe()
+    with pytest.raises(UsageError):
+        prof.star_param(2)
+    with pytest.raises(UsageError):
+        prof.slot_param(0, 2)
+    with pytest.raises(UsageError):
+        prof.slot_param(2, 0)
 
 
 def test_toy_report_is_explicit_about_relaxations():
