@@ -307,30 +307,52 @@ def check_halving(p, w, x) -> PropertyCertificate:
     on a subset of its values, with norm at least nor(w) - x?
 
     Families may supply `half_candidate` (the h to try) and
-    `unhalve_candidate` (the re-basing map); otherwise every successor of w
-    is tried as h, so a False verdict is exact.
+    `unhalve_candidate` (the re-basing map).  A hook half is accepted only
+    if it is a successor of w above the floor; otherwise it is recorded as
+    the failure (h, None).  Without a hook every successor of w is tried
+    as h, so a False verdict is exact.
+
+    For intensional `symmetric` families both loops, over the halves and
+    over the successors of each half, visit one creature per automorphism
+    class (`succ_class_reps`), and this is exact.  Let H be the base
+    permutations that fix val(w), and G those of H that also fix val(h).
+    The successors of w in one class form a single H-orbit, the successors
+    of h in one class a single G-orbit, and nor, val, in_succ,
+    best_successor_within and unhalve_candidate commute with both.  So the
+    test on a successor of h is constant on its class, and the verdict on
+    a half is constant on its class.  A refuted certificate then lists one
+    (h, bad) per class of halves.  Explicit and asymmetric families
+    enumerate `succ_ids`.
     """
     x = _as_lr(x)
     floor = p.nor(w) - x
     zero = lr(0)
+    by_class = p.symmetric and not p.explicit
+    successors = p.succ_class_reps if by_class else p.succ_ids
 
     cand_hook = getattr(p, "half_candidate", None)
+    failures = []
     if cand_hook is not None:
-        candidates = [h for h in (cand_hook(w, x),) if h is not None]
+        candidates = []
+        h = cand_hook(w, x)
+        if h is not None:
+            if p.in_succ(h, w) and p.nor(h) >= floor:
+                candidates.append(h)
+            else:
+                failures.append((h, None))
         mode = "hook"
     else:
         candidates = sorted(
-            (h for h in p.succ_ids(w) if p.nor(h) >= floor),
+            (h for h in successors(w) if p.nor(h) >= floor),
             key=p.nor,
             reverse=True,
         )
-        mode = "exhaustive"
+        mode = "class-reps" if by_class else "exhaustive"
 
     unhalve_hook = getattr(p, "unhalve_candidate", None)
-    failures = []
     for h in candidates:
         bad = None
-        for v in p.succ_ids(h):
+        for v in successors(h):
             if p.nor(v) <= zero:
                 continue
             if unhalve_hook is not None:

@@ -37,6 +37,10 @@ class SubsetLadderFamily(AtomicParameter):
     def __init__(self, name: str, base_size: int, norms_by_size):
         if base_size < 1 or base_size > 16:
             raise UsageError("subset ladder base size must be in 1..16")
+        if not callable(norms_by_size):
+            missing = [k for k in range(1, base_size + 1) if k not in norms_by_size]
+            if missing:
+                raise UsageError(f"{name}: norms_by_size lacks sizes {missing}")
         self.name = name
         self.n = base_size
         self._norm = {}
@@ -209,6 +213,8 @@ class HalvingPairFamily(AtomicParameter):
     E_STEPS = 9  # e in {0, 1/2, ..., 4}
 
     def __init__(self, base_size: int = 16, name: str = "halving-pairs"):
+        if base_size < 1:
+            raise UsageError("halving-pair base size must be positive")
         self.name = name
         self.n = base_size
         self._nor_memo = {}  # (size, e2) -> norm; n * E_STEPS keys over the creatures

@@ -194,8 +194,6 @@ def disjoint_successors(p, w1, w2, x):
     shared = sorted(p.val(v1) & p.val(w2))
     if not shared:
         return v1, w2
-    if len(shared) + 1 > p.val_size(w2) + 1:
-        raise CapacityExceeded("overlap exceeds the pigeonhole capacity of w2")
 
     floor2 = p.nor(w2) - x  # w2 shrinks once, so it gets the whole budget
     out2 = p.val(w2) - p.val(v1)

@@ -409,7 +409,7 @@ def _toy_report(levels) -> list:
         entry("maxsupp-formula", row.maxsupp >= need, row.maxsupp - need)
         need = 2 * row.maxsupp ** 2
         entry("Bmin-vs-support", row.bmin > need, row.bmin - need - 1)
-        need = fmax_prev ** (n * maxsupp_prev) * row.maxposs * row.kstar ** min(row.maxsupp, 8)
+        need = fmax_prev ** (n * row.maxsupp) * row.maxposs * row.kstar ** row.maxsupp
         entry("gmin-vs-reading", row.gmin > need, row.gmin - need - 1)
         # a plateau family is never Bmin-regular: its small blocks keep no
         # norm, so the niceness items are relaxed by construction

@@ -59,7 +59,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     s = str(text).strip()
     if s.startswith("log2(") and s.endswith(")"):
-        inner = int(s[5:-1])
+        try:
+            inner = int(s[5:-1])
+        except ValueError:
+            raise UsageError(f"not a rational literal: {text!r}")
         if inner < 1 or inner & (inner - 1):
             raise UsageError(f"log2 literal needs a power of two, got {inner}")
         return Fraction(inner.bit_length() - 1)
@@ -78,31 +81,60 @@ def id_to_json(v):
     return [id_to_json(x) for x in v] if isinstance(v, tuple) else v
 
 
+_REQUIRED = object()
+_RATIONAL = (int, float, str)
+
+
+def _field(obj, kind, name, types, default=_REQUIRED):
+    """obj[name] checked against `types`; a missing or ill-typed field is a
+    UsageError naming the parameter kind and the field."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise UsageError(f"{kind!r} parameter document needs a {name!r} field")
+        return default
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise UsageError(f"{kind!r} parameter field {name!r} must be {expected}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def atomic_param_from_json(obj):
     """Build an atomic parameter from a registry document {'kind': ..., ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("atomic parameter document needs a 'kind' field")
     kind = obj["kind"]
+
+    def get(name, types, default=_REQUIRED):
+        return _field(obj, kind, name, types, default)
+
     if kind == "subset-log":
-        return subset_log_family(obj.get("base_size", 16),
-                                 name=obj.get("name", "subset-log"))
+        return subset_log_family(get("base_size", (int,), 16),
+                                 name=get("name", (str,), "subset-log"))
     if kind == "capped-ladder":
-        return capped_ladder(parse_rational(obj["m_max"]),
-                             base_size=obj.get("base_size", 8),
-                             name=obj.get("name", "capped-ladder"))
+        return capped_ladder(parse_rational(get("m_max", _RATIONAL)),
+                             base_size=get("base_size", (int,), 8),
+                             name=get("name", (str,), "capped-ladder"))
     if kind == "plateau":
-        return plateau_family(parse_rational(obj["height"]),
-                              obj["base_size"],
-                              name=obj.get("name", "plateau"))
+        return plateau_family(parse_rational(get("height", _RATIONAL)),
+                              get("base_size", (int,)),
+                              name=get("name", (str,), "plateau"))
     if kind == "two-point":
-        return TrivialTwoPointFamily(parse_rational(obj["m_max"]))
+        return TrivialTwoPointFamily(parse_rational(get("m_max", _RATIONAL)))
     if kind == "halving-pairs":
-        return HalvingPairFamily(base_size=obj.get("base_size", 16))
+        return HalvingPairFamily(base_size=get("base_size", (int,), 16))
     if kind == "reservoir":
         return ReservoirFamily()
     if kind == "ladder":
-        norms = {int(k): parse_rational(v) for k, v in obj["norms_by_size"].items()}
-        return SubsetLadderFamily(obj.get("name", "ladder"), obj["base_size"], norms)
+        raw = get("norms_by_size", (dict,))
+        base_size = get("base_size", (int,))
+        try:
+            norms = {int(k): parse_rational(v) for k, v in raw.items()}
+        except ValueError:
+            raise UsageError(f"'ladder' parameter field 'norms_by_size' needs integer sizes, "
+                             f"got {sorted(raw)}")
+        return SubsetLadderFamily(get("name", (str,), "ladder"), base_size, norms)
     raise UsageError(f"unknown atomic parameter kind: {kind!r}")
 
 

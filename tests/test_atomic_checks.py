@@ -12,6 +12,7 @@ from creaturelab.atomic import (
     HalvingPairFamily,
     PropertyCertificate,
     ReservoirFamily,
+    SubsetLadderFamily,
     TrivialTwoPointFamily,
     capped_ladder,
     check_bigness,
@@ -19,6 +20,7 @@ from creaturelab.atomic import (
     check_halving,
     check_nice,
     make_nice,
+    plateau_family,
     replay_certificate,
     subset_log_family,
     toy_witness_pair,
@@ -228,6 +230,78 @@ def test_plateau_creatures_are_their_own_halves():
     p = capped_ladder(Fraction(15, 8))
     cert = check_halving(p, tuple(range(8)), 1)
     assert cert.verdict
+
+
+HALVING_XS = (Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), 2)
+
+
+def _halving_cases():
+    """Symmetric families at base <= 6 with top, non-prefix and drifted w."""
+    ladders = (lambda: subset_log_family(6),
+               lambda: capped_ladder(Fraction(15, 8), 6),
+               lambda: plateau_family(2, 6),
+               lambda: plateau_family(Fraction(3, 2), 5))
+    for make in ladders:
+        for w in (tuple(range(make().n)), (1, 3, 4), (0, 2)):
+            yield make, w
+    for v in (tuple(range(6)), (1, 3, 4, 5), (1, 3, 4)):
+        for e2 in (0, 1, 3):
+            yield (lambda: HalvingPairFamily(6)), (v, e2)
+
+
+@pytest.mark.parametrize("make,w", list(_halving_cases()))
+def test_halving_on_class_reps_agrees_with_full_enumeration(make, w):
+    sym, full = make(), make()
+    full.symmetric = False
+    for x in HALVING_XS:
+        a, b = check_halving(sym, w, x), check_halving(full, w, x)
+        assert a.verdict == b.verdict, (w, x)
+        assert replay_certificate(sym, a) and replay_certificate(full, b)
+        if not a.verdict:
+            # one failing half per class, covering every class of failing halves
+            keys = [sym.class_key(h) for h, _ in a.counterexample]
+            assert sorted(keys) == sorted(set(keys))
+            assert set(keys) == {sym.class_key(h) for h, _ in b.counterexample}
+
+
+def test_halving_on_symmetric_families_never_enumerates_successors(monkeypatch):
+    def refuse(self, w):
+        raise AssertionError("succ_ids called")
+
+    for cls in (HalvingPairFamily, SubsetLadderFamily):
+        monkeypatch.setattr(cls, "succ_ids", refuse)
+    p = HalvingPairFamily(12)
+    cert = check_halving(p, (tuple(range(12)), 0), Fraction(3, 2))
+    assert cert.verdict and replay_certificate(p, cert)
+    p = subset_log_family(10)
+    cert = check_halving(p, p.top(), 1)
+    assert not cert.verdict and cert.mode == "class-reps"
+    assert len(cert.counterexample) == 6  # sizes 5..10 reach the floor log2(10) - 1 = log2(5)
+    assert replay_certificate(p, cert)
+
+
+class _FakeHalf(HalvingPairFamily):
+    """Its half hook proposes a creature that is no half of w."""
+
+    def __init__(self, fake):
+        super().__init__(8)
+        self._fake = fake
+
+    def half_candidate(self, w, x):
+        return self._fake(w)
+
+
+@pytest.mark.parametrize("fake", [
+    lambda w: (w[0], 8),  # below w, but norm 0 under the floor
+    lambda w: (w[0], w[1] - 1),  # above the floor, but not below w
+])
+def test_hook_half_must_be_a_real_half(fake):
+    p = _FakeHalf(fake)
+    w = (tuple(range(8)), 1)  # norm log2(5/2), floor log2(5/2) - 1 > 0
+    cert = check_halving(p, w, 1)
+    assert not cert.verdict
+    assert cert.counterexample == [(fake(w), None)]
+    assert replay_certificate(p, cert)
 
 
 # ---------------------------------------------------------------------------

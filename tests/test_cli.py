@@ -73,6 +73,8 @@ def test_parse_rational():
         parse_rational("log2(5)")
     with pytest.raises(UsageError):
         parse_rational("three")
+    with pytest.raises(UsageError):
+        parse_rational("log2(x)")
 
 
 def test_registry_rejects_unknown_kind():
@@ -142,6 +144,22 @@ def test_atomic_verify_usage_errors(files):
     assert run(["atomic", "verify", "--in", str(tmp / "missing.json"),
                 "--property", "axioms"]) == 2
     assert run(["atomic", "bogus-subcommand"]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "ladder", "base_size": 4},
+    {"kind": "plateau", "base_size": 4},
+    {"kind": "capped-ladder"},
+    {"kind": "ladder", "base_size": 2, "norms_by_size": ["1/2", "1"]},
+    {"kind": "halving-pairs", "base_size": "8"},
+    {"kind": "halving-pairs", "base_size": 0},
+    {"kind": "ladder", "base_size": 3, "norms_by_size": {"1": "1/2", "2": "1"}},
+    {"kind": "ladder", "base_size": 1, "norms_by_size": {"one": "1/2"}},
+])
+def test_malformed_atomic_documents_are_usage_errors(files, doc):
+    write, tmp = files
+    path = write("bad.json", doc)
+    assert run(["atomic", "verify", "--in", path, "--property", "axioms"]) == 2
 
 
 def test_atomic_make_nice(files):

@@ -158,6 +158,24 @@ def test_toy_report_is_explicit_about_relaxations():
     assert by_item[(0, "maxposs-formula")]["verdict"] == "holds"
 
 
+def test_toy_report_reading_item_uses_the_exact_formula():
+    # need(n) = fmax(n-1)^(n * maxsupp(n)) * maxposs(n) * kstar(n)^maxsupp(n),
+    # as in params_exact: no cap on the kstar exponent, and maxsupp of
+    # level n rather than of level n - 1
+    spec = json.loads(json.dumps(TOY_SPEC))
+    spec["levels"] = [
+        {"kstar": 2, "slot_sizes": 4, "maxposs": 2, "maxsupp": 16, "gmin": 1000},
+        {"kstar": 2, "slot_sizes": 4, "maxposs": 2, "maxsupp": 2, "gmin": 200},
+    ]
+    by_item = {(e["level"], e["item"]): e for e in make_toy_profile(spec).report}
+    need0 = 1 * 2 * 2 ** 16  # 131072 > 1000
+    assert by_item[(0, "gmin-vs-reading")]["verdict"] == f"relaxed({1000 - need0 - 1})"
+    assert by_item[(0, "gmin-vs-reading")]["requires_explicit_capacity"] == ["cover_step"]
+    need1 = 4 ** 2 * 2 * 2 ** 2  # 128 < 200
+    assert need1 < 200
+    assert by_item[(1, "gmin-vs-reading")]["verdict"] == "holds"
+
+
 def test_toy_profile_rejects_true_magnitudes():
     spec = json.loads(json.dumps(TOY_SPEC))
     spec["levels"][0]["slot_sizes"] = 17
