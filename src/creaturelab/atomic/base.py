@@ -13,14 +13,28 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..errors import CapacityExceeded, UsageError
-from ..logreal import LogReal, lr_from_rational
+from ..logreal import LogReal
 
 # Explicit tabulation is refused above this creature count.
 EXPLICIT_LIMIT = 1 << 16
+# Largest base of a subset-ladder or halving-pair family (2^16 value sets).
+LADDER_LIMIT = 16
+# Largest exponent of a behavior-tuple coloring (atomic and multi-level).
+TUPLE_CAP = 24
+# Largest trunk or possibility set an enumeration materializes.
+ENUM_CAP = 1 << 20
+
+
+def id_to_json(v):
+    """Creature ids are nested tuples of scalars; JSON stores tuples as arrays."""
+    return [id_to_json(x) for x in v] if isinstance(v, tuple) else v
+
+
+def id_from_json(v):
+    return tuple(id_from_json(x) for x in v) if isinstance(v, list) else v
 
 
 class AtomicParameter:
@@ -100,15 +114,19 @@ class AtomicParameter:
         """One successor of w per automorphism class of successors."""
         return self.succ_ids(w)
 
-    def max_norm(self) -> LogReal:
-        best = None
+    def top(self):
+        """The first maximal-norm creature among the class representatives."""
+        best = best_nor = None
         for w in self.class_reps():
             n = self.nor(w)
-            if best is None or n > best:
-                best = n
+            if best is None or n > best_nor:
+                best, best_nor = w, n
         if best is None:
             raise UsageError(f"{self.name}: empty creature set")
         return best
+
+    def max_norm(self) -> LogReal:
+        return self.nor(self.top())
 
     def small_successor(self, w, x: LogReal):
         """Successor of minimal value-set size with nor > nor(w) - x,
@@ -134,10 +152,6 @@ class AtomicParameter:
 
     def param_hash(self) -> str:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
-
-
-def _norm_to_json(x: LogReal) -> dict:
-    return x.to_json()
 
 
 class ExplicitAtomicParameter(AtomicParameter):
@@ -184,7 +198,7 @@ class ExplicitAtomicParameter(AtomicParameter):
             "creatures": {
                 str(w): {
                     "val": sorted(self._vals[w]),
-                    "nor": _norm_to_json(self._nors[w]),
+                    "nor": self._nors[w].to_json(),
                     "succ": sorted(str(v) for v in self._succs[w]),
                 }
                 for w in sorted(self._vals, key=str)
@@ -202,7 +216,7 @@ class ExplicitAtomicParameter(AtomicParameter):
             "base": sorted(self._base),
             "creatures": {
                 key[w]: {
-                    "id": list(w) if isinstance(w, tuple) else w,
+                    "id": id_to_json(w),
                     "val": sorted(self._vals[w]),
                     "nor": self._nors[w].to_json(),
                     "succ": [key[v] for v in sorted(self._succs[w], key=str)],
@@ -214,12 +228,7 @@ class ExplicitAtomicParameter(AtomicParameter):
     @staticmethod
     def from_json(obj) -> "ExplicitAtomicParameter":
         raw = obj["creatures"]
-
-        def restore(entry):
-            i = entry["id"]
-            return tuple(i) if isinstance(i, list) else i
-
-        names = {k: restore(v) for k, v in raw.items()}
+        names = {k: id_from_json(v["id"]) for k, v in raw.items()}
         vals = {names[k]: frozenset(v["val"]) for k, v in raw.items()}
         nors = {names[k]: LogReal.from_json(v["nor"]) for k, v in raw.items()}
         succs = {
@@ -234,14 +243,3 @@ class ExplicitAtomicParameter(AtomicParameter):
         succs = changes.get("succs", self._succs)
         return ExplicitAtomicParameter(self.name + "*", self._base, vals, nors, succs)
 
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def lr(x) -> LogReal:
-    if isinstance(x, LogReal):
-        return x
-    return lr_from_rational(frac(x))

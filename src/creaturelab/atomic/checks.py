@@ -22,13 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ModeUnsound, UsageError
-from ..logreal import LogReal, lr_from_rational
-from .base import AtomicParameter, lr
+from ..logreal import lr
+from .base import AtomicParameter
 from .certificates import PropertyCertificate
-
-
-def _as_lr(x) -> LogReal:
-    return x if isinstance(x, LogReal) else lr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,7 @@ def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False)
     """
     if B < 1:
         raise UsageError("B must be positive")
-    x = _as_lr(x)
+    x = lr(x)
 
     if hereditary:
         return _check_hereditary(p, w, B, x, mode)
@@ -324,7 +320,7 @@ def check_halving(p, w, x) -> PropertyCertificate:
     (h, bad) per class of halves.  Explicit and asymmetric families
     enumerate `succ_ids`.
     """
-    x = _as_lr(x)
+    x = lr(x)
     floor = p.nor(w) - x
     zero = lr(0)
     by_class = p.symmetric and not p.explicit
@@ -389,7 +385,7 @@ def check_decisive(p, w, K: int, m: int, x, mode: str = "auto") -> PropertyCerti
     """Is w (K, m, x)-decisive: does it have both a small successor (value
     set of size at most K, norm at least nor(w) - x) and a successor that is
     hereditarily (2^(K^m), x)-big?"""
-    x = _as_lr(x)
+    x = lr(x)
     floor = p.nor(w) - x
 
     v_minus = p.small_successor(w, x)
@@ -429,9 +425,9 @@ def check_nice(p, M: int, m_max) -> PropertyCertificate:
     """
     if M < 1:
         raise UsageError("M must be positive")
-    m_max = _as_lr(m_max)
-    xb = lr_from_rational(Fraction(1, M * M))
-    xh = lr_from_rational(Fraction(1, M))
+    m_max = lr(m_max)
+    xb = lr(Fraction(1, M * M))
+    xh = lr(Fraction(1, M))
     one = lr(1)
 
     top = p.max_norm()
@@ -486,7 +482,7 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
         return validate_atomic(p).verdict == cert.verdict
 
     if cert.kind == "bigness":
-        w, B, x = a["w"], a["B"], _as_lr(a["x"])
+        w, B, x = a["w"], a["B"], lr(a["x"])
         if cert.verdict:
             return check_bigness(p, w, B, x, mode=cert.mode.replace("-hereditary", ""),
                                  hereditary="hereditary" in cert.mode).verdict
@@ -495,7 +491,7 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
         return not check_bigness(p, w, B, x, hereditary="hereditary" in cert.mode).verdict
 
     if cert.kind == "halving":
-        w, x = a["w"], _as_lr(a["x"])
+        w, x = a["w"], lr(a["x"])
         if cert.verdict and cert.witness:
             h = cert.witness["half"]
             if not (p.in_succ(h, w) and p.nor(h) >= p.nor(w) - x):
@@ -504,10 +500,10 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
         return check_halving(p, w, x).verdict == cert.verdict
 
     if cert.kind == "decisive":
-        w, K, m, x = a["w"], a["K"], a["m"], _as_lr(a["x"])
+        w, K, m, x = a["w"], a["K"], a["m"], lr(a["x"])
         return check_decisive(p, w, K, m, x).verdict == cert.verdict
 
     if cert.kind == "nice":
-        return check_nice(p, a["M"], _as_lr(a["m_max"])).verdict == cert.verdict
+        return check_nice(p, a["M"], lr(a["m_max"])).verdict == cert.verdict
 
     raise UsageError(f"unknown certificate kind {cert.kind!r}")

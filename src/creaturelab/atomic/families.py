@@ -24,8 +24,8 @@ import json
 from fractions import Fraction
 
 from ..errors import UsageError
-from ..logreal import LogReal, lr_log2_fraction, lr_log2_int
-from .base import AtomicParameter, frac, lr
+from ..logreal import LogReal, lr, lr_log2_fraction, lr_log2_int
+from .base import LADDER_LIMIT, AtomicParameter
 
 
 class SubsetLadderFamily(AtomicParameter):
@@ -35,8 +35,8 @@ class SubsetLadderFamily(AtomicParameter):
     symmetric = True
 
     def __init__(self, name: str, base_size: int, norms_by_size):
-        if base_size < 1 or base_size > 16:
-            raise UsageError("subset ladder base size must be in 1..16")
+        if not 1 <= base_size <= LADDER_LIMIT:
+            raise UsageError(f"subset ladder base size must be in 1..{LADDER_LIMIT}")
         if not callable(norms_by_size):
             missing = [k for k in range(1, base_size + 1) if k not in norms_by_size]
             if missing:
@@ -101,9 +101,6 @@ class SubsetLadderFamily(AtomicParameter):
     def succ_class_reps(self, w):
         return [w[:k] for k in range(1, len(w) + 1)]
 
-    def max_norm(self):
-        return self._norm[self.n]
-
     def small_successor(self, w, x):
         floor = self.nor(w) - x
         for k in range(1, len(w) + 1):
@@ -156,7 +153,7 @@ def plateau_family(height, base_size: int, name: str = "plateau") -> SubsetLadde
 
 
 class TrivialTwoPointFamily(AtomicParameter):
-    """{top, s0, s1} on a two-point base; top carries norm m_max <= 1."""
+    """{top, s0, s1} on a two-point base; top carries norm 0 <= m_max <= 1."""
 
     explicit = True
     symmetric = True
@@ -166,6 +163,8 @@ class TrivialTwoPointFamily(AtomicParameter):
         self.m = lr(m_max)
         if not self.m <= lr(1):
             raise UsageError("two-point family only carries norms at or below 1")
+        if self.m.sign() < 0:
+            raise UsageError("two-point family norms must be nonnegative")
         self._small = self.m.scale(Fraction(15, 16))
 
     def base(self):
@@ -189,9 +188,6 @@ class TrivialTwoPointFamily(AtomicParameter):
     def in_succ(self, v, w):
         return v == w or w == "top"
 
-    def max_norm(self):
-        return self.m
-
     def describe(self):
         return json.dumps({"kind": "two-point", "m": self.m.to_json()})
 
@@ -213,8 +209,8 @@ class HalvingPairFamily(AtomicParameter):
     E_STEPS = 9  # e in {0, 1/2, ..., 4}
 
     def __init__(self, base_size: int = 16, name: str = "halving-pairs"):
-        if base_size < 1:
-            raise UsageError("halving-pair base size must be positive")
+        if not 1 <= base_size <= LADDER_LIMIT:
+            raise UsageError(f"halving-pair base size must be in 1..{LADDER_LIMIT}")
         self.name = name
         self.n = base_size
         self._nor_memo = {}  # (size, e2) -> norm; n * E_STEPS keys over the creatures
@@ -256,7 +252,7 @@ class HalvingPairFamily(AtomicParameter):
         key = (size, e2)
         hit = self._nor_memo.get(key)
         if hit is None:
-            arg = frac(self._floor_log2(size)) - frac(e2) / 2
+            arg = Fraction(2 * self._floor_log2(size) - e2, 2)
             hit = self._nor_memo[key] = lr(0) if arg <= 1 else lr_log2_fraction(arg)
         return hit
 
@@ -293,9 +289,6 @@ class HalvingPairFamily(AtomicParameter):
         for k in range(1, len(v) + 1):
             for e in range(e2, self.E_STEPS):
                 yield (v[:k], e)
-
-    def max_norm(self):
-        return self.nor_key(self.n, 0)
 
     def half_candidate(self, w, x):
         """Smallest drift bump whose norm stays above nor(w) - x."""
@@ -426,9 +419,6 @@ class ReservoirFamily(AtomicParameter):
 
     def top(self):
         return ("free", tuple(range(self.S_SIZE)))
-
-    def max_norm(self):
-        return lr(self.NOR_S[self.S_SIZE])
 
     # -- hooks consumed by the checkers and transforms -------------------------
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import NotNice, SizeInfeasible, UsageError
-from .base import AtomicParameter, frac
+from ..logreal import as_fraction
+from .base import AtomicParameter
 from .checks import check_nice
 from .families import TrivialTwoPointFamily, capped_ladder
 
@@ -44,7 +45,7 @@ def make_nice(M: int, m_max, budget: ScaleBudget | None = None) -> AtomicParamet
     check_nice(p, M, m_max), or raise SizeInfeasible."""
     if M < 1:
         raise UsageError("M must be a positive integer")
-    m = frac(m_max)
+    m = as_fraction(m_max)
     if m <= 0:
         raise UsageError("m_max must be positive")
     budget = budget or ScaleBudget()

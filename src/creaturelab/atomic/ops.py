@@ -13,15 +13,9 @@ from fractions import Fraction
 from itertools import product
 
 from ..errors import CapacityExceeded, NotDecisive, NotNice, UsageError
-from ..logreal import LogReal
-from .base import lr
+from ..logreal import lr
+from .base import TUPLE_CAP
 from .checks import check_bigness
-
-_TUPLE_DOMAIN_CAP = 24  # largest exponent allowed in a tuple coloring
-
-
-def _as_lr(x) -> LogReal:
-    return x if isinstance(x, LogReal) else lr(x)
 
 
 def decisive_order(params, ws, x):
@@ -36,7 +30,7 @@ def decisive_order(params, ws, x):
     """
     if len(params) != len(ws) or not params:
         raise UsageError("params and ws must be nonempty and aligned")
-    x = _as_lr(x)
+    x = lr(x)
 
     smalls = []
     for p, w in zip(params, ws):
@@ -61,7 +55,7 @@ def decisive_order(params, ws, x):
         v = p.big_successor(ws[i], x)
         if not (p.in_succ(v, ws[i]) and p.nor(v) >= p.nor(ws[i]) - x):
             raise NotDecisive(f"{p.name}: big successor fails replay")
-        if running > _TUPLE_DOMAIN_CAP:
+        if running > TUPLE_CAP:
             raise CapacityExceeded(
                 f"hereditary bigness capacity 2^{running} exceeds the tuple cap"
             )
@@ -112,7 +106,7 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
         raise UsageError("range_size must be positive")
     if range_size > 2 ** M:
         raise CapacityExceeded(f"range {range_size} exceeds capacity 2^{M}")
-    x = _as_lr(x if x is not None else Fraction(1, 2 * M))
+    x = lr(x if x is not None else Fraction(1, 2 * M))
 
     order, cur = decisive_order(params, ws, x)
 
@@ -127,7 +121,7 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
         domain = 1
         for i in earlier:
             domain *= params[i].val_size(cur[i])
-        if domain > _TUPLE_DOMAIN_CAP:
+        if domain > TUPLE_CAP:
             raise CapacityExceeded(f"tuple coloring over {domain} cells is out of reach")
         grids = [sorted(params[i].val(cur[i])) for i in earlier]
 
@@ -176,7 +170,7 @@ def disjoint_successors(p, w1, w2, x):
     point.  A single-point overlap is resolved by re-shrinking v1 around
     it.
     """
-    x = _as_lr(x)
+    x = lr(x)
     if p.val(w1).isdisjoint(p.val(w2)):
         return w1, w2
     half = x.scale(Fraction(1, 2))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -48,7 +47,7 @@ from .conditions import (
     halving_step,
     rapid_read,
 )
-from .params import ParamRow, make_toy_profile, params_exact, params_validate
+from .params import make_toy_profile, params_exact, params_validate
 from .serialize import (
     atomic_param_from_json,
     creature_from_json,
@@ -65,16 +64,27 @@ def _seeded_int(seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+def _load(path, decode):
+    """Read the JSON document at path and decode it.  A document of the
+    wrong shape is a UsageError naming the file; only the decoder is
+    guarded, so faults in the transforms still surface."""
+    doc = read_json(path)
+    try:
+        return decode(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"malformed document {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_profile(args):
-    return make_toy_profile(read_json(args.profile))
+    return _load(args.profile, make_toy_profile)
 
 
 def _load_creature(path):
-    return creature_from_json(read_json(path))
+    return _load(path, creature_from_json)
 
 
 def _load_fragment(path) -> FiniteCondition:
-    return FiniteCondition.from_json(read_json(path))
+    return _load(path, FiniteCondition.from_json)
 
 
 def _parse_id(text):
@@ -90,18 +100,7 @@ def _parse_id(text):
 
 
 def _cmd_params(args):
-    n = args.level
-    cache_dir = os.environ.get("CREATURE_LAB_CACHE")
-    row = None
-    if cache_dir:
-        cache_path = os.path.join(cache_dir, f"params-{n}.json")
-        if os.path.exists(cache_path):
-            row = ParamRow.from_json(read_json(cache_path))
-    if row is None:
-        row = params_exact(n)
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            write_json(os.path.join(cache_dir, f"params-{n}.json"), row.to_json())
+    row = params_exact(args.level)
     report = params_validate(row)
     resolved = {}
     for name, value in row.fields.items():
@@ -119,24 +118,13 @@ def _cmd_params(args):
 # ---------------------------------------------------------------------------
 
 
-def _default_witness(p):
-    """A maximal-norm creature of p, the natural check target."""
-    if hasattr(p, "top"):
-        return p.top()
-    best = None
-    for w in p.ids():
-        if best is None or p.nor(w) > p.nor(best):
-            best = w
-    return best
-
-
 def _cmd_atomic_verify(args):
-    p = atomic_param_from_json(read_json(args.infile))
+    p = _load(args.infile, atomic_param_from_json)
     prop = args.property
     if prop == "axioms":
         cert = atomic.validate_atomic(p)
     else:
-        w = _parse_id(args.w) if args.w else _default_witness(p)
+        w = _parse_id(args.w) if args.w else p.top()
         if prop == "big":
             if args.B is None:
                 raise UsageError("--B is required for the bigness check")
@@ -173,15 +161,18 @@ def _cmd_atomic_make_nice(args):
     }
 
 
-def _load_product(args):
+def _decode_product(doc):
     """A product document: {'coordinates': [{'param': {...}, 'w': id}, ...]}."""
-    doc = read_json(args.infile)
     coords = doc.get("coordinates")
     if not coords:
         raise UsageError("product document needs a non-empty 'coordinates' list")
     params = [atomic_param_from_json(c["param"]) for c in coords]
     ws = [id_from_json(c["w"]) for c in coords]
     return params, ws
+
+
+def _load_product(args):
+    return _load(args.infile, _decode_product)
 
 
 def _norm_repr(v) -> str:
@@ -215,9 +206,8 @@ def _cmd_atomic_order(args):
 
 
 def _cmd_atomic_disjoint(args):
-    doc = read_json(args.infile)
-    p = atomic_param_from_json(doc["param"])
-    w1, w2 = id_from_json(doc["w1"]), id_from_json(doc["w2"])
+    p, w1, w2 = _load(args.infile, lambda doc: (
+        atomic_param_from_json(doc["param"]), id_from_json(doc["w1"]), id_from_json(doc["w2"])))
     v1, v2 = atomic.disjoint_successors(p, w1, w2, parse_rational(args.x))
     return 0, {"v1": repr(v1), "v2": repr(v2),
                "val1": sorted(map(repr, p.val(v1))),
@@ -334,7 +324,7 @@ def _cmd_cond_separate(args):
 def _cmd_cond_rapid_read(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile)
-    r = NameTable.from_json(read_json(args.name))
+    r = _load(args.name, NameTable.from_json)
     q = rapid_read(p, args.M, r, profile)
     return 0, {"M": args.M, "fragment": q.to_json()}
 
@@ -358,7 +348,7 @@ def _cmd_cond_halve_step(args):
 def _cmd_cond_cover(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile)
-    r = NameTable.from_json(read_json(args.name))
+    r = _load(args.name, NameTable.from_json)
     q_n, Y = cover_step(p, args.n, r, args.eps, profile)
     return 0, {"level": Y["level"], "indices": Y["indices"],
                "table": {json.dumps(list(k)): v for k, v in Y["table"].items()}}
@@ -367,11 +357,9 @@ def _cmd_cond_cover(args):
 def _cmd_cond_evade(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile)
-    doc = read_json(args.cover)
-    Y = {"level": doc["level"], "indices": doc["indices"],
-         "table": {tuple(tuple(x) if isinstance(x, list) else x
-                         for x in json.loads(k)): set(v)
-                   for k, v in doc["table"].items()}}
+    Y = _load(args.cover, lambda doc: {
+        "level": doc["level"], "indices": doc["indices"],
+        "table": {id_from_json(json.loads(k)): set(v) for k, v in doc["table"].items()}})
     c = evade_step(p, args.n, Y, args.beta, profile)
     return 0, {"creature": creature_to_json(c)}
 

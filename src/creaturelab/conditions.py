@@ -36,8 +36,9 @@ from .errors import (
     PreconditionFailed,
     UsageError,
 )
+from .atomic.base import ENUM_CAP
 from .atomic.ops import disjoint_successors
-from .logreal import LogReal
+from .logreal import as_fraction
 from .mlcore import (
     MlCreature,
     Possibility,
@@ -50,13 +51,6 @@ from .mlcore import (
     ml_validate,
     poss_enumerate,
 )
-
-_POSS_CAP = 1 << 20  # largest possibility set any fragment walk materializes
-
-
-def _id_from_json(v):
-    return tuple(_id_from_json(x) for x in v) if isinstance(v, list) else v
-
 
 # ---------------------------------------------------------------------------
 # fragments
@@ -120,13 +114,7 @@ class FiniteCondition:
             "trunk": [[m, i, v] for (m, i), v in sorted(
                 self.trunk.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))],
             "creatures": {
-                str(n): {
-                    "u": sorted(c.u, key=str),
-                    "w_eps": [[i, w] for i, w in sorted(c.w_eps.items(), key=lambda kv: str(kv[0]))],
-                    "w_alpha": [[a, k, w] for (a, k), w in sorted(
-                        c.w_alpha.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))],
-                    "d": c.d.to_json(),
-                }
+                str(n): {k: v for k, v in c.to_json().items() if k != "n"}
                 for n, c in self.creatures.items()
             },
             "floors": [[n, str(f)] for n, f in sorted(self.floors.items())],
@@ -134,22 +122,14 @@ class FiniteCondition:
 
     @staticmethod
     def from_json(obj) -> "FiniteCondition":
-        creatures = {}
-        for n_str, c in obj["creatures"].items():
-            n = int(n_str)
-            creatures[n] = MlCreature(
-                n,
-                frozenset(c["u"]),
-                {i: _id_from_json(w) for i, w in c["w_eps"]},
-                {(a, k): _id_from_json(w) for a, k, w in c["w_alpha"]},
-                LogReal.from_json(c["d"]),
-            )
+        creatures = {int(n): MlCreature.from_json(c, int(n))
+                     for n, c in obj["creatures"].items()}
         return FiniteCondition(
             obj["trnklg"],
             obj["height"],
             {(m, i): v for m, i, v in obj["trunk"]},
             creatures,
-            {n: Fraction(f) for n, f in obj.get("floors", [])},
+            {n: as_fraction(f) for n, f in obj.get("floors", [])},
         )
 
 
@@ -230,7 +210,7 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
             nxt.extend(
                 _lift(nu, p.supp(m + 1), p.trunk) for nu in ml_val(c, eta, profile)
             )
-        if len(nxt) > _POSS_CAP:
+        if len(nxt) > ENUM_CAP:
             raise CapacityExceeded("possibility walk exceeds the enumeration cap")
         out = nxt
     for nu in out:
@@ -530,7 +510,7 @@ def halving_step(p: FiniteCondition, M: int, n_floor, oracle, profile):
     Returns (q, case_log)."""
     if not p.trnklg <= M < p.height:
         raise UsageError("cut M outside the fragment")
-    n_floor = Fraction(n_floor)
+    n_floor = as_fraction(n_floor)
     if n_floor < 1:
         raise UsageError("the norm floor must be at least 1")
     for m in range(M, p.height):

@@ -15,12 +15,13 @@ from fractions import Fraction
 from typing import Mapping
 
 import mpmath
-import sympy
 
-from .errors import Indeterminate, UsageError
+from .errors import CapacityExceeded, Indeterminate, UsageError
 
 __all__ = [
     "LogReal",
+    "as_fraction",
+    "lr",
     "lr_zero",
     "lr_from_rational",
     "lr_log2_int",
@@ -32,15 +33,70 @@ __all__ = [
 _START_PREC = 64
 _MAX_PREC = 1 << 16
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); at or above it primality is refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# Trial division runs up to this factor; every n below its square factors
+# by trial division alone.
+_TRIAL_LIMIT = 1 << 16
 
-def _as_fraction(x) -> Fraction:
+
+def as_fraction(x) -> Fraction:
+    """The one coercion to Fraction: an int, a Fraction or a rational string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise UsageError(f"not a rational: {x!r}")
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality: trial division by the Miller-Rabin bases, then
+    Miller-Rabin.  Raises CapacityExceeded where that test is not exact."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        raise CapacityExceeded(f"primality of {n} is not decided exactly above 3.3e24")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _factorize(n: int) -> dict:
+    """Prime factorization {p: e} of a positive integer: trial division up
+    to _TRIAL_LIMIT, then a primality test on the cofactor.  A composite
+    cofactor without a factor below the limit raises CapacityExceeded."""
+    out = {}
+    d = 2
+    while d * d <= n and d <= _TRIAL_LIMIT:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if not _is_prime(n):
+            raise CapacityExceeded(f"{n} has no prime factor below {_TRIAL_LIMIT}")
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,14 +108,14 @@ class LogReal:
 
     @staticmethod
     def make(q, logs: Mapping[int, Fraction] | None = None) -> "LogReal":
-        q = _as_fraction(q)
+        q = as_fraction(q)
         items = []
         if logs:
             for p in sorted(logs):
-                c = _as_fraction(logs[p])
+                c = as_fraction(logs[p])
                 if c == 0:
                     continue
-                if p < 2 or not sympy.isprime(p):
+                if p < 2 or not _is_prime(p):
                     raise UsageError(f"log base entry {p} is not a prime")
                 if p == 2:
                     q += c  # log2(2) = 1 folds into the rational part
@@ -70,7 +126,7 @@ class LogReal:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LogReal") -> "LogReal":
-        other = _coerce(other)
+        other = lr(other)
         acc = dict(self.logs)
         for p, c in other.logs:
             acc[p] = acc.get(p, Fraction(0)) + c
@@ -82,14 +138,14 @@ class LogReal:
         return LogReal(-self.q, tuple((p, -c) for p, c in self.logs))
 
     def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-_coerce(other))
+        return self + (-lr(other))
 
     def __rsub__(self, other) -> "LogReal":
-        return _coerce(other) + (-self)
+        return lr(other) + (-self)
 
     def scale(self, r) -> "LogReal":
         """Multiply by a rational scalar."""
-        r = _as_fraction(r)
+        r = as_fraction(r)
         if r == 0:
             return lr_zero()
         return LogReal(self.q * r, tuple((p, c * r) for p, c in self.logs))
@@ -118,16 +174,16 @@ class LogReal:
     # -- comparisons (total order) -------------------------------------------
 
     def __lt__(self, other) -> bool:
-        return lr_compare(self, _coerce(other)) < 0
+        return lr_compare(self, lr(other)) < 0
 
     def __le__(self, other) -> bool:
-        return lr_compare(self, _coerce(other)) <= 0
+        return lr_compare(self, lr(other)) <= 0
 
     def __gt__(self, other) -> bool:
-        return lr_compare(self, _coerce(other)) > 0
+        return lr_compare(self, lr(other)) > 0
 
     def __ge__(self, other) -> bool:
-        return lr_compare(self, _coerce(other)) >= 0
+        return lr_compare(self, lr(other)) >= 0
 
     # -- serialization ------------------------------------------------------
 
@@ -141,8 +197,8 @@ class LogReal:
     def from_json(obj) -> "LogReal":
         if not isinstance(obj, dict) or "q" not in obj:
             raise UsageError(f"not a LogReal payload: {obj!r}")
-        logs = {int(p): Fraction(v) for p, v in obj.get("logs", {}).items()}
-        return LogReal.make(Fraction(obj["q"]), logs)
+        logs = {int(p): as_fraction(v) for p, v in obj.get("logs", {}).items()}
+        return LogReal.make(as_fraction(obj["q"]), logs)
 
     def __repr__(self) -> str:
         parts = [str(self.q)] if (self.q or not self.logs) else []
@@ -158,12 +214,10 @@ class LogReal:
             return float(v)
 
 
-def _coerce(x) -> LogReal:
-    if isinstance(x, LogReal):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return lr_from_rational(x)
-    raise UsageError(f"cannot interpret {x!r} as LogReal")
+def lr(x) -> LogReal:
+    """The one coercion to LogReal: a LogReal, an int, a Fraction or a
+    rational string."""
+    return x if isinstance(x, LogReal) else LogReal(as_fraction(x))
 
 
 def lr_zero() -> LogReal:
@@ -171,7 +225,7 @@ def lr_zero() -> LogReal:
 
 
 def lr_from_rational(r) -> LogReal:
-    return LogReal(_as_fraction(r))
+    return LogReal(as_fraction(r))
 
 
 def lr_log2_int(n: int) -> LogReal:
@@ -180,13 +234,13 @@ def lr_log2_int(n: int) -> LogReal:
         raise UsageError(f"lr_log2_int needs a positive integer, got {n!r}")
     if n == 1:
         return lr_zero()
-    logs = {int(p): Fraction(int(e)) for p, e in sympy.factorint(n).items()}
+    logs = {p: Fraction(e) for p, e in _factorize(n).items()}
     return LogReal.make(0, logs)
 
 
 def lr_log2_fraction(r) -> LogReal:
     """log2 of a positive rational."""
-    r = _as_fraction(r)
+    r = as_fraction(r)
     if r <= 0:
         raise UsageError("lr_log2_fraction needs a positive rational")
     return lr_log2_int(r.numerator) - lr_log2_int(r.denominator)
@@ -222,7 +276,7 @@ def _interval_sign(x: LogReal) -> int:
 
 def lr_compare(a: LogReal, b: LogReal) -> int:
     """Total order: -1, 0, 1.  Equality is decided symbolically."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = lr(a), lr(b)
     if not a.logs and not b.logs:
         return (a.q > b.q) - (a.q < b.q)
     return (a - b).sign()
@@ -236,8 +290,8 @@ def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
     irrational) or involves a prime log (then transcendental by Baker, while
     2**e is algebraic), so separation is guaranteed and the loop terminates.
     """
-    z = _coerce(z)
-    e = _as_fraction(e)
+    z = lr(z)
+    e = as_fraction(e)
     if z.sign() <= 0:
         return -1  # 2**e > 0 always
     if e.denominator == 1:

@@ -40,14 +40,8 @@ from .errors import (
     UsageError,
     ZeroNorm,
 )
-from .logreal import LogReal, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
-
-_ENUM_CAP = 1 << 20  # largest trunk set poss_enumerate will materialize
-_TUPLE_CAP = 24  # largest exponent in a behavior-tuple coloring
-
-
-def _lr(x) -> LogReal:
-    return x if isinstance(x, LogReal) else lr_from_rational(Fraction(x))
+from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json
+from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
 
 
 class IndexUniverse:
@@ -154,7 +148,7 @@ def poss_enumerate(n, u, profile) -> list:
     total = 1
     for m, i in cells:
         total *= _cell_size(profile, m, i)
-        if total > _ENUM_CAP:
+        if total > ENUM_CAP:
             raise CapacityExceeded(f"{total}+ trunks exceed the enumeration cap")
     out = []
     for combo in itertools.product(*(range(_cell_size(profile, m, i)) for m, i in cells)):
@@ -179,6 +173,28 @@ class MlCreature:
             yield ("eps", eps), profile.star_param(self.n), w
         for (alpha, k), w in sorted(self.w_alpha.items(), key=lambda kv: str(kv[0])):
             yield ("alpha", alpha, k), profile.slot_param(self.n, k), w
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "u": sorted(self.u, key=str),
+            "w_eps": [[i, id_to_json(w)] for i, w in sorted(self.w_eps.items(), key=lambda kv: str(kv[0]))],
+            "w_alpha": [[a, k, id_to_json(w)] for (a, k), w in sorted(
+                self.w_alpha.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))],
+            "d": self.d.to_json(),
+        }
+
+    @staticmethod
+    def from_json(obj, n=None) -> "MlCreature":
+        """Inverse of to_json; a fragment keys its creatures by level and
+        passes that level as n instead of storing an "n" field."""
+        return MlCreature(
+            obj["n"] if n is None else n,
+            frozenset(obj["u"]),
+            {i: id_from_json(w) for i, w in obj["w_eps"]},
+            {(a, k): id_from_json(w) for a, k, w in obj["w_alpha"]},
+            LogReal.from_json(obj["d"]),
+        )
 
 
 def ml_validate(c: MlCreature, profile) -> None:
@@ -265,7 +281,7 @@ def ml_norm_cmp(c: MlCreature, n: int, profile, threshold) -> int:
     """Order of nor(c) versus the threshold: -1, 0, or +1."""
     if n != c.n:
         raise DomainMismatch("level mismatch")
-    t = _lr(threshold)
+    t = lr(threshold)
     z = ml_nor_z(c, profile)
     if z <= lr_from_rational(1):
         return -t.sign()  # nor clips to 0
@@ -499,7 +515,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
                 dom = 1
                 for s in active[:j]:
                     dom *= profile.slot_param(n, s[1]).val_size(out.w_alpha[s])
-                if dom > _TUPLE_CAP:
+                if dom > TUPLE_CAP:
                     raise CapacityExceeded("alpha-side behavior tuple too wide")
                 grids = [
                     sorted(profile.slot_param(n, s[1]).val(out.w_alpha[s]))
@@ -538,7 +554,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
         dom = len(etas)
         for e in mus[:j]:
             dom *= star.val_size(out.w_eps[e])
-        if dom > _TUPLE_CAP:
+        if dom > TUPLE_CAP:
             raise CapacityExceeded("mu-side behavior tuple too wide")
         grids = [sorted(star.val(out.w_eps[e])) for e in mus[:j]]
         reps = [min(star.val(out.w_eps[e])) for e in mus[j + 1 :]]

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .atomic import plateau_family
+from .atomic.base import LADDER_LIMIT
 from .atomic.niceness import make_nice
 from .errors import Indeterminate, SizeInfeasible, UsageError
 from .mlcore import IndexUniverse
@@ -70,7 +71,7 @@ def _minimal_above(*bounds):
     """Least natural strictly above every bound: 1 + max."""
     out = bounds[0]
     for b in bounds[1:]:
-        if _has_ref(out) or _has_ref(b):
+        if out.has_ref() or b.has_ref():
             # symbolic operand: the sum stands in for the max, still
             # strictly above both, no longer literally minimal
             out = add(out, b)
@@ -156,19 +157,6 @@ def params_exact(n: int) -> ParamRow:
     )
 
 
-def _has_ref(t: TowerNat) -> bool:
-    obj = t.to_json()
-
-    def walk(o):
-        if isinstance(o, dict):
-            if "ref" in o:
-                return True
-            return any(walk(a) for a in o.get("args", []))
-        return False
-
-    return walk(obj)
-
-
 def params_validate(row: ParamRow, prev: ParamRow | None = None) -> list:
     """Re-check every recursion inequality on a row; one report entry per
     item, with verdict holds / relaxed / constructor-dependent."""
@@ -202,7 +190,7 @@ def params_validate(row: ParamRow, prev: ParamRow | None = None) -> list:
 
     report = []
     for name, lhs, rhs, strict in checks:
-        if _has_ref(lhs) or _has_ref(rhs):
+        if lhs.has_ref() or rhs.has_ref():
             report.append({"item": name, "verdict": "constructor-dependent"})
             continue
         equal_required = not strict and name.endswith("formula")
@@ -362,7 +350,7 @@ def make_toy_profile(spec: dict) -> ToyProfile:
         for s in list(sizes) + [raw["kstar"]]:
             if s < 1:
                 raise UsageError(f"level {n}: sizes must be positive")
-            if s > 16:
+            if s > LADDER_LIMIT:
                 raise SizeInfeasible(
                     f"level {n}: base size {s} exceeds the subset-ladder limit; "
                     "true recursion magnitudes are not materializable"

@@ -14,8 +14,8 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
-from .logreal import LogReal
 from .mlcore import MlCreature
+from .atomic.base import id_from_json, id_to_json
 from .atomic import (
     HalvingPairFamily,
     ReservoirFamily,
@@ -70,15 +70,6 @@ def parse_rational(text) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"not a rational literal: {text!r}")
-
-
-def id_from_json(v):
-    """Creature ids serialize tuples as JSON arrays; restore them."""
-    return tuple(id_from_json(x) for x in v) if isinstance(v, list) else v
-
-
-def id_to_json(v):
-    return [id_to_json(x) for x in v] if isinstance(v, tuple) else v
 
 
 _REQUIRED = object()
@@ -138,22 +129,5 @@ def atomic_param_from_json(obj):
     raise UsageError(f"unknown atomic parameter kind: {kind!r}")
 
 
-def creature_to_json(c: MlCreature) -> dict:
-    return {
-        "n": c.n,
-        "u": sorted(c.u, key=str),
-        "w_eps": [[i, id_to_json(w)] for i, w in sorted(c.w_eps.items(), key=lambda kv: str(kv[0]))],
-        "w_alpha": [[a, k, id_to_json(w)] for (a, k), w in sorted(
-            c.w_alpha.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))],
-        "d": c.d.to_json(),
-    }
-
-
-def creature_from_json(obj) -> MlCreature:
-    return MlCreature(
-        obj["n"],
-        frozenset(obj["u"]),
-        {i: id_from_json(w) for i, w in obj["w_eps"]},
-        {(a, k): id_from_json(w) for a, k, w in obj["w_alpha"]},
-        LogReal.from_json(obj["d"]),
-    )
+creature_to_json = MlCreature.to_json
+creature_from_json = MlCreature.from_json

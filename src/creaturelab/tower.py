@@ -108,6 +108,10 @@ class TowerNat:
             return vals[0] ** vals[1]
         raise UsageError(f"unknown op {self.op!r}")
 
+    def has_ref(self) -> bool:
+        """Does the tree contain a named reference?"""
+        return self.op == "ref" or any(a.has_ref() for a in self.args)
+
     def _deref(self) -> "TowerNat":
         if self.env is None or self.name not in self.env:
             raise UsageError(f"unbound reference {self.name!r}")
@@ -276,8 +280,9 @@ def tower_compare(a: TowerNat, b: TowerNat) -> int:
     va, vb = a.eval_exact(), b.eval_exact()
     if va is not None and vb is not None:
         return (va > vb) - (va < vb)
-    if a == b:
-        # structural equality is sound for env-free trees
+    if a == b and not a.has_ref():
+        # structural equality is sound only for reference-free trees: env
+        # takes no part in ==, so two equal refs may be bound differently
         return 0
     for k in range(1, _MAX_LOG_DEPTH + 1):
         alo, ahi = a.log_bounds(k)

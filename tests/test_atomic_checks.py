@@ -380,3 +380,80 @@ def test_replay_detects_wrong_parameter():
     p6, p8 = subset_log_family(6), subset_log_family(8)
     cert = check_bigness(p6, tuple(range(6)), 2, Fraction(3, 2), mode="exhaustive")
     assert not replay_certificate(p8, cert)
+
+
+# ---------------------------------------------------------------------------
+# top creature and explicit tables
+# ---------------------------------------------------------------------------
+
+
+def _explicit_table(fam):
+    from creaturelab.atomic.base import ExplicitAtomicParameter
+
+    ids = list(fam.ids())
+    return ExplicitAtomicParameter(
+        fam.name, fam.base(), {w: fam.val(w) for w in ids}, {w: fam.nor(w) for w in ids},
+        {w: set(fam.succ_ids(w)) for w in ids})
+
+
+def _scan_top(p):
+    """The first maximal-norm creature in id order."""
+    best = None
+    for w in p.ids():
+        if best is None or p.nor(w) > p.nor(best):
+            best = w
+    return best
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HalvingPairFamily(1),
+    lambda: HalvingPairFamily(3),
+    lambda: HalvingPairFamily(6),
+    lambda: HalvingPairFamily(10),
+    lambda: TrivialTwoPointFamily(Fraction(3, 4)),
+    lambda: TrivialTwoPointFamily(0),
+    lambda: _explicit_table(HalvingPairFamily(2)),
+    lambda: _explicit_table(subset_log_family(3)),
+], ids=["pairs-1", "pairs-3", "pairs-6", "pairs-10", "two-point-3/4", "two-point-0",
+        "explicit-pairs-2", "explicit-subset-log-3"])
+def test_top_is_the_first_maximal_creature_of_the_id_scan(make):
+    p = make()
+    assert p.top() == _scan_top(p)
+    assert p.max_norm() == p.nor(_scan_top(p))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: subset_log_family(6),
+    lambda: capped_ladder(Fraction(15, 8)),
+    lambda: plateau_family(9, 5),
+], ids=["subset-log", "capped-ladder", "plateau"])
+def test_ladders_keep_the_full_set_as_top(make):
+    p = make()
+    assert p.top() == tuple(range(p.n))
+    assert p.max_norm() == p.nor(_scan_top(p))
+
+
+def test_reservoir_keeps_its_own_top():
+    p = ReservoirFamily()
+    assert p.top() == ("free", (0, 1, 2, 3))
+    assert p.max_norm() == LR(Fraction(65, 32))
+
+
+def test_halving_pair_base_size_is_bounded():
+    with pytest.raises(UsageError):
+        HalvingPairFamily(17)
+    with pytest.raises(UsageError):
+        HalvingPairFamily(0)
+
+
+def test_explicit_table_roundtrips_nested_ids():
+    import json
+
+    from creaturelab.atomic.base import ExplicitAtomicParameter
+
+    p = _explicit_table(HalvingPairFamily(2))
+    doc = p.to_json()
+    again = ExplicitAtomicParameter.from_json(json.loads(json.dumps(doc)))
+    assert again.to_json() == doc
+    assert again.param_hash() == p.param_hash()
+    assert again.max_norm() == p.max_norm()

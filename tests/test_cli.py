@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -105,13 +108,11 @@ def test_params_level_zero(files):
                for e in doc["report"])
 
 
-def test_params_cache_roundtrip(files, monkeypatch):
+def test_params_cache_roundtrip(files):
+    # no row cache any more: two reruns recompute the same bytes
     write, tmp = files
-    cache = tmp / "cache"
-    monkeypatch.setenv("CREATURE_LAB_CACHE", str(cache))
     out1, out2 = tmp / "r1.json", tmp / "r2.json"
     assert run(["params", "--level", "0"], out1) == 0
-    assert (cache / "params-0.json").exists()
     assert run(["params", "--level", "0"], out2) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -160,6 +161,35 @@ def test_malformed_atomic_documents_are_usage_errors(files, doc):
     write, tmp = files
     path = write("bad.json", doc)
     assert run(["atomic", "verify", "--in", path, "--property", "axioms"]) == 2
+
+
+@pytest.mark.parametrize("size", [30, 10**9])
+def test_oversized_halving_pairs_are_refused_at_once(files, size):
+    write, tmp = files
+    path = write("big.json", {"kind": "halving-pairs", "base_size": size})
+    start = time.perf_counter()
+    assert run(["atomic", "verify", "--in", path, "--property", "halving",
+                "--x", "3/2"]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_default_witness_is_the_top_creature(files):
+    write, tmp = files
+    path = write("toyh.json", {"kind": "halving-pairs", "base_size": 16})
+    cmd = ["atomic", "verify", "--in", path, "--property", "halving", "--x", "3/2"]
+    top = json.dumps(id_to_json((tuple(range(16)), 0)))
+    assert run(cmd, tmp / "default.json") == 0
+    assert run(cmd + ["--w", top], tmp / "given.json") == 0
+    assert (tmp / "default.json").read_bytes() == (tmp / "given.json").read_bytes()
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, creaturelab.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_atomic_make_nice(files):
@@ -364,3 +394,54 @@ def test_demo_distinguish(files):
     assert doc["value_i"] != doc["value_j"]
     assert run(["demo", "distinguish", "--profile", prof, "--in", frag,
                 "--i", "e0", "--j", "missing"]) == 2
+
+
+# malformed documents of every kind: exit 2 with the file named
+
+
+def _malformed_cases(prof, frag):
+    lvl = {"slot_sizes": 1, "height": 9}
+    return {
+        "profile": (["cond", "poss", "--profile", "{bad}", "--in", frag],
+                    {"universe": CHAIN_UNI, "levels": [lvl]}),
+        "creature": (["ml", "check", "--profile", prof, "--in", "{bad}"],
+                     {"n": 1, "u": ["e0"]}),
+        "creature-type": (["ml", "check", "--profile", prof, "--in", "{bad}"],
+                          {"n": 1, "u": 5, "w_eps": [], "w_alpha": [], "d": {"q": "0"}}),
+        "fragment": (["cond", "poss", "--profile", prof, "--in", "{bad}"],
+                     {"trnklg": 0, "height": 2, "trunk": []}),
+        "fragment-type": (["cond", "poss", "--profile", prof, "--in", "{bad}"], ["no", "dict"]),
+        "name": (["cond", "rapid-read", "--profile", prof, "--in", frag, "--name", "{bad}",
+                  "--M", "1"], {"values": {}, "bound": []}),
+        "product": (["atomic", "order", "--in", "{bad}"], {"coordinates": [{"w": [0]}]}),
+        "product-type": (["atomic", "order", "--in", "{bad}"], [1, 2]),
+        "disjoint": (["atomic", "disjoint", "--in", "{bad}"],
+                     {"param": {"kind": "subset-log", "base_size": 4}, "w1": [0]}),
+        "cover": (["cond", "evade", "--profile", prof, "--in", frag, "--n", "1",
+                   "--cover", "{bad}", "--beta", "a1"], {"level": 1, "indices": []}),
+        "cover-key": (["cond", "evade", "--profile", prof, "--in", frag, "--n", "1",
+                       "--cover", "{bad}", "--beta", "a1"],
+                      {"level": 1, "indices": [], "table": {"not json": [1]}}),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_malformed_cases("p", "f")))
+def test_malformed_documents_are_usage_errors(chain_files, capsys, kind):
+    write, tmp, prof, frag, name = chain_files
+    argv, doc = _malformed_cases(prof, frag)[kind]
+    bad = write("bad.json", doc)
+    assert run([bad if a == "{bad}" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed document") and bad in err
+
+
+@pytest.mark.parametrize("where", ["creature-d", "fragment-floor"])
+def test_unreadable_rationals_in_documents_are_usage_errors(chain_files, where):
+    write, tmp, prof, frag, name = chain_files
+    if where == "creature-d":
+        doc = {"n": 1, "u": ["e0"], "w_eps": [["e0", [0]]], "w_alpha": [], "d": {"q": "1/0"}}
+        argv = ["ml", "check", "--profile", prof, "--in", write("bad.json", doc)]
+    else:
+        doc = dict(read_json(frag), floors=[[1, "1/0"]])
+        argv = ["cond", "poss", "--profile", prof, "--in", write("bad.json", doc)]
+    assert run(argv) == 2

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creaturelab.errors import UsageError
+from creaturelab.errors import CapacityExceeded, UsageError
 from creaturelab.logreal import (
     LogReal,
+    _factorize,
+    _is_prime,
     lr_cmp_pow2,
     lr_compare,
     lr_from_rational,
@@ -162,3 +164,47 @@ def test_compare_takes_sign_exactly_when_a_log_is_present(monkeypatch):
 def test_sign_of_difference(n):
     x = lr_log2_int(n + 1) - lr_log2_int(n)
     assert x.sign() == (1 if n >= 1 else 0)
+
+
+def _trial_factors(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_primality_and_factoring_agree_with_trial_division():
+    for n in range(20000):
+        want = _trial_factors(n) if n else {}
+        assert _is_prime(n) == (n >= 2 and want == {n: 1}), n
+        if n:
+            assert _factorize(n) == want, n
+    # cofactors above the trial limit go through Miller-Rabin
+    assert _factorize(3 * (2**61 - 1)) == {3: 1, 2**61 - 1: 1}
+    assert _factorize(2**100 * 3) == {2: 100, 3: 1}
+    assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) ** 2)
+
+
+def test_log_keys_are_checked_for_primality():
+    key = 2**61 - 1
+    x = LogReal.from_json({"q": "1/2", "logs": {str(key): "3"}})
+    assert x.logs == ((key, F(3)),)
+    with pytest.raises(UsageError):
+        LogReal.from_json({"q": "0", "logs": {str(key * 3): "1"}})
+
+
+def test_primality_beyond_the_exact_range_is_refused():
+    mersenne = 2**89 - 1  # prime, above 3.3e24
+    with pytest.raises(CapacityExceeded):
+        LogReal.from_json({"q": "0", "logs": {str(mersenne): "1"}})
+    with pytest.raises(CapacityExceeded):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(CapacityExceeded):
+        lr_log2_int(mersenne)
+    with pytest.raises(CapacityExceeded):
+        lr_log2_int(1000003 * 1000033)  # composite, no factor below 2^16

@@ -48,6 +48,17 @@ def test_structural_equality_shortcut():
     assert tower_compare(a, b) == 0
 
 
+def test_equal_refs_bound_to_different_values_are_not_equal():
+    big = pow_(2, pow_(2, 30))
+    a = ref("x", {"x": big})
+    b = ref("x", {"x": add(big, 1)})
+    assert a == b and a.has_ref() and not big.has_ref()
+    with pytest.raises(Indeterminate):
+        tower_compare(big, add(big, 1))
+    with pytest.raises(Indeterminate):
+        tower_compare(a, b)
+
+
 def test_indeterminate_on_close_giants():
     a = pow_(2, pow_(2, pow_(2, 40)))
     b = mul(2, pow_(2, pow_(2, pow_(2, 40))))
