@@ -209,31 +209,31 @@ class ExplicitAtomicParameter(AtomicParameter):
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        ids = sorted(self._vals, key=str)
-        key = {w: str(i) for i, w in enumerate(ids)}
+        """Creatures as a list in ids() order, successors by list index, so
+        a round trip keeps the order that top() and the scans follow."""
+        ids = self.ids()
+        index = {w: i for i, w in enumerate(ids)}
         return {
             "name": self.name,
             "base": sorted(self._base),
-            "creatures": {
-                key[w]: {
+            "creatures": [
+                {
                     "id": id_to_json(w),
                     "val": sorted(self._vals[w]),
                     "nor": self._nors[w].to_json(),
-                    "succ": [key[v] for v in sorted(self._succs[w], key=str)],
+                    "succ": sorted(index[v] for v in self._succs[w]),
                 }
                 for w in ids
-            },
+            ],
         }
 
     @staticmethod
     def from_json(obj) -> "ExplicitAtomicParameter":
         raw = obj["creatures"]
-        names = {k: id_from_json(v["id"]) for k, v in raw.items()}
-        vals = {names[k]: frozenset(v["val"]) for k, v in raw.items()}
-        nors = {names[k]: LogReal.from_json(v["nor"]) for k, v in raw.items()}
-        succs = {
-            names[k]: frozenset(names[s] for s in v["succ"]) for k, v in raw.items()
-        }
+        ids = [id_from_json(c["id"]) for c in raw]
+        vals = {w: frozenset(c["val"]) for w, c in zip(ids, raw)}
+        nors = {w: LogReal.from_json(c["nor"]) for w, c in zip(ids, raw)}
+        succs = {w: frozenset(ids[i] for i in c["succ"]) for w, c in zip(ids, raw)}
         return ExplicitAtomicParameter(obj.get("name", "atomic"), obj["base"], vals, nors, succs)
 
     def mutated(self, **changes) -> "ExplicitAtomicParameter":

@@ -253,20 +253,13 @@ def _big_cert(p, w, B, x, verdict, mode, witness=None, counterexample=None):
     )
 
 
-_HEREDITARY_CACHE: dict = {}
-
-
 def _check_hereditary(p, w, B, x, mode):
-    try:
-        cache_key = (p, p.class_key(w), B, x, mode)
-    except TypeError:
-        cache_key = None
-    if cache_key is not None and cache_key in _HEREDITARY_CACHE:
-        return _HEREDITARY_CACHE[cache_key]
-    cert = _check_hereditary_uncached(p, w, B, x, mode)
-    if cache_key is not None:
-        _HEREDITARY_CACHE[cache_key] = cert
-    return cert
+    """Memoized on p itself, so the memo lives and dies with the parameter."""
+    memo = vars(p).setdefault("_hereditary_memo", {})
+    key = (p.class_key(w), B, x, mode)
+    if key not in memo:
+        memo[key] = _check_hereditary_uncached(p, w, B, x, mode)
+    return memo[key]
 
 
 def _check_hereditary_uncached(p, w, B, x, mode):

@@ -2,19 +2,20 @@
 
 A LogReal is a rational plus a finite rational combination of base-2 logarithms
 of primes.  The family {1} u {log2 p : p prime} is linearly independent over Q,
-so equality is decidable symbolically from the canonical form; order is decided
-by adaptive-precision interval evaluation, doubling the working precision until
-the interval excludes zero.  That loop terminates because a nonzero element is
-nonzero as a real number.
+so equality is decidable symbolically from the canonical form.  Order, and
+every other question about the real value, goes through one integer
+enclosure: `_log2_bracket` gives integers lo <= 2**bits * log2(n) <= hi, and
+the answer is read off once the enclosure is tight enough, doubling `bits`
+until it is.  That loop terminates because a nonzero element is nonzero as a
+real number; past _MAX_PREC bits it refuses with Indeterminate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
-
-import mpmath
 
 from .errors import CapacityExceeded, Indeterminate, UsageError
 
@@ -30,7 +31,8 @@ __all__ = [
     "lr_cmp_pow2",
 ]
 
-_START_PREC = 64
+# bits of the first enclosure and of the last one tried before Indeterminate
+_START_PREC = 32
 _MAX_PREC = 1 << 16
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -206,12 +208,13 @@ class LogReal:
             parts.append(f"{c}*log2({p})")
         return "LogReal(" + " + ".join(parts) + ")"
 
-    def approx(self, dps: int = 15) -> float:
-        with mpmath.workdps(dps + 5):
-            v = mpmath.mpf(self.q.numerator) / self.q.denominator
-            for p, c in self.logs:
-                v += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p, 2)
-            return float(v)
+    def approx(self) -> float:
+        """The float nearest the value: the one both ends of an enclosure
+        round to (int / int division rounds correctly)."""
+        for lo, hi, scale, _ in _enclosures(self):
+            if lo / scale == hi / scale:
+                return lo / scale
+        raise Indeterminate(f"float of {self!r} undecided at precision {_MAX_PREC}")
 
 
 def lr(x) -> LogReal:
@@ -246,31 +249,73 @@ def lr_log2_fraction(r) -> LogReal:
     return lr_log2_int(r.numerator) - lr_log2_int(r.denominator)
 
 
-def _interval_value(x: LogReal):
-    """Interval enclosure of x at the current mpmath.iv precision."""
-    iv = mpmath.iv.mpf
-    v = iv(x.q.numerator) / iv(x.q.denominator)
-    ln2 = mpmath.iv.log(iv(2))
-    for p, c in x.logs:
-        v += (iv(c.numerator) / iv(c.denominator)) * mpmath.iv.log(iv(p)) / ln2
-    return v
+def _log2_bracket(n: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * log2(n) <= hi for an integer n >= 1.
+
+    With e = bit_length(n) - 1, n = 2**e * m and m in [1, 2).  m is held in
+    fixed point with P = bits + 8 fraction bits twice, y rounded down and z
+    up.  Each of `bits` rounds doubles the exponent counts c and d, squares
+    y and z (each rounding its way), and halves either one that reaches 2,
+    adding 1 to its count.  By induction, after i rounds
+        2**(e*2**i + c) * y / 2**P <= n**(2**i) <= 2**(e*2**i + d) * z / 2**P
+    with 1 <= y / 2**P < 2 and 1 <= z / 2**P <= 2, so lo = e*2**bits + c and
+    hi = e*2**bits + d + [z > 2**P].  The rounding loss, at most
+    2**(bits - P + 3) in the logarithm, keeps hi - lo <= 2 (a power of two
+    gives lo == hi).
+    """
+    e = n.bit_length() - 1
+    prec = bits + 8
+    one, two = 1 << prec, 2 << prec
+    shift = e - prec
+    if shift >= 0:
+        y = n >> shift
+        z = y + (n & ((1 << shift) - 1) != 0)
+    else:
+        y = z = n << -shift
+    c = d = 0
+    for _ in range(bits):
+        y = y * y >> prec
+        z = -(-z * z >> prec)
+        c, d = 2 * c, 2 * d
+        if y >= two:
+            y, c = y >> 1, c + 1
+        if z >= two:
+            z, d = (z + 1) >> 1, d + 1
+    return (e << bits) + c, (e << bits) + d + (z > one)
+
+
+def _log2_range(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
+    """Integers a <= 2**bits * log2(lo) and 2**bits * log2(hi) <= b; 0 < lo <= hi."""
+    a = _log2_bracket(lo.numerator, bits)[0] - _log2_bracket(lo.denominator, bits)[1]
+    b = _log2_bracket(hi.numerator, bits)[1] - _log2_bracket(hi.denominator, bits)[0]
+    return a, b
+
+
+def _enclosures(x: LogReal):
+    """(lo, hi, scale, bits) with integers lo <= scale * x <= hi, for
+    scale = den * 2**bits, den the least common denominator of x, and bits
+    doubling from _START_PREC to _MAX_PREC."""
+    den = math.lcm(x.q.denominator, *(c.denominator for _, c in x.logs))
+    q = x.q.numerator * (den // x.q.denominator)
+    terms = [(p, c.numerator * (den // c.denominator)) for p, c in x.logs]
+    bits = _START_PREC
+    while bits <= _MAX_PREC:
+        lo = hi = q << bits
+        for p, a in terms:
+            plo, phi = _log2_bracket(p, bits)
+            lo += a * (plo if a > 0 else phi)
+            hi += a * (phi if a > 0 else plo)
+        yield lo, hi, den << bits, bits
+        bits *= 2
 
 
 def _interval_sign(x: LogReal) -> int:
-    """Sign of a provably nonzero LogReal via widening-precision intervals."""
-    prec = _START_PREC
-    saved = mpmath.iv.prec
-    try:
-        while prec <= _MAX_PREC:
-            mpmath.iv.prec = prec
-            v = _interval_value(x)
-            if v > 0:
-                return 1
-            if v < 0:
-                return -1
-            prec *= 2
-    finally:
-        mpmath.iv.prec = saved
+    """Sign of a provably nonzero LogReal from its enclosures."""
+    for lo, hi, _, _ in _enclosures(x):
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
     raise Indeterminate(f"sign of {x!r} undecided at precision {_MAX_PREC}")
 
 
@@ -285,10 +330,12 @@ def lr_compare(a: LogReal, b: LogReal) -> int:
 def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
     """Compare a positive LogReal z against 2**e for rational e.
 
-    Integer e is handled exactly (2**e is rational).  For fractional e we
-    compare log2-values by intervals; z is either rational (then != 2**e, an
-    irrational) or involves a prime log (then transcendental by Baker, while
-    2**e is algebraic), so separation is guaranteed and the loop terminates.
+    Integer e is handled exactly (2**e is rational).  For e = n/d in lowest
+    terms with d > 1, z is either rational (then != 2**e, an irrational) or
+    involves a prime log (then transcendental by Baker, while 2**e is
+    algebraic), so d * log2(z) != n and the enclosures separate them: from
+    lo <= scale * z <= hi, log2(z) lies between the brackets of
+    log2(lo / scale) and log2(hi / scale).  No power of z is formed.
     """
     z = lr(z)
     e = as_fraction(e)
@@ -296,20 +343,11 @@ def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
         return -1  # 2**e > 0 always
     if e.denominator == 1:
         return lr_compare(z, lr_from_rational(Fraction(2) ** e))
-    prec = _START_PREC
-    saved = mpmath.iv.prec
-    try:
-        while prec <= _MAX_PREC:
-            mpmath.iv.prec = prec
-            iv = mpmath.iv.mpf
-            v = _interval_value(z)
-            lz = mpmath.iv.log(v) / mpmath.iv.log(iv(2))
-            ev = iv(e.numerator) / iv(e.denominator)
-            if lz > ev:
+    for lo, hi, scale, bits in _enclosures(z):
+        if lo > 0:
+            a, b = _log2_range(Fraction(lo, scale), Fraction(hi, scale), bits)
+            if a * e.denominator > e.numerator << bits:
                 return 1
-            if lz < ev:
+            if b * e.denominator < e.numerator << bits:
                 return -1
-            prec *= 2
-    finally:
-        mpmath.iv.prec = saved
     raise Indeterminate(f"compare {z!r} vs 2**{e} undecided")

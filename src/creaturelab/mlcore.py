@@ -278,7 +278,12 @@ def ml_norm_positive(c: MlCreature, profile) -> bool:
 
 
 def ml_norm_cmp(c: MlCreature, n: int, profile, threshold) -> int:
-    """Order of nor(c) versus the threshold: -1, 0, or +1."""
+    """Order of nor(c) versus the threshold: -1, 0, or +1.
+
+    A rational threshold t is decided exactly, as z against 2**(maxposs * t).
+    An irrational threshold raises Indeterminate: lr_cmp_pow2 takes
+    rational exponents only.
+    """
     if n != c.n:
         raise DomainMismatch("level mismatch")
     t = lr(threshold)

@@ -2,21 +2,23 @@
 
 A TowerNat is an expression tree over positive integers with +, *, ** and
 named references.  Values small enough to materialize (at most 2**20 bits)
-are evaluated exactly.  Larger values are compared through rigorous interval
-bounds on iterated base-2 logarithms: B(e, k) brackets log2(log2(...(e)...))
-with k logs.  When neither exact evaluation nor the bounds separate two
-expressions, comparison raises Indeterminate rather than guessing.
+are evaluated exactly.  Larger values are compared through exact rational
+bounds on iterated base-2 logarithms: log_bounds(k) brackets
+log2(log2(...(e)...)) with k logs, from logreal's integer enclosure of
+log2(n) and the structural rules in bits_lower.  When neither exact
+evaluation nor the bounds separate two expressions, comparison raises
+Indeterminate rather than guessing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import Indeterminate, UsageError
+from .logreal import _log2_range
 
 __all__ = [
     "TowerNat",
@@ -32,7 +34,8 @@ __all__ = [
 _MAX_BITS = 1 << 20
 # Depth of iterated-log bounding before giving up.
 _MAX_LOG_DEPTH = 6
-_PREC = 96
+# Fraction bits of every log2 bracket.
+_LOG_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -62,26 +65,22 @@ class TowerNat:
 
     # -- exact evaluation -----------------------------------------------------
 
-    def bits_upper(self) -> float:
-        """Cheap float upper bound on log2(value); inf when it overflows."""
+    def bits_upper(self):
+        """Upper bound on the bit length of the value; inf when it overflows."""
         if self.op == "lit":
-            return math.log2(self.n) if self.n > 1 else 0.0
+            return self.n.bit_length()
         if self.op == "ref":
             return self._deref().bits_upper()
         a = [x.bits_upper() for x in self.args]
         if self.op == "add":
-            return max(a) + 1.0
+            return max(a) + 1
         if self.op == "mul":
-            return sum(a) + len(a)
+            return sum(a)
         if self.op == "pow":
-            base_bits = a[0] + 1.0
-            try:
-                ev = self.args[1].eval_exact()
-            except Indeterminate:
-                return math.inf
+            ev = self.args[1].eval_exact()
             if ev is None or ev > (1 << 62):
                 return math.inf
-            return base_bits * float(ev)
+            return a[0] * ev
         raise UsageError(f"unknown op {self.op!r}")
 
     def eval_exact(self) -> Optional[int]:
@@ -119,76 +118,59 @@ class TowerNat:
 
     # -- iterated-log interval bounds -----------------------------------------
 
-    def log_bounds(self, k: int) -> tuple[float, float]:
+    def log_bounds(self, k: int) -> tuple:
         """(lo, hi) bracketing log2 applied k times to the value.
 
-        Requires the value to stay >= 2 through every log lift, which callers
-        guarantee by only increasing k when the previous bounds sit above 1.
-        Returns floats; -inf/inf mark failure to bound from that side.
+        The ends are exact ints or Fractions; -inf / inf mark a side that is
+        not bounded, as when a log would be taken of a value below 1.
         """
-        if k == 0:
-            v = self.eval_exact()
-            if v is not None:
-                if v.bit_length() <= 1000:
-                    return (float(v), float(v))
-                # too big for a float; a clamped power-of-two lower bound
-                # still separates anything float-sized
-                return (2.0 ** min(1000.0, float(v.bit_length() - 1)), math.inf)
-            return (2.0 ** min(1000.0, self.bits_lower(1)[0]), math.inf)
         v = self.eval_exact()
         if v is not None:
-            x = mpmath.mpf(v)
+            lo = hi = v
             for _ in range(k):
-                if x < 1:
+                if lo < 1:
                     return (-math.inf, math.inf)
-                x = mpmath.log(x, 2)
-            f = float(x)
-            return (f * (1 - 1e-12) - 1e-9, f * (1 + 1e-12) + 1e-9)
+                a, b = _log2_range(Fraction(lo), Fraction(hi), _LOG_BITS)
+                lo, hi = Fraction(a, 1 << _LOG_BITS), Fraction(b, 1 << _LOG_BITS)
+            return (lo, hi)
+        if k == 0:
+            # too big to evaluate: 2**floor(log2 lower bound), capped at the budget
+            return (1 << min(math.floor(self.bits_lower(1)[0]), _MAX_BITS), math.inf)
         return self.bits_lower(k)
 
-    def bits_lower(self, k: int) -> tuple[float, float]:
+    def bits_lower(self, k: int) -> tuple:
         """Structural (lo, hi) for the k-fold log2, k >= 1, value too big."""
         if self.op == "ref":
             return self._deref().log_bounds(k)
         if self.op == "lit":
             return self.log_bounds(k)  # lit is always exact
-        if self.op == "add":
+        if self.op in ("add", "mul"):
             bs = [x.log_bounds(k) for x in self.args]
-            lo = max(b[0] for b in bs)
-            hi = max(b[1] for b in bs)
-            # log2(a+b) <= max(log2 a, log2 b) + 1, and the +1 shrinks
-            # under further logs, so +1 on hi is sound at any depth k >= 1.
-            return (lo, hi + 1.0)
-        if self.op == "mul":
-            bs = [x.log_bounds(k) for x in self.args]
-            if k == 1:
+            if self.op == "mul" and k == 1:
                 return (sum(b[0] for b in bs), sum(b[1] for b in bs))
-            lo = max(b[0] for b in bs)
-            hi = max(b[1] for b in bs)
-            return (lo, hi + 1.0)
+            # log2 of a sum, and log2 log2 of a product, of n parts exceed the
+            # max of the same logs of the parts by at most ceil(log2 n), a
+            # slack that shrinks under further logs
+            return (max(b[0] for b in bs), max(b[1] for b in bs) + (len(bs) - 1).bit_length())
         if self.op == "pow":
             x, y = self.args
             if k == 1:
                 # log2(x**y) = y * log2(x)
                 ylo, yhi = y.log_bounds(0)
                 xlo, xhi = x.log_bounds(1)
-                if math.isinf(yhi) or math.isinf(xhi):
-                    lo = ylo * max(xlo, 0.0)
-                    return (lo, math.inf)
-                return (ylo * max(xlo, 0.0), yhi * max(xhi, 0.0))
+                return (ylo * max(xlo, 0), math.inf if math.inf in (yhi, xhi) else yhi * xhi)
             if k == 2:
-                # log2 log2 (x**y) = log2(y) + log2 log2 x  when log2 x >= 1;
-                # bracketed by treating the sum at depth 1 of each part.
+                # log2 log2 (x**y) = log2(y) + log2 log2 x exactly; for x = 1
+                # the -inf lower bound of log2 log2 1 carries over
                 ylo, yhi = y.log_bounds(1)
                 xlo, xhi = x.log_bounds(2)
-                lo = _guarded_sum_lo(ylo, xlo)
-                hi = ylo_hi_sum(yhi, xhi)
-                return (lo, hi)
-            # k >= 3: max rule on the two depth-(k) pieces, slack +1 at k-1
-            # absorbed into one extra unit on hi.
+                return (ylo + xlo, yhi + xhi)
+            # k >= 3: log2 of that sum lies in [max, max + 1] of the logs of
+            # its terms, once x >= 2 makes both terms nonnegative
             ylo, yhi = y.log_bounds(k - 1)
             xlo, xhi = x.log_bounds(k)
-            return (max(ylo, xlo), max(yhi, xhi) + 1.0)
+            lo = max(ylo, xlo) if x.log_bounds(1)[0] >= 1 else -math.inf
+            return (lo, max(yhi, xhi) + 1)
         raise UsageError(f"unknown op {self.op!r}")
 
     # -- serialization --------------------------------------------------------
@@ -223,26 +205,6 @@ class TowerNat:
             return f"@{self.name}"
         sym = {"add": " + ", "mul": " * ", "pow": " ** "}[self.op]
         return "(" + sym.join(repr(a) for a in self.args) + ")"
-
-
-def _guarded_sum_lo(a: float, b: float) -> float:
-    if math.isinf(a) and a < 0:
-        return b
-    if math.isinf(b) and b < 0:
-        return a
-    return _lse_lo(a, b)
-
-
-def _lse_lo(a: float, b: float) -> float:
-    # log2(2**a + 2**b) >= max(a, b); lower bound for the depth-2 pow sum.
-    return max(a, b)
-
-
-def ylo_hi_sum(a: float, b: float) -> float:
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    # log2(2**a + 2**b) <= max + 1.
-    return max(a, b) + 1.0
 
 
 def lit(n: int) -> TowerNat:

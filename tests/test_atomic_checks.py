@@ -457,3 +457,28 @@ def test_explicit_table_roundtrips_nested_ids():
     assert again.to_json() == doc
     assert again.param_hash() == p.param_hash()
     assert again.max_norm() == p.max_norm()
+
+
+def test_explicit_table_roundtrip_keeps_the_id_order():
+    import json
+
+    from creaturelab.atomic.base import ExplicitAtomicParameter
+
+    for fam in (HalvingPairFamily(2), subset_log_family(4)):
+        p = _explicit_table(fam)
+        # sort_keys as the command line writes documents
+        again = ExplicitAtomicParameter.from_json(json.loads(json.dumps(p.to_json(), sort_keys=True)))
+        assert again.ids() == p.ids()
+        assert again.top() == p.top()
+    assert _explicit_table(HalvingPairFamily(2)).top() == ((0,), 0)
+
+
+def test_hereditary_memo_dies_with_its_parameter():
+    import weakref
+
+    p = subset_log_family(4)
+    first = check_bigness(p, p.top(), 2, 1, hereditary=True)
+    assert check_bigness(p, p.top(), 2, 1, hereditary=True) is first  # memo hit
+    ref = weakref.ref(p)
+    del p
+    assert ref() is None

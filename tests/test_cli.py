@@ -192,6 +192,15 @@ def test_import_leaves_sympy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_mpmath_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, creaturelab.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_atomic_make_nice(files):
     write, tmp = files
     out = tmp / "nice.json"

@@ -10,6 +10,7 @@ from creaturelab.logreal import (
     LogReal,
     _factorize,
     _is_prime,
+    _log2_bracket,
     lr_cmp_pow2,
     lr_compare,
     lr_from_rational,
@@ -208,3 +209,89 @@ def test_primality_beyond_the_exact_range_is_refused():
         lr_log2_int(mersenne)
     with pytest.raises(CapacityExceeded):
         lr_log2_int(1000003 * 1000033)  # composite, no factor below 2^16
+
+
+# ---------------------------------------------------------------------------
+# the integer enclosure of log2(n) and what is read off it
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=2**80), st.integers(min_value=0, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_log2_bracket_encloses_the_power(n, bits):
+    lo, hi = _log2_bracket(n, bits)
+    power = n ** (2**bits)
+    assert 1 << lo <= power <= 1 << hi
+    assert 0 <= hi - lo <= 2
+    if n & (n - 1) == 0:
+        assert lo == hi
+
+
+def test_log2_bracket_is_tight_at_working_precision():
+    for n in (3, 5, 2**61 - 1, 3**200, 2**1000 + 1):
+        for bits in (32, 64, 256):
+            lo, hi = _log2_bracket(n, bits)
+            assert hi - lo <= 2
+
+
+def _exact_sign(q, coeffs):
+    """Sign of q + sum a_p * log2(p) for integers q, a_p, as the order of
+    2**q * prod p**a_p against 1, in integers."""
+    num = 2 ** max(q, 0)
+    den = 2 ** max(-q, 0)
+    for p, a in coeffs.items():
+        if a > 0:
+            num *= p**a
+        else:
+            den *= p ** (-a)
+    return (num > den) - (num < den)
+
+
+small = st.integers(min_value=-12, max_value=12)
+
+
+@given(st.integers(min_value=-60, max_value=60), small, small, small,
+       st.integers(min_value=1, max_value=16))
+@settings(max_examples=300, deadline=None)
+def test_sign_agrees_with_the_exact_integer_comparison(q, a3, a5, a7, den):
+    coeffs = {3: a3, 5: a5, 7: a7}
+    x = LogReal.make(F(q, den), {p: F(a, den) for p, a in coeffs.items()})
+    assert x.sign() == _exact_sign(q, coeffs)
+
+
+@given(st.fractions(min_value=F(1, 50), max_value=1000, max_denominator=50),
+       st.integers(min_value=-40, max_value=40), st.integers(min_value=2, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_fractional_cmp_pow2_agrees_with_exact_powers(q, n, d):
+    e = F(n, d)
+    # z**d against 2**n for a rational z = q; d may reduce with n
+    want = (q ** e.denominator > F(2) ** e.numerator) - (q ** e.denominator < F(2) ** e.numerator)
+    assert lr_cmp_pow2(lr_from_rational(q), e) == want
+
+
+def test_fractional_cmp_pow2_with_logs_and_large_denominators():
+    log3 = lr_log2_int(3)
+    # log2(3) = 1.58496... against 2**(2/3) = 1.58740...: 1.58496**3 < 3.9816 < 4
+    assert lr_cmp_pow2(log3, F(2, 3)) == -1
+    # against 2**(1/2) = 1.41421...: 1.58496**2 > 2.5 > 2
+    assert lr_cmp_pow2(log3, F(1, 2)) == 1
+    # a billion-th root needs no billionth power: 3 > 2**(1/10**9) > 1 > 2**(-1/10**9)
+    assert lr_cmp_pow2(lr_from_rational(3), F(1, 10**9)) == 1
+    assert lr_cmp_pow2(lr_from_rational(F(1, 3)), F(-1, 10**9)) == -1
+
+
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+def test_approx_of_a_rational_is_its_correctly_rounded_float(q):
+    assert lr_from_rational(q).approx() == float(q)
+
+
+def test_approx_rounds_ties_and_logs_correctly():
+    tie = F(2**53 + 1, 2**53)  # halfway between 1 and the next float
+    assert lr_from_rational(tie).approx() == float(tie) == 1.0
+    for x in (lr_log2_int(45), lr_log2_int(3).scale(F(-7, 3)) + F(1, 5)):
+        f = x.approx()
+        # the value lies within half an ulp of f, checked by exact compares
+        half = F(math.ulp(f)) / 2
+        assert lr_compare(x, lr_from_rational(F(f) - half)) > 0
+        assert lr_compare(x, lr_from_rational(F(f) + half)) < 0

@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +131,98 @@ def test_log_bounds_bracket_true_value(e):
     lo, hi = e.log_bounds(1)
     assert lo <= math.log2(v) + 1e-9
     assert math.log2(v) <= hi + 1e-9
+
+
+def test_depth_zero_bound_of_an_evaluable_value_is_the_value():
+    for v in (2**60 + 1, 2**60, 2**1000 - 1, 3**700, 1):
+        assert lit(v).log_bounds(0) == (v, v)
+    assert pow_(2, 60).log_bounds(0) == (2**60, 2**60)
+
+
+def _decimal_log2(x, prec=80):
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(x).ln() / Decimal(2).ln()
+
+
+@pytest.mark.parametrize("j", [2, 3, 5, 8, 16, 31, 53, 60, 64, 100, 1000])
+def test_brackets_near_powers_of_two(j):
+    near = [2**j - 1, 2**j, 2**j + 1]
+    assert all(lit(v).log_bounds(0) == (v, v) for v in near)
+    b1 = [lit(v).log_bounds(1) for v in near]
+    b2 = [lit(v).log_bounds(2) for v in near]
+    # depth 1: exact at the power, inside (j - 1, j + 1) around it, and
+    # ordered; disjoint while the gap, about 1.44 * 2**-j, exceeds the
+    # bracket width of a few 2**-64
+    assert b1[1] == (j, j)
+    assert j - 1 < b1[0][0] <= b1[0][1] <= j <= b1[2][0] <= b1[2][1] < j + 1
+    if j <= 56:
+        assert b1[0][1] < j < b1[2][0]
+    # depth 2 of 2**j is log2(j): exact when j is a power of two
+    if j & (j - 1) == 0:
+        assert b2[1] == (j.bit_length() - 1,) * 2
+    # every bracket holds the value, by an 80-digit reference whose own
+    # error is far below the 2**-60 width of the bracket
+    slack = Fraction(1, 10**60)
+    for v, (lo1, hi1), (lo2, hi2) in zip(near, b1, b2):
+        l1 = Fraction(_decimal_log2(v))
+        l2 = Fraction(_decimal_log2(_decimal_log2(v)))
+        assert lo1 - slack <= l1 <= hi1 + slack and hi1 - lo1 < Fraction(1, 2**60)
+        assert lo2 - slack <= l2 <= hi2 + slack and hi2 - lo2 < Fraction(1, 2**58)
+
+
+def test_log_of_a_power_of_a_power_adds_the_logs():
+    # log2 log2 (X**Y) = log2(Y) + log2 log2 X = 2**30 + 2**30 exceeds the
+    # 2**30 + 100 of the right side; a max-plus-one bound said the opposite
+    x = pow_(2, pow_(2, pow_(2, 30)))
+    y = pow_(2, pow_(2, 30))
+    right = pow_(2, pow_(2, add(pow_(2, 30), 100)))
+    assert tower_compare(pow_(x, y), right) == 1
+    assert tower_compare(right, pow_(x, y)) == -1
+
+
+def test_a_power_of_one_is_not_bounded_below_by_its_exponent():
+    # 1**huge + 5 = 6 < 100: the bounds may refuse, but never say greater
+    small = add(pow_(1, pow_(2, pow_(2, 25))), 5)
+    try:
+        assert tower_compare(small, lit(100)) == -1
+    except Indeterminate:
+        pass
+
+
+@st.composite
+def wide_towers(draw, depth=0):
+    """Trees with n-ary sums and products and bases of 1."""
+    if depth >= 3 or draw(st.booleans()):
+        return lit(draw(st.sampled_from([1, 2, 3, 4, 5, 7, 16, 50, 1000, 2**20 + 1])))
+    op = draw(st.sampled_from(["add", "mul", "pow"]))
+    if op == "pow":
+        return pow_(draw(wide_towers(depth=depth + 1)), lit(draw(st.integers(1, 6))))
+    parts = [draw(wide_towers(depth=depth + 1)) for _ in range(draw(st.integers(2, 4)))]
+    return add(*parts) if op == "add" else mul(*parts)
+
+
+@given(wide_towers())
+@settings(max_examples=300, deadline=None)
+def test_structural_bounds_contain_the_iterated_logs(e):
+    if e.bits_upper() > 4000:
+        return
+    v = e.eval_exact()
+    with pytest.MonkeyPatch.context() as mp:
+        # only literals evaluate, so every inner node takes its structural rule
+        mp.setattr(TowerNat, "eval_exact", lambda self: self.n if self.op == "lit" else None)
+        bounds = [e.log_bounds(k) for k in range(5)]
+    assert bounds[0][0] <= v <= bounds[0][1]
+
+    def dec(b):
+        return Decimal(Fraction(b).numerator) / Fraction(b).denominator
+
+    with localcontext() as ctx:
+        ctx.prec = 120
+        x, eps = Decimal(v), Decimal(10) ** -60
+        for lo, hi in bounds[1:]:
+            if x <= 0:
+                break
+            x = x.ln() / Decimal(2).ln()
+            assert lo == -math.inf or dec(lo) <= x + eps
+            assert hi == math.inf or x - eps <= dec(hi)
