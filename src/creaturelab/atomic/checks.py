@@ -12,9 +12,13 @@ modes exist for bigness:
   adversary's optimum, so the answer is exact; for anything else the mode
   raises ModeUnsound rather than guess.
 - family hooks: intensional families expose their own pigeonhole arithmetic
-  (`hereditary_bigness_classes`), which the checker consumes verbatim.  A
-  hook verdict of True is exact; False is conservative (the hook may not
-  see a cleverer witness).
+  (`hereditary_bigness_classes`), which the checker consumes verbatim.  The
+  hook yields (class_key, class_norm, witness_norm) for one successor class
+  per segment on which both norms are constant, in the order a walk over
+  every class would meet them, plus w's own class.  The hereditary check
+  stops at the first failing class, which is a segment start; the
+  single-class check looks up w's own class.  A hook verdict of True is
+  exact; False is conservative (the hook may not see a cleverer witness).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from ..errors import UsageError
+from ..errors import CapacityExceeded, UsageError
 from ..logreal import LogReal, lr, lr_log2_fraction, lr_log2_int
 from .base import LADDER_LIMIT, AtomicParameter
 
@@ -344,7 +344,7 @@ class ReservoirFamily(AtomicParameter):
         return frozenset(range(self.S_SIZE * self.T_SIZE))
 
     def ids(self):
-        raise UsageError("reservoir family is intensional; no id enumeration")
+        raise CapacityExceeded("reservoir family is intensional; its creatures are not enumerable")
 
     def has(self, w):
         try:
@@ -396,7 +396,7 @@ class ReservoirFamily(AtomicParameter):
         return self.rung_norm(len(w[2]))
 
     def succ_ids(self, w):
-        raise UsageError("reservoir successors are not enumerable; use in_succ")
+        raise CapacityExceeded("reservoir successors are not enumerable; use in_succ")
 
     def in_succ(self, v, w):
         if not (self.has(v) and self.has(w)):
@@ -439,21 +439,34 @@ class ReservoirFamily(AtomicParameter):
         under any coloring into at most B colors, via pigeonhole on the
         reservoir (committing the selector first when still free).
 
-        Yields (class_key, class_norm, witness_norm) for every class that
-        the hereditary check must cover.
+        Yields (class_key, class_norm, witness_norm): every free class, then
+        one committed class per breakpoint segment, by increasing reservoir
+        size, and w's own class among them.  Over the sizes t, class_norm =
+        rung_norm(t) moves only at a rung threshold thr, and witness_norm =
+        rung_norm(ceil(t / B)) only where ceil(t / B) reaches a threshold,
+        at t = B * (thr - 1) + 1.  Between consecutive segment starts (1,
+        every thr and every B * (thr - 1) + 1) both norms are constant, and
+        so is whether the class fails.  The first failing size is therefore
+        a segment start, and a checker that stops at the first failure
+        reports the same class as a walk over every size.  w's own class is
+        yielded so that a lookup by class_key finds a committed w of any
+        size.
         """
         one = lr(1)
+        starts = {1}
         if w[0] == "free":
-            t_full = self.T_SIZE
+            top = self.T_SIZE
             for s_size in range(2, len(w[1]) + 1):
                 class_nor = lr(self.NOR_S[s_size])
                 if class_nor >= one:
-                    witness = self.rung_norm(-(-t_full // B))
+                    witness = self.rung_norm(-(-top // B))
                     yield (("free", s_size), class_nor, witness)
-            t_sizes = range(1, t_full + 1)
         else:
-            t_sizes = range(1, len(w[2]) + 1)
-        for t in t_sizes:
+            top = len(w[2])
+            starts.add(top)
+        for threshold, _ in self.RUNGS:
+            starts.update((threshold, B * (threshold - 1) + 1))
+        for t in sorted(t for t in starts if t <= top):
             class_nor = self.rung_norm(t)
             if class_nor >= one:
                 witness = self.rung_norm(-(-t // B))

@@ -124,19 +124,18 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
         if domain > TUPLE_CAP:
             raise CapacityExceeded(f"tuple coloring over {domain} cells is out of reach")
         grids = [sorted(params[i].val(cur[i])) for i in earlier]
-
-        def full_point(combo, a):
-            pt = [None] * M
+        # one point per combination of the cheaper coordinates, built once
+        # with slot j cut out: (the slots before j, the slots after it)
+        templates = []
+        for combo in product(*grids):
+            pt = list(reps)
             for i, val in zip(earlier, combo):
                 pt[i] = val
-            pt[j] = a
-            for i in range(M):
-                if pt[i] is None:
-                    pt[i] = reps[i]
-            return tuple(pt)
+            templates.append((tuple(pt[:j]), tuple(pt[j + 1:])))
 
         def color(a):
-            return tuple(F(full_point(combo, a)) for combo in product(*grids))
+            a = (a,)
+            return tuple(F(head + a + tail) for head, tail in templates)
 
         floor = params[j].nor(cur[j]) - x
         v = _constant_witness(params[j], cur[j], color, floor)

@@ -330,19 +330,29 @@ def lr_compare(a: LogReal, b: LogReal) -> int:
 def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
     """Compare a positive LogReal z against 2**e for rational e.
 
-    Integer e is handled exactly (2**e is rational).  For e = n/d in lowest
-    terms with d > 1, z is either rational (then != 2**e, an irrational) or
-    involves a prime log (then transcendental by Baker, while 2**e is
-    algebraic), so d * log2(z) != n and the enclosures separate them: from
-    lo <= scale * z <= hi, log2(z) lies between the brackets of
-    log2(lo / scale) and log2(hi / scale).  No power of z is formed.
+    A rational z = a/b against an integer e is decided by bit lengths: with
+    k = bit_length(a) - bit_length(b), 2**(k-1) < z < 2**(k+1), so only
+    e == k is compared exactly, by a shift of at most the bit length of a
+    or b.  In every other case z != 2**e.  For e = n/d in lowest terms with
+    d > 1, z is either rational (then != 2**e, an irrational) or involves a
+    prime log (then transcendental by Baker, while 2**e is algebraic).  For
+    integer e (d = 1), z involves a prime log, so it is irrational while
+    2**e is not.  Hence d * log2(z) != n and the enclosures separate them:
+    from lo <= scale * z <= hi, log2(z) lies between the brackets of
+    log2(lo / scale) and log2(hi / scale).  No power of z or of 2 is formed
+    beyond the size of z itself.
     """
     z = lr(z)
     e = as_fraction(e)
     if z.sign() <= 0:
         return -1  # 2**e > 0 always
-    if e.denominator == 1:
-        return lr_compare(z, lr_from_rational(Fraction(2) ** e))
+    if z.is_rational() and e.denominator == 1:
+        num, den = z.q.numerator, z.q.denominator
+        k = num.bit_length() - den.bit_length()
+        if e != k:
+            return 1 if e < k else -1
+        num, den = (num, den << k) if k >= 0 else (num << -k, den)
+        return (num > den) - (num < den)
     for lo, hi, scale, bits in _enclosures(z):
         if lo > 0:
             a, b = _log2_range(Fraction(lo, scale), Fraction(hi, scale), bits)

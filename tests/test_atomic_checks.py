@@ -482,3 +482,89 @@ def test_hereditary_memo_dies_with_its_parameter():
     ref = weakref.ref(p)
     del p
     assert ref() is None
+
+
+# -- the reservoir hook by breakpoints, against a walk over every size ------
+
+_RES = ReservoirFamily()
+_RES_BS = (1, 2, 3, 7, 8, 9, 2**8, 2**16, 2**24)
+_RES_XS = (Fraction(0), Fraction(1, 32), Fraction(3, 32), Fraction(1, 4), Fraction(1, 2),
+           Fraction(1), Fraction(2))
+
+
+def _res_creatures():
+    yield _RES.top()
+    yield ("free", (0, 1))
+    yield ("free", (0, 1, 2))
+    sizes = {_RES.T_SIZE}
+    for threshold, _ in _RES.RUNGS:
+        sizes.update((threshold - 1, threshold, threshold + 1))
+    for n in sorted(s for s in sizes if 1 <= s <= _RES.T_SIZE):
+        yield ("com", 1, tuple(range(n)))
+
+
+def _rung_table():
+    """rung_norm in 32nds for every reservoir size, index 0 unused."""
+    table = [None]
+    for t in range(1, _RES.T_SIZE + 1):
+        v = _RES.rung_norm(t).q * 32
+        assert v.denominator == 1
+        table.append(int(v))
+    return table
+
+
+def _per_size_classes(w, B, rung):
+    """The hereditary classes of w one reservoir size at a time, as
+    (class_key, class_norm, witness_norm) with norms in 32nds."""
+    out = []
+    if w[0] == "free":
+        top = _RES.T_SIZE
+        for s_size in range(2, len(w[1]) + 1):
+            if _RES.NOR_S[s_size] >= 1:
+                out.append((("free", s_size), int(_RES.NOR_S[s_size] * 32), rung[-(-top // B)]))
+    else:
+        top = len(w[2])
+    for t in range(1, top + 1):
+        if rung[t] >= 32:
+            out.append((("com", t), rung[t], rung[-(-t // B)]))
+    return out
+
+
+def test_reservoir_breakpoints_agree_with_every_size():
+    rung = _rung_table()
+    bound = 3 + 2 * len(_RES.RUNGS) + 2
+    for w in _res_creatures():
+        for B in _RES_BS:
+            classes = _per_size_classes(w, B, rung)
+            # one class per run of equal (class_norm, witness_norm), plus w's own
+            keep = [k for k, c in enumerate(classes)
+                    if k == 0 or c[0][0] == "free" or c[1:] != classes[k - 1][1:]
+                    or c[0] == _RES.class_key(w)]
+            hook = [(ck, c.q * 32, wn.q * 32)
+                    for ck, c, wn in _RES.hereditary_bigness_classes(w, B, 0)]
+            assert hook == [classes[k] for k in keep], (w[:2], B)
+            assert len(hook) <= bound
+            # the first class of each margin class_norm - witness_norm
+            first = {}
+            for k, (_, class_nor, witness) in enumerate(classes):
+                first.setdefault(class_nor - witness, k)
+            for x in _RES_XS:
+                hits = [k for margin, k in first.items() if margin > x * 32]
+                cert = check_bigness(_RES, w, B, x, hereditary=True)
+                assert cert.mode == "hook-hereditary"
+                assert cert.verdict == (not hits), (w[:2], B, x)
+                if hits:
+                    ck, _, witness = classes[min(hits)]
+                    assert cert.counterexample == {
+                        "class": ck, "witness_norm": LR(Fraction(witness, 32))}, (w[:2], B, x)
+
+
+def test_reservoir_single_class_bigness_finds_any_committed_size():
+    rung = _rung_table()
+    for n in (33, 1000, 16383):
+        w = ("com", 2, tuple(range(n)))
+        for B in _RES_BS:
+            for x in _RES_XS:
+                cert = check_bigness(ReservoirFamily(), w, B, x, mode="auto")
+                assert cert.mode == "hook"
+                assert cert.verdict == (rung[-(-n // B)] >= rung[n] - x * 32), (n, B, x)

@@ -1,6 +1,7 @@
 """Tests for decisive ordering, product homogenization, and separation."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,3 +102,34 @@ def test_disjoint_successors_refuses_impossible_budgets():
     with pytest.raises(NotDecisive):
         # identical creatures, budget too small to give up half the points
         disjoint_successors(p, (0, 1), (0, 1), Fraction(1, 4))
+
+
+def _bitmap_function(seed):
+    """A seeded 0/1 function on the criterion-6 product, counting its calls."""
+    width = 1 << 16  # reservoir points are s * 16384 + t < 2^16
+    bits = random.Random(seed).randbytes(width)  # one bit per point of 8 x 2^16
+    calls = [0]
+
+    def F(point):
+        calls[0] += 1
+        i = point[0] * width + point[1]
+        return bits[i >> 3] >> (i & 7) & 1
+
+    return F, calls
+
+
+# (seed, first 16 hex digits of sha256(repr((ws, value, report))), F calls)
+HOMOGENIZE_PINS = [
+    (7, "16c34d8f9f49e469", 53382),
+    (11, "32f80b772e0ece71", 55447),
+    (2024, "12ece341ddf8b2dc", 55495),
+]
+
+
+@pytest.mark.parametrize("seed, digest, calls", HOMOGENIZE_PINS)
+def test_homogenize_output_and_F_calls_are_pinned(seed, digest, calls):
+    ps, ws = toy_witness_pair()
+    F, counter = _bitmap_function(seed)
+    out = homogenize_product(ps, ws, F, 2)
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == digest
+    assert counter[0] == calls

@@ -147,6 +147,17 @@ def test_atomic_verify_usage_errors(files):
     assert run(["atomic", "bogus-subcommand"]) == 2
 
 
+@pytest.mark.parametrize("prop", ["nice", "halving"])
+def test_reservoir_verify_is_refused_as_infeasible(files, capsys, prop):
+    # a well-formed document: the refusal is a capacity, not a usage error
+    write, tmp = files
+    res = write("res.json", {"kind": "reservoir"})
+    assert run(["atomic", "verify", "--in", res, "--property", prop,
+                "--M", "2", "--m-max", "65/32", "--x", "1/4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: CapacityExceeded: reservoir")
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "ladder", "base_size": 4},
     {"kind": "plateau", "base_size": 4},

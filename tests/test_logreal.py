@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from creaturelab.errors import CapacityExceeded, UsageError
@@ -295,3 +295,37 @@ def test_approx_rounds_ties_and_logs_correctly():
         half = F(math.ulp(f)) / 2
         assert lr_compare(x, lr_from_rational(F(f) - half)) > 0
         assert lr_compare(x, lr_from_rational(F(f) + half)) < 0
+
+
+@given(st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6),
+       st.integers(min_value=-64, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_integer_cmp_pow2_of_a_rational_agrees_with_the_exact_power(q, e):
+    want = (q > F(2) ** e) - (q < F(2) ** e)
+    assert lr_cmp_pow2(lr_from_rational(q), F(e)) == want
+    # at the power itself and one step either side of it
+    p = F(2) ** e
+    assert lr_cmp_pow2(lr_from_rational(p), F(e)) == 0
+    assert lr_cmp_pow2(lr_from_rational(p + F(1, 10**30)), F(e)) == 1
+    assert lr_cmp_pow2(lr_from_rational(p - F(1, 10**30)), F(e)) == -1
+
+
+@given(st.integers(min_value=-8, max_value=8), st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=-16, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_integer_cmp_pow2_with_a_log_agrees_with_the_exact_power(q, a, den, e):
+    z = LogReal.make(F(q, den), {3: F(a, den)})
+    assume(not z.is_rational() and z.sign() > 0)
+    want = lr_compare(z, lr_from_rational(F(2) ** e))
+    assert lr_cmp_pow2(z, F(e)) == want
+
+
+def test_integer_cmp_pow2_with_a_huge_exponent_forms_no_power():
+    import time
+
+    start = time.perf_counter()
+    for z in (lr_from_rational(F(3, 2)), lr_from_rational(10**40), lr_log2_int(3),
+              lr_log2_int(3).scale(F(1, 7)) + F(1, 5)):
+        assert lr_cmp_pow2(z, F(10**15)) == -1
+        assert lr_cmp_pow2(z, F(-10**15)) == 1
+    assert time.perf_counter() - start < 1.0
