@@ -48,13 +48,15 @@ class AtomicParameter:
     size_monotone_all_subsets: bool = False
     # Permutations of the base set act as automorphisms, so verdicts only
     # depend on the class key.  Licenses class-representative iteration.
-    # Contract: `succ_class_reps(w)` yields one successor of w per class;
-    # for every w and every successor h of w, the successors of h in one
-    # class form a single orbit of the base permutations that fix val(w)
-    # and val(h) (for h = w: those that fix val(w)); and nor, val, in_succ,
-    # best_successor_within and the family's hooks commute with those
-    # permutations.  SubsetLadderFamily and HalvingPairFamily satisfy it;
-    # families that keep the default reps (all successor ids, as
+    # The checkers walk `class_reps` and `succ_class_reps` for every family;
+    # only a symmetric family may override them.  Contract:
+    # `succ_class_reps(w)` yields one successor of w per class; for every w
+    # and every successor h of w, the successors of h in one class form a
+    # single orbit of the base permutations that fix val(w) and val(h) (for
+    # h = w: those that fix val(w)); and nor, val, in_succ and
+    # best_successor_within commute with those permutations.
+    # SubsetLadderFamily and HalvingPairFamily satisfy it; families that
+    # keep the default reps (all ids and successor ids, as
     # TrivialTwoPointFamily does) satisfy it trivially.
     symmetric: bool = False
 

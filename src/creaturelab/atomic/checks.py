@@ -49,9 +49,11 @@ _AXIOMS = (
 def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
     """Check the order axioms and norm constraints of a parameter.
 
-    Explicit parameters are verified creature-by-creature.  Intensional
-    symmetric parameters are verified on class representatives, which the
-    base-set symmetry extends to every creature.
+    One walk over `class_reps` and `succ_class_reps` serves both kinds of
+    family.  Explicit parameters keep the default reps, so they are
+    verified creature-by-creature; intensional symmetric parameters are
+    verified on class representatives, which the base-set symmetry extends
+    to every creature.
     """
     report = []
     base = p.base()
@@ -61,12 +63,11 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
 
     if p.explicit:
         mode = "exhaustive"
-        tops = list(p.ids())
     elif p.symmetric:
         mode = "class-reps"
-        tops = list(p.class_reps())
     else:
         raise UsageError(f"{p.name}: no sound validation strategy (intensional, asymmetric)")
+    tops = list(p.class_reps())
 
     for w in tops:
         if not p.has(w):
@@ -80,7 +81,7 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
             note("reflexive", w)
         if len(vw) == 1 and p.nor(w) > lr(1):
             note("singleton-norm", w)
-        succs = list(p.succ_ids(w) if p.explicit else p.succ_class_reps(w))
+        succs = list(p.succ_class_reps(w))
         if p.explicit:
             succ_set = set(succs)
             for v in tops:
@@ -94,8 +95,7 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
                 note("val-monotone", v, w)
             if p.nor(v) > p.nor(w):
                 note("nor-monotone", v, w)
-            inner = p.succ_ids(v) if p.explicit else p.succ_class_reps(v)
-            for u in inner:
+            for u in p.succ_class_reps(v):
                 if not p.in_succ(u, w):
                     note("transitive", u, v, w)
 
@@ -294,79 +294,62 @@ def _check_hereditary_uncached(p, w, B, x, mode):
 # ---------------------------------------------------------------------------
 
 
+def _bad_successor(p, w, h, floor):
+    """A positive-norm successor of h that does not re-base to a successor
+    of w inside its values at or above floor, or None when h is a half.
+
+    One successor of h per class (`succ_class_reps`); the re-basing map is
+    `best_successor_within(w, val(v))`, the strongest candidate there is."""
+    zero = lr(0)
+    for v in p.succ_class_reps(h):
+        if p.nor(v) <= zero:
+            continue
+        v2 = p.best_successor_within(w, p.val(v))
+        if (
+            v2 is None
+            or not p.in_succ(v2, w)
+            or not p.val(v2) <= p.val(v)
+            or p.nor(v2) < floor
+        ):
+            return v
+    return None
+
+
 def check_halving(p, w, x) -> PropertyCertificate:
     """Is w x-halvable: is there h below w with nor(h) >= nor(w) - x such
     that every positive-norm successor of h re-bases to a successor of w,
     on a subset of its values, with norm at least nor(w) - x?
 
-    Families may supply `half_candidate` (the h to try) and
-    `unhalve_candidate` (the re-basing map).  A hook half is accepted only
-    if it is a successor of w above the floor; otherwise it is recorded as
-    the failure (h, None).  Without a hook every successor of w is tried
-    as h, so a False verdict is exact.
+    One walk decides it: every successor of w at or above the floor is
+    tried as h, in `succ_class_reps(w)` order, and each successor of h is
+    re-based by `best_successor_within`, which finds a re-basing whenever
+    one exists.  The first half found is the witness; a refutation lists
+    one (h, bad) per candidate half, in walk order, so a False verdict is
+    exact.
 
-    For intensional `symmetric` families both loops, over the halves and
-    over the successors of each half, visit one creature per automorphism
-    class (`succ_class_reps`), and this is exact.  Let H be the base
-    permutations that fix val(w), and G those of H that also fix val(h).
-    The successors of w in one class form a single H-orbit, the successors
-    of h in one class a single G-orbit, and nor, val, in_succ,
-    best_successor_within and unhalve_candidate commute with both.  So the
-    test on a successor of h is constant on its class, and the verdict on
-    a half is constant on its class.  A refuted certificate then lists one
-    (h, bad) per class of halves.  Explicit and asymmetric families
-    enumerate `succ_ids`.
+    For `symmetric` families both loops visit one creature per automorphism
+    class, and this is exact.  Let H be the base permutations that fix
+    val(w), and G those of H that also fix val(h).  The successors of w in
+    one class form a single H-orbit, the successors of h in one class a
+    single G-orbit, and nor, val, in_succ and best_successor_within commute
+    with both.  So the test on a successor of h is constant on its class,
+    and the verdict on a half is constant on its class.  Explicit and
+    asymmetric families keep the default reps, every successor id.
     """
     x = lr(x)
     floor = p.nor(w) - x
-    zero = lr(0)
-    by_class = p.symmetric and not p.explicit
-    successors = p.succ_class_reps if by_class else p.succ_ids
-
-    cand_hook = getattr(p, "half_candidate", None)
+    mode = "class-reps" if p.symmetric and not p.explicit else "exhaustive"
     failures = []
-    if cand_hook is not None:
-        candidates = []
-        h = cand_hook(w, x)
-        if h is not None:
-            if p.in_succ(h, w) and p.nor(h) >= floor:
-                candidates.append(h)
-            else:
-                failures.append((h, None))
-        mode = "hook"
-    else:
-        candidates = sorted(
-            (h for h in successors(w) if p.nor(h) >= floor),
-            key=p.nor,
-            reverse=True,
-        )
-        mode = "class-reps" if by_class else "exhaustive"
-
-    unhalve_hook = getattr(p, "unhalve_candidate", None)
-    for h in candidates:
-        bad = None
-        for v in successors(h):
-            if p.nor(v) <= zero:
-                continue
-            if unhalve_hook is not None:
-                v2 = unhalve_hook(w, h, v)
-            else:
-                v2 = p.best_successor_within(w, p.val(v))
-            if (
-                v2 is None
-                or not p.in_succ(v2, w)
-                or not p.val(v2) <= p.val(v)
-                or p.nor(v2) < floor
-            ):
-                bad = v
-                break
+    for h in p.succ_class_reps(w):
+        if p.nor(h) < floor:
+            continue
+        bad = _bad_successor(p, w, h, floor)
         if bad is None:
             return PropertyCertificate(
                 kind="halving", params={"w": w, "x": x}, verdict=True,
                 witness={"half": h}, param_hash=p.param_hash(), mode=mode,
             )
         failures.append((h, bad))
-
     return PropertyCertificate(
         kind="halving", params={"w": w, "x": x}, verdict=False,
         counterexample=failures, param_hash=p.param_hash(), mode=mode,
@@ -480,20 +463,22 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
 
     if cert.kind == "bigness":
         w, B, x = a["w"], a["B"], lr(a["x"])
+        hereditary = "hereditary" in cert.mode
         if cert.verdict:
-            return check_bigness(p, w, B, x, mode=cert.mode.replace("-hereditary", ""),
-                                 hereditary="hereditary" in cert.mode).verdict
+            # "hook" and "hereditary" name no mode check_bigness accepts
+            mode = cert.mode.replace("-hereditary", "")
+            mode = mode if mode in ("analytic", "exhaustive") else "auto"
+            return check_bigness(p, w, B, x, mode=mode, hereditary=hereditary).verdict
         if cert.mode == "exhaustive" and cert.counterexample is not None:
             return _strong_block(p, w, cert.counterexample, p.nor(w) - x) is None
-        return not check_bigness(p, w, B, x, hereditary="hereditary" in cert.mode).verdict
+        return not check_bigness(p, w, B, x, hereditary=hereditary).verdict
 
     if cert.kind == "halving":
         w, x = a["w"], lr(a["x"])
         if cert.verdict and cert.witness:
-            h = cert.witness["half"]
-            if not (p.in_succ(h, w) and p.nor(h) >= p.nor(w) - x):
-                return False
-            return check_halving(p, w, x).verdict
+            h, floor = cert.witness["half"], p.nor(w) - x
+            return (p.in_succ(h, w) and p.nor(h) >= floor
+                    and _bad_successor(p, w, h, floor) is None)
         return check_halving(p, w, x).verdict == cert.verdict
 
     if cert.kind == "decisive":

@@ -290,22 +290,6 @@ class HalvingPairFamily(AtomicParameter):
             for e in range(e2, self.E_STEPS):
                 yield (v[:k], e)
 
-    def half_candidate(self, w, x):
-        """Smallest drift bump whose norm stays above nor(w) - x."""
-        v, e2 = w
-        floor = self.nor(w) - x
-        best = None
-        for e in range(e2 + 1, self.E_STEPS):
-            if self.nor_key(len(v), e) > floor:
-                best = (v, e)  # keep bumping while the norm allows
-            else:
-                break
-        return best
-
-    def unhalve_candidate(self, w, h, u):
-        """Re-base a successor of the half onto w's drift level."""
-        return (u[0], w[1])
-
     def describe(self):
         return json.dumps({"kind": "halving-pairs", "n": self.n})
 
@@ -472,7 +456,7 @@ class ReservoirFamily(AtomicParameter):
                 witness = self.rung_norm(-(-t // B))
                 yield (("com", t), class_nor, witness)
 
-    def bigness_witness(self, w, color, B: int, x):
+    def bigness_witness(self, w, color, x):
         """Successor on which `color` (a function on val pairs) is constant,
         with norm above nor(w) - x, for a concrete coloring: the largest
         color class of the first selector, in order, whose class clears

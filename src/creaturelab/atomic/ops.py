@@ -75,7 +75,7 @@ def _constant_witness(p, w, color, floor):
     """Successor of w above floor on whose values `color` is constant."""
     hook = getattr(p, "bigness_witness", None)
     if hook is not None:
-        v = hook(w, color, None, p.nor(w) - floor)
+        v = hook(w, color, p.nor(w) - floor)
         if v is not None and p.in_succ(v, w) and p.nor(v) >= floor:
             return v
         return None

@@ -36,8 +36,6 @@ def _sym(name: str) -> TowerNat:
 # exact rows
 # ---------------------------------------------------------------------------
 
-_PROVENANCE = ("formula-exact", "minimal-choice", "constructor-dependent", "toy-override")
-
 
 @dataclass
 class ParamRow:

@@ -207,7 +207,7 @@ def test_drift_family_is_halvable():
     # replay the guarantee on every positive-norm successor of the half
     for v in p.succ_ids(h):
         if p.nor(v) > LR(0):
-            v2 = p.unhalve_candidate(w, h, v)
+            v2 = p.best_successor_within(w, p.val(v))
             assert p.in_succ(v2, w)
             assert p.val(v2) <= p.val(v)
             assert p.nor(v2) >= p.nor(w) - LR(x)
@@ -249,10 +249,15 @@ def _halving_cases():
             yield (lambda: HalvingPairFamily(6)), (v, e2)
 
 
+def _every_successor(p):
+    """p walked over every successor id instead of one per class."""
+    p.succ_class_reps = p.succ_ids
+    return p
+
+
 @pytest.mark.parametrize("make,w", list(_halving_cases()))
 def test_halving_on_class_reps_agrees_with_full_enumeration(make, w):
-    sym, full = make(), make()
-    full.symmetric = False
+    sym, full = make(), _every_successor(make())
     for x in HALVING_XS:
         a, b = check_halving(sym, w, x), check_halving(full, w, x)
         assert a.verdict == b.verdict, (w, x)
@@ -280,28 +285,51 @@ def test_halving_on_symmetric_families_never_enumerates_successors(monkeypatch):
     assert replay_certificate(p, cert)
 
 
-class _FakeHalf(HalvingPairFamily):
-    """Its half hook proposes a creature that is no half of w."""
+def _halvable_by_sizes(p, w, x):
+    """Reference for HalvingPairFamily: a walk over every (size, drift) pair
+    of a half and of its successors.  nor depends on nothing else, and the
+    best re-basing of a successor (u, e) onto w = (v, e0) is (u, e0), so
+    this decides halving without the checker's enumeration."""
+    k, e0 = len(w[0]), w[1]
+    floor = p.nor(w) - LR(x)
+    for j in range(1, k + 1):
+        for e in range(e0, p.E_STEPS):
+            if p.nor_key(j, e) < floor:
+                continue
+            if all(p.nor_key(i, e0) >= floor
+                   for i in range(1, j + 1) for d in range(e, p.E_STEPS)
+                   if p.nor_key(i, d) > LR(0)):
+                return True
+    return False
 
-    def __init__(self, fake):
-        super().__init__(8)
-        self._fake = fake
 
-    def half_candidate(self, w, x):
-        return self._fake(w)
+def test_halving_pairs_decide_every_class_like_the_full_walk():
+    # every class of HalvingPairFamily(16) at five losses: 720 cases, many
+    # of them halvable only by a half other than the largest drift bump
+    p = HalvingPairFamily(16)
+    halvable = 0
+    for w in p.class_reps():
+        for x in HALVING_XS:
+            cert = check_halving(p, w, x)
+            assert cert.verdict == _halvable_by_sizes(p, w, x), (w, x)
+            assert cert.mode == "class-reps"
+            assert replay_certificate(p, cert), (w, x)
+            halvable += cert.verdict
+    assert halvable == 691
 
 
-@pytest.mark.parametrize("fake", [
-    lambda w: (w[0], 8),  # below w, but norm 0 under the floor
-    lambda w: (w[0], w[1] - 1),  # above the floor, but not below w
-])
-def test_hook_half_must_be_a_real_half(fake):
-    p = _FakeHalf(fake)
-    w = (tuple(range(8)), 1)  # norm log2(5/2), floor log2(5/2) - 1 > 0
-    cert = check_halving(p, w, 1)
-    assert not cert.verdict
-    assert cert.counterexample == [(fake(w), None)]
-    assert replay_certificate(p, cert)
+def test_a_swapped_half_does_not_replay():
+    p = HalvingPairFamily(16)
+    w = (tuple(range(16)), 0)
+    cert = check_halving(p, w, Fraction(1, 2))
+    assert cert.verdict and replay_certificate(p, cert)
+    # norm log2(3), above the floor 2 - 1/2, but its size-4 successors
+    # re-base to norm 1, below that floor
+    fake = (tuple(range(8)), 0)
+    assert p.in_succ(fake, w) and p.nor(fake) >= p.nor(w) - LR(Fraction(1, 2))
+    swapped = PropertyCertificate.loads(cert.dumps())
+    swapped.witness = {"half": fake}
+    assert not replay_certificate(p, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +408,19 @@ def test_replay_detects_wrong_parameter():
     p6, p8 = subset_log_family(6), subset_log_family(8)
     cert = check_bigness(p6, tuple(range(6)), 2, Fraction(3, 2), mode="exhaustive")
     assert not replay_certificate(p8, cert)
+
+
+def test_verified_bigness_replays_in_every_mode():
+    # "hook" and "hereditary" name no mode that check_bigness accepts
+    r, p = ReservoirFamily(), subset_log_family(4)
+    cases = [
+        (r, check_bigness(r, ("com", 0, tuple(range(40))), 2, 1), "hook"),
+        (p, check_bigness(p, p.top(), 2, 1, hereditary=True), "hereditary"),
+        (r, check_bigness(r, r.top(), 2, 1, hereditary=True), "hook-hereditary"),
+    ]
+    for fam, cert, mode in cases:
+        assert cert.verdict and cert.mode == mode
+        assert replay_certificate(fam, PropertyCertificate.loads(cert.dumps()))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,19 @@ def test_default_witness_is_the_top_creature(files):
     assert (tmp / "default.json").read_bytes() == (tmp / "given.json").read_bytes()
 
 
+def test_a_creature_that_is_its_own_half_is_halvable(files):
+    # every positive-norm successor of w re-bases onto w as itself
+    write, tmp = files
+    doc = {"kind": "halving-pairs", "base_size": 16}
+    path = write("toyh.json", doc)
+    w = [[0, 1, 2, 3], 0]
+    assert run(["atomic", "verify", "--in", path, "--property", "halving",
+                "--w", json.dumps(w), "--x", "1/4"], tmp / "own.json") == 0
+    cert = PropertyCertificate.from_json(read_json(tmp / "own.json")["certificate"])
+    assert cert.verdict and cert.witness["half"] == ((0, 1, 2, 3), 0)
+    assert replay_certificate(atomic_param_from_json(doc), cert)
+
+
 def test_import_leaves_sympy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
