@@ -47,7 +47,9 @@ class AtomicParameter:
     # the value-set size, monotonically.  Licenses the analytic bigness mode.
     size_monotone_all_subsets: bool = False
     # Permutations of the base set act as automorphisms, so verdicts only
-    # depend on the class key.  Licenses class-representative iteration.
+    # depend on the class key.  Licenses class-representative iteration,
+    # and on intensional families the size-class walk of exhaustive
+    # bigness: a block's best successor norm depends only on its size.
     # The checkers walk `class_reps` and `succ_class_reps` for every family;
     # only a symmetric family may override them.  Contract:
     # `succ_class_reps(w)` yields one successor of w per class; for every w
@@ -153,7 +155,12 @@ class AtomicParameter:
         raise NotImplementedError
 
     def param_hash(self) -> str:
-        return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
+        """sha256 of describe(), computed once per instance: a parameter
+        does not change after it is built."""
+        h = vars(self).get("_param_hash")
+        if h is None:
+            h = self._param_hash = hashlib.sha256(self.describe().encode()).hexdigest()[:16]
+        return h
 
 
 class ExplicitAtomicParameter(AtomicParameter):

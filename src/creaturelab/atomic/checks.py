@@ -1,12 +1,19 @@
 """Property checkers for atomic creature parameters.
 
 Every checker returns a PropertyCertificate whose verdict is backed by an
-explicit witness or counterexample; nothing is sampled.  Three evaluation
+explicit witness or counterexample; nothing is sampled.  Four evaluation
 modes exist for bigness:
 
-- "exhaustive": enumerate every partition of the value set into at most B
-  blocks (restricted growth strings) and demand a strong block in each.
-  Always sound, exponential in the value-set size.
+- "exhaustive": the exact value of the partition game over every partition
+  of the value set into at most B blocks, by dynamic programming over bit
+  masks.  Always sound, O(B * 3^n) in the value-set size n.  Explicit and
+  asymmetric families use it.
+- "class-reps": the same game on `symmetric` intensional families, walked
+  over block sizes: a block's best successor norm depends only on its size
+  there, so one block per size is scored and every partition of n into at
+  most B parts is tried.  Requested as "exhaustive"; the certificate names
+  the walk that decided it.  Both games refuse a value set above 16 points
+  with CapacityExceeded.
 - "analytic": test only the balanced partition.  For families whose norm is
   a monotone function of the value-set size this single partition is the
   adversary's optimum, so the answer is exact; for anything else the mode
@@ -19,13 +26,16 @@ modes exist for bigness:
   stops at the first failing class, which is a segment start; the
   single-class check looks up w's own class.  A hook verdict of True is
   exact; False is conservative (the hook may not see a cleverer witness).
+
+The partition games and the hereditary check are memoized on the parameter
+instance, so a memo lives and dies with its parameter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import ModeUnsound, UsageError
+from ..errors import CapacityExceeded, ModeUnsound, UsageError
 from ..logreal import lr
 from .base import AtomicParameter
 from .certificates import PropertyCertificate
@@ -114,6 +124,10 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
 # ---------------------------------------------------------------------------
 
 
+# Largest value set the exhaustive partition game accepts.
+_EXHAUSTIVE_LIMIT = 16
+
+
 def _strong_block(p, w, partition, floor):
     """A block of the partition on which w has a successor above floor."""
     for block in partition:
@@ -165,18 +179,85 @@ def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False)
 
     if mode not in ("auto", "exhaustive"):
         raise UsageError(f"unknown bigness mode {mode!r}")
-    points = sorted(p.val(w))
-    if len(points) > 16:
-        raise UsageError(f"{p.name}: value set too large for exhaustive bigness")
+    if p.val_size(w) > _EXHAUSTIVE_LIMIT:
+        raise CapacityExceeded(f"{p.name}: value set too large for exhaustive bigness")
     floor = p.nor(w) - x
-    minimax, worst_partition = _adversary_minimax(p, w, B, tuple(points))
+    minimax, worst_partition = _minimax(p, w, B)
     ok = minimax is not None and minimax >= floor
-    return _big_cert(p, w, B, x, ok, "exhaustive",
+    return _big_cert(p, w, B, x, ok, _walk_mode(p),
                      witness={"witness_norm": minimax} if ok else None,
                      counterexample=None if ok else worst_partition)
 
 
-_MINIMAX_CACHE: dict = {}
+def _walk_mode(p) -> str:
+    """Symmetric intensional families are walked one automorphism class at
+    a time, explicit and asymmetric ones creature by creature."""
+    return "class-reps" if p.symmetric and not p.explicit else "exhaustive"
+
+
+def _minimax(p, w, B):
+    """The partition game's value and a worst partition, memoized on p
+    itself by (w, B), so repeated x thresholds share one game and the memo
+    lives and dies with the parameter."""
+    memo = vars(p).setdefault("_minimax_memo", {})
+    key = (w, B)
+    if key not in memo:
+        game = _size_class_minimax if _walk_mode(p) == "class-reps" else _adversary_minimax
+        memo[key] = game(p, w, B, tuple(sorted(p.val(w))))
+    return memo[key]
+
+
+def _ranks(norms):
+    """Integer scores for a list of norms (None, a stranded block, scores
+    0) and the sorted distinct norms: a score r > 0 names order[r - 1]."""
+    order = sorted({x for x in norms if x is not None})
+    rank_of = {x: r + 1 for r, x in enumerate(order)}
+    return [0 if x is None else rank_of[x] for x in norms], order
+
+
+def _size_profiles(n, parts, largest):
+    """Partitions of n into at most `parts` parts, none above `largest`, as
+    non-increasing tuples in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        if n - k > (parts - 1) * k:
+            break
+        for rest in _size_profiles(n - k, parts - 1, k):
+            yield (k,) + rest
+
+
+def _size_class_minimax(p, w, B, points):
+    """The partition game on a symmetric family, walked over block sizes.
+
+    Every base permutation that fixes val(w) is an automorphism, and
+    best_successor_within commutes with it, so the best successor norm of a
+    block depends only on its size.  One block per size k (the first k
+    points) is scored, and every partition of n into at most B parts is
+    walked; the first whose largest part score is least is the adversary's
+    optimum, cut from the sorted points as consecutive slices.  No
+    monotonicity of the score is assumed, so this stays an independent
+    check of the analytic mode."""
+    n = len(points)
+    score, order = _ranks([None] + [
+        _best_norm(p, w, points[:k]) for k in range(1, n + 1)])
+    best = best_profile = None
+    for profile in _size_profiles(n, min(B, n), n):
+        cand = max((score[k] for k in profile), default=0)
+        if best is None or cand < best:
+            best, best_profile = cand, profile
+    partition, start = [], 0
+    for k in best_profile:
+        partition.append(points[start:start + k])
+        start += k
+    return (None if best == 0 else order[best - 1], tuple(partition))
+
+
+def _best_norm(p, w, block):
+    """The norm of w's best successor inside `block`, or None."""
+    v = p.best_successor_within(w, frozenset(block))
+    return None if v is None else p.nor(v)
 
 
 def _adversary_minimax(p, w, B, points):
@@ -187,24 +268,13 @@ def _adversary_minimax(p, w, B, points):
 
     Computed by dynamic programming over bit masks: every one of the 2^n - 1
     nonempty blocks is scored once, and masks are split with the lowest set
-    bit pinned to the first block so each partition is counted once.  Cached
-    per (parameter, creature, B) so repeated x thresholds share the scan."""
-    key = (p.param_hash(), w, B)
-    hit = _MINIMAX_CACHE.get(key)
-    if hit is not None:
-        return hit
-
+    bit pinned to the first block so each partition is counted once."""
     n = len(points)
     full = (1 << n) - 1
     # score every nonempty block; rank norms as integers (0 = stranded)
-    norms = []
-    for mask in range(1, full + 1):
-        block = frozenset(points[i] for i in range(n) if mask >> i & 1)
-        v = p.best_successor_within(w, block)
-        norms.append(None if v is None else p.nor(v))
-    order = sorted({x for x in norms if x is not None})
-    rank_of = {x: r + 1 for r, x in enumerate(order)}
-    score = [0] + [0 if x is None else rank_of[x] for x in norms]
+    score, order = _ranks([None] + [
+        _best_norm(p, w, [points[i] for i in range(n) if mask >> i & 1])
+        for mask in range(1, full + 1)])
 
     # layer b: best[mask] = minimax rank over partitions of mask into at
     # most b+1 blocks, split[mask] = a first block realizing it
@@ -240,9 +310,7 @@ def _adversary_minimax(p, w, B, points):
         partition.append(tuple(points[i] for i in range(n) if first >> i & 1))
         mask ^= first
         layer -= 1
-    result = (None if best[full] == 0 else order[best[full] - 1], tuple(partition))
-    _MINIMAX_CACHE[key] = result
-    return result
+    return (None if best[full] == 0 else order[best[full] - 1], tuple(partition))
 
 
 def _big_cert(p, w, B, x, verdict, mode, witness=None, counterexample=None):
@@ -338,7 +406,7 @@ def check_halving(p, w, x) -> PropertyCertificate:
     """
     x = lr(x)
     floor = p.nor(w) - x
-    mode = "class-reps" if p.symmetric and not p.explicit else "exhaustive"
+    mode = _walk_mode(p)
     failures = []
     for h in p.succ_class_reps(w):
         if p.nor(h) < floor:
@@ -447,6 +515,18 @@ def _nice_cert(p, M, m_max, verdict, counterexample):
 # ---------------------------------------------------------------------------
 
 
+_REPLAY_MODE = {"analytic": "analytic", "exhaustive": "exhaustive", "class-reps": "exhaustive"}
+
+
+def _is_partition(values, blocks, B) -> bool:
+    """Are `blocks` at most B nonempty, pairwise disjoint sets covering
+    exactly `values`?"""
+    sets = [frozenset(b) for b in blocks]
+    union = frozenset().union(*sets)
+    return (len(sets) <= B and all(sets)
+            and sum(map(len, sets)) == len(union) and union == values)
+
+
 def replay_certificate(p, cert: PropertyCertificate) -> bool:
     """Re-verify a certificate against a live parameter.
 
@@ -465,12 +545,14 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
         w, B, x = a["w"], a["B"], lr(a["x"])
         hereditary = "hereditary" in cert.mode
         if cert.verdict:
-            # "hook" and "hereditary" name no mode check_bigness accepts
-            mode = cert.mode.replace("-hereditary", "")
-            mode = mode if mode in ("analytic", "exhaustive") else "auto"
+            # "hook" and "hereditary" name no mode check_bigness accepts,
+            # and "class-reps" is what "exhaustive" runs on symmetric families
+            mode = _REPLAY_MODE.get(cert.mode.replace("-hereditary", ""), "auto")
             return check_bigness(p, w, B, x, mode=mode, hereditary=hereditary).verdict
-        if cert.mode == "exhaustive" and cert.counterexample is not None:
-            return _strong_block(p, w, cert.counterexample, p.nor(w) - x) is None
+        if cert.mode in ("exhaustive", "class-reps") and cert.counterexample is not None:
+            blocks = cert.counterexample
+            return (_is_partition(p.val(w), blocks, B)
+                    and _strong_block(p, w, blocks, p.nor(w) - x) is None)
         return not check_bigness(p, w, B, x, hereditary=hereditary).verdict
 
     if cert.kind == "halving":

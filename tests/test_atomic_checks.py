@@ -26,6 +26,7 @@ from creaturelab.atomic import (
     toy_witness_pair,
     validate_atomic,
 )
+from creaturelab.atomic import checks
 from creaturelab.errors import ModeUnsound, SizeInfeasible, UsageError
 from creaturelab.logreal import lr_from_rational, lr_log2_fraction
 
@@ -164,6 +165,80 @@ def test_hereditary_bigness_on_reservoir():
     # a tighter budget than the rung spacing fails
     cert = check_bigness(r, r.top(), 8, Fraction(3, 32), hereditary=True)
     assert not cert.verdict
+
+
+_SYMMETRIC_FAMILIES = {
+    "subset-log-9": lambda: subset_log_family(9),
+    "plateau-3-9": lambda: plateau_family(3, 9),
+    "capped-15/8-9": lambda: capped_ladder(Fraction(15, 8), 9),
+    "halving-pairs-7": lambda: HalvingPairFamily(7),
+}
+
+
+@pytest.mark.parametrize("make", _SYMMETRIC_FAMILIES.values(), ids=_SYMMETRIC_FAMILIES.keys())
+def test_size_class_walk_agrees_with_the_bitmask_game(make):
+    p = make()
+    for w in p.class_reps():
+        points = tuple(sorted(p.val(w)))
+        for B in range(1, 6):
+            walk = checks._size_class_minimax(p, w, B, points)
+            dp = checks._adversary_minimax(p, w, B, points)
+            assert walk[0] == dp[0], (w, B)
+
+
+@pytest.mark.parametrize("make", _SYMMETRIC_FAMILIES.values(), ids=_SYMMETRIC_FAMILIES.keys())
+def test_class_reps_counterexamples_are_failing_partitions(make, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bit-mask game run on a symmetric family")
+
+    monkeypatch.setattr(checks, "_adversary_minimax", refuse)
+    p = make()
+    refuted = 0
+    for w in p.class_reps():
+        vw = p.val(w)
+        for B in (2, 3, 5):
+            for x in (Fraction(1, 4), 1):
+                cert = check_bigness(p, w, B, x, mode="exhaustive")
+                assert cert.mode == "class-reps"
+                assert replay_certificate(p, PropertyCertificate.loads(cert.dumps())), (w, B, x)
+                if cert.verdict:
+                    continue
+                refuted += 1
+                blocks = [frozenset(b) for b in cert.counterexample]
+                assert 1 <= len(blocks) <= B and all(blocks)
+                assert sum(map(len, blocks)) == len(vw) and frozenset().union(*blocks) == vw
+                floor = p.nor(w) - LR(x)
+                for block in blocks:
+                    v = p.best_successor_within(w, block)
+                    assert v is None or p.nor(v) < floor
+    assert refuted
+
+
+def test_explicit_tables_keep_the_bitmask_game():
+    sym = subset_log_family(5)
+    table = _explicit_table(sym)
+    for B in (1, 2, 3):
+        for x in (Fraction(1, 2), 1, Fraction(3, 2)):
+            a = check_bigness(sym, sym.top(), B, x, mode="exhaustive")
+            b = check_bigness(table, table.top(), B, x, mode="exhaustive")
+            assert (a.mode, b.mode) == ("class-reps", "exhaustive")
+            assert a.verdict == b.verdict and a.witness == b.witness
+            assert replay_certificate(table, b)
+
+
+@pytest.mark.parametrize("blocks", [((0,),), (), tuple((i,) for i in range(6))],
+                         ids=["one-point", "empty", "six-singletons"])
+@pytest.mark.parametrize("mode", ["class-reps", "exhaustive"])
+def test_a_forged_bigness_refutation_does_not_replay(blocks, mode):
+    # a truly big creature: no block list that fails to partition val(w)
+    # into at most B blocks may stand as a counterexample
+    p = subset_log_family(6)
+    cert = check_bigness(p, p.top(), 2, Fraction(3, 2), mode="exhaustive")
+    assert cert.verdict and replay_certificate(p, cert)
+    forged = PropertyCertificate.loads(cert.dumps())
+    forged.verdict, forged.witness, forged.mode = False, None, mode
+    forged.counterexample = blocks
+    assert not replay_certificate(p, forged)
 
 
 @settings(max_examples=30, deadline=None)
@@ -523,6 +598,36 @@ def test_hereditary_memo_dies_with_its_parameter():
     ref = weakref.ref(p)
     del p
     assert ref() is None
+
+
+def test_minimax_memo_dies_with_its_parameter():
+    import weakref
+
+    assert not hasattr(checks, "_MINIMAX_CACHE")
+    for make in (lambda: HalvingPairFamily(6), lambda: _explicit_table(subset_log_family(4))):
+        p = make()
+        w = p.top()
+        check_bigness(p, w, 2, 1, mode="exhaustive")
+        game = vars(p)["_minimax_memo"][(w, 2)]
+        # another threshold reuses the game
+        cert = check_bigness(p, w, 2, 2, mode="exhaustive")
+        assert vars(p)["_minimax_memo"] == {(w, 2): game}
+        assert cert.witness is None or cert.witness["witness_norm"] is game[0]
+        ref = weakref.ref(p)
+        del p, cert
+        assert ref() is None
+
+
+def test_param_hash_serializes_once_per_instance():
+    import hashlib
+
+    for p in (subset_log_family(5), HalvingPairFamily(4), _explicit_table(subset_log_family(3))):
+        text = p.describe()
+        calls = []
+        p.describe = lambda: calls.append(1) or text
+        first = p.param_hash()
+        assert p.param_hash() == first and len(calls) == 1
+        assert first == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # -- the reservoir hook by breakpoints, against a walk over every size ------

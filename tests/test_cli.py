@@ -158,6 +158,32 @@ def test_reservoir_verify_is_refused_as_infeasible(files, capsys, prop):
     assert err.startswith("infeasible: CapacityExceeded: reservoir")
 
 
+def test_reservoir_exhaustive_bigness_is_refused_as_infeasible(files, capsys):
+    # past the 16-point cap of the partition game: a capacity, not a usage error
+    write, tmp = files
+    res = write("res.json", {"kind": "reservoir"})
+    assert run(["atomic", "verify", "--in", res, "--property", "big",
+                "--B", "2", "--mode", "exhaustive"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: CapacityExceeded: reservoir")
+
+
+def test_exhaustive_bigness_on_sixteen_points_is_quick(files):
+    # the size-class walk decides the 16-point subset ladder without the
+    # 3^16 bit-mask game
+    write, tmp = files
+    path = write("log16.json", {"kind": "subset-log", "base_size": 16})
+    start = time.perf_counter()
+    assert run(["atomic", "verify", "--in", path, "--property", "big", "--B", "4",
+                "--x", "1", "--mode", "exhaustive"], tmp / "big.json") == 1
+    assert time.perf_counter() - start < 5.0
+    cert = PropertyCertificate.from_json(read_json(tmp / "big.json")["certificate"])
+    assert cert.mode == "class-reps" and not cert.verdict
+    assert cert.counterexample == tuple(tuple(range(k, k + 4)) for k in range(0, 16, 4))
+    assert replay_certificate(atomic_param_from_json({"kind": "subset-log",
+                                                      "base_size": 16}), cert)
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "ladder", "base_size": 4},
     {"kind": "plateau", "base_size": 4},
