@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import defaultdict
 from fractions import Fraction
 
 from ..errors import CapacityExceeded, UsageError
@@ -456,20 +457,23 @@ class ReservoirFamily(AtomicParameter):
                 witness = self.rung_norm(-(-t // B))
                 yield (("com", t), class_nor, witness)
 
-    def bigness_witness(self, w, color, x):
-        """Successor on which `color` (a function on val pairs) is constant,
-        with norm above nor(w) - x, for a concrete coloring: the largest
-        color class of the first selector, in order, whose class clears
-        that floor."""
+    def bigness_witness(self, w, colors, x):
+        """Successor on which a concrete coloring is constant, with norm
+        above nor(w) - x: the largest color class of the first selector, in
+        order, whose class clears that floor.
+
+        `colors(points)` yields the color of each val pair s * T_SIZE + t,
+        in order (see `ops._constant_witness`); each selector's points are
+        colored in one stream, in increasing t."""
         floor = self.nor(w) - x
         if w[0] == "free":
             s_points, t_points = w[1], range(self.T_SIZE)
         else:
             s_points, t_points = (w[1],), w[2]
         for s in s_points:
-            classes = {}
-            for t in t_points:
-                classes.setdefault(color(s * self.T_SIZE + t), []).append(t)
+            classes = defaultdict(list)
+            for t, c in zip(t_points, colors(map((s * self.T_SIZE).__add__, t_points))):
+                classes[c].append(t)
             cand = ("com", s, tuple(max(classes.values(), key=len)))
             if floor < self.nor(cand) <= self.nor(w):
                 return cand

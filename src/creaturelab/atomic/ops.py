@@ -10,12 +10,18 @@ rather than returning a weakened answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, islice, product, repeat
+from math import prod
+from operator import itemgetter, ne
 
 from ..errors import CapacityExceeded, NotDecisive, NotNice, UsageError
 from ..logreal import lr
 from .base import TUPLE_CAP
 from .checks import check_bigness
+
+# Points of one coordinate colored per itertools.product call: product
+# materializes its arguments, so the chunk bounds a coloring's memory.
+_CHUNK = 256
 
 
 def decisive_order(params, ws, x):
@@ -71,23 +77,49 @@ def decisive_order(params, ws, x):
     return order, new_ws
 
 
-def _constant_witness(p, w, color, floor):
-    """Successor of w above floor on whose values `color` is constant."""
+def _constant_witness(p, w, colors, floor):
+    """Successor of w above floor on whose values the coloring is constant.
+
+    `colors(points)` yields the color of each point, in order: the tuple of
+    F over the product of the cheaper coordinates.  F is called point-major,
+    the cheaper coordinates varying fastest in itertools.product order.  A
+    family's `bigness_witness` hook receives the same `colors`.
+    """
     hook = getattr(p, "bigness_witness", None)
     if hook is not None:
-        v = hook(w, color, p.nor(w) - floor)
+        v = hook(w, colors, p.nor(w) - floor)
         if v is not None and p.in_succ(v, w) and p.nor(v) >= floor:
             return v
         return None
+    points = sorted(p.val(w))
     classes = {}
-    for t in sorted(p.val(w)):
-        classes.setdefault(color(t), []).append(t)
+    for t, c in zip(points, colors(points)):
+        classes.setdefault(c, []).append(t)
     best = None
     for cls in classes.values():
         v = p.best_successor_within(w, frozenset(cls))
         if v is not None and p.nor(v) >= floor and (best is None or p.nor(v) > p.nor(best)):
             best = v
     return best
+
+
+def _coloring(F, slots, lists):
+    """colors(points) for the coordinate in slots[0]: point a is colored by
+    F over product([a], *lists), where lists[k - 1] holds the values of the
+    coordinate in slots[k], each product tuple put back in slot order."""
+    width = prod(map(len, lists))
+    perm = sorted(range(len(slots)), key=slots.__getitem__)
+    # itemgetter of one index returns the value itself, not a 1-tuple
+    place = itemgetter(*perm) if len(perm) > 1 else tuple
+
+    def colored(chunk):
+        return zip(*[map(F, map(place, product(chunk, *lists)))] * width)
+
+    def colors(points):
+        points = iter(points)
+        return chain.from_iterable(map(colored, iter(lambda: tuple(islice(points, _CHUNK)), ())))
+
+    return colors
 
 
 def homogenize_product(params, ws, F, range_size: int, x=None):
@@ -100,6 +132,14 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
 
     Returns (new_ws, value, report) with the constant value of F and the
     per-coordinate norm losses.
+
+    Which points F receives, in which order and how many times, is part of
+    the contract (F may be stateful, e.g. draw a value on first access).
+    Each elimination step colors points of its coordinate through `colors`
+    (see `_constant_witness`): val(w) in increasing order by default, or in
+    the order a `bigness_witness` hook documents.  The replay then calls F
+    on the first point of the final product, and on the whole product in
+    itertools.product order up to the first point off that value.
     """
     M = len(params)
     if range_size < 1:
@@ -116,29 +156,16 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
     # a fixed representative value
     reps = [None] * M
     for pos in range(M - 1, -1, -1):
-        j = order[pos]
-        earlier = order[:pos]
+        j, earlier, held = order[pos], order[:pos], order[pos + 1:]
         domain = 1
         for i in earlier:
             domain *= params[i].val_size(cur[i])
         if domain > TUPLE_CAP:
             raise CapacityExceeded(f"tuple coloring over {domain} cells is out of reach")
-        grids = [sorted(params[i].val(cur[i])) for i in earlier]
-        # one point per combination of the cheaper coordinates, built once
-        # with slot j cut out: (the slots before j, the slots after it)
-        templates = []
-        for combo in product(*grids):
-            pt = list(reps)
-            for i, val in zip(earlier, combo):
-                pt[i] = val
-            templates.append((tuple(pt[:j]), tuple(pt[j + 1:])))
-
-        def color(a):
-            a = (a,)
-            return tuple(F(head + a + tail) for head, tail in templates)
-
+        lists = [sorted(params[i].val(cur[i])) for i in earlier] + [(reps[i],) for i in held]
+        colors = _coloring(F, [j, *earlier, *held], lists)
         floor = params[j].nor(cur[j]) - x
-        v = _constant_witness(params[j], cur[j], color, floor)
+        v = _constant_witness(params[j], cur[j], colors, floor)
         if v is None:
             raise NotNice(f"{params[j].name}: no homogeneous successor at step {pos}")
         cur[j] = v
@@ -147,9 +174,9 @@ def homogenize_product(params, ws, F, range_size: int, x=None):
     # exact replay: F must be constant on the whole final product
     grids = [sorted(p.val(w)) for p, w in zip(params, cur)]
     value = F(tuple(g[0] for g in grids))
-    for pt in product(*grids):
-        if F(pt) != value:
-            raise NotNice(f"homogenization replay failed at {pt}")
+    bad = next(compress(product(*grids), map(ne, map(F, product(*grids)), repeat(value))), None)
+    if bad is not None:
+        raise NotNice(f"homogenization replay failed at {bad}")
 
     report = []
     for p, w0, w1 in zip(params, ws, cur):

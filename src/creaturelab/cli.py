@@ -94,6 +94,18 @@ def _parse_id(text):
         return text
 
 
+def _creature_of(p, w, path):
+    """w, if it names a creature of the parameter read from path; else a
+    UsageError naming both (an id of the wrong shape is no creature)."""
+    try:
+        ok = p.has(w)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise UsageError(f"{w!r} is not a creature of the parameter in {path}")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
@@ -124,7 +136,7 @@ def _cmd_atomic_verify(args):
     if prop == "axioms":
         cert = atomic.validate_atomic(p)
     else:
-        w = _parse_id(args.w) if args.w else p.top()
+        w = _creature_of(p, _parse_id(args.w), args.infile) if args.w else p.top()
         if prop == "big":
             if args.B is None:
                 raise UsageError("--B is required for the bigness check")
@@ -172,7 +184,8 @@ def _decode_product(doc):
 
 
 def _load_product(args):
-    return _load(args.infile, _decode_product)
+    params, ws = _load(args.infile, _decode_product)
+    return params, [_creature_of(p, w, args.infile) for p, w in zip(params, ws)]
 
 
 def _norm_repr(v) -> str:
@@ -208,6 +221,7 @@ def _cmd_atomic_order(args):
 def _cmd_atomic_disjoint(args):
     p, w1, w2 = _load(args.infile, lambda doc: (
         atomic_param_from_json(doc["param"]), id_from_json(doc["w1"]), id_from_json(doc["w2"])))
+    w1, w2 = (_creature_of(p, w, args.infile) for w in (w1, w2))
     v1, v2 = atomic.disjoint_successors(p, w1, w2, parse_rational(args.x))
     return 0, {"v1": repr(v1), "v2": repr(v2),
                "val1": sorted(map(repr, p.val(v1))),

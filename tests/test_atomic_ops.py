@@ -1,6 +1,7 @@
 """Tests for decisive ordering, product homogenization, and separation."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creaturelab.atomic import (
+    ReservoirFamily,
+    SubsetLadderFamily,
     decisive_order,
     disjoint_successors,
     homogenize_product,
@@ -133,3 +136,140 @@ def test_homogenize_output_and_F_calls_are_pinned(seed, digest, calls):
     out = homogenize_product(ps, ws, F, 2)
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == digest
     assert counter[0] == calls
+
+
+def _recorded(F):
+    """F, and a sha256 fed repr(point) of every point F receives, in order."""
+    seen = hashlib.sha256()
+
+    def G(point):
+        seen.update(repr(point).encode() + b"\n")
+        return F(point)
+
+    return G, seen
+
+
+def _stateful_function(seed):
+    """Criterion 6's F: a random bit per unordered point, drawn on first
+    access, so the table depends on the order of F's calls."""
+    rng = random.Random(seed)
+    table = {}
+
+    def F(point):
+        key = tuple(sorted(map(repr, point)))
+        if key not in table:
+            table[key] = rng.randint(0, 1)
+        return table[key]
+
+    return F
+
+
+def _f_sequence_case(case):
+    """(params, ws, F) for one F-sequence pin."""
+    ps, ws = toy_witness_pair()
+    if case.startswith("bitmap-"):
+        return ps, ws, _bitmap_function(int(case[7:]))[0]
+    if case == "stateful":
+        return ps, ws, _stateful_function(7)
+    F = _bitmap_function(7)[0]
+    if case == "swapped":  # [reservoir, selector]: slot 1 is eliminated last
+        return ps[::-1], ws[::-1], lambda point: F(point[::-1])
+    # one reservoir coordinate: the coloring has width 1 and no held slot
+    r = ReservoirFamily()
+    return [r], [r.top()], lambda point: F((0,) + point)
+
+
+# (case, first 16 hex digits of sha256(repr(output)), of the F sequence)
+F_SEQUENCE_PINS = [
+    ("bitmap-7", "16c34d8f9f49e469", "111cf1a529304e01"),
+    ("bitmap-11", "32f80b772e0ece71", "6c994bfdd5320045"),
+    ("bitmap-2024", "12ece341ddf8b2dc", "206700129d5432f0"),
+    ("stateful", "7e4ef78befcd53d7", "b65ecfd54f68701b"),
+    ("swapped", "75864f6ca2ad1f4b", "8c1011a10b65bd8d"),
+    ("one-coordinate", "15e56141e6e20ad8", "62ba0763262375d9"),
+]
+
+
+@pytest.mark.parametrize("case, out_digest, calls_digest", F_SEQUENCE_PINS)
+def test_homogenize_F_call_sequence_is_pinned(case, out_digest, calls_digest):
+    ps, ws, F = _f_sequence_case(case)
+    G, seen = _recorded(F)
+    out = homogenize_product(ps, ws, G, 2)
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == out_digest
+    assert seen.hexdigest()[:16] == calls_digest
+
+
+class _FlatLadder(SubsetLadderFamily):
+    """Subsets of a small base, all of norm 2, whose small successor keeps
+    the first k points: bigness holds for every B, and k sets the place of
+    the coordinate in the decisive order."""
+
+    def __init__(self, n, k):
+        super().__init__(f"flat-{n}", n, {size: 2 for size in range(1, n + 1)})
+        self.k = k
+
+    def small_successor(self, w, x):
+        return w[: self.k]
+
+
+def _pointwise_calls(params, ws, F, x):
+    """The points homogenize_product hands F, built one at a time: each
+    elimination step colors the points of its coordinate, in order, by F
+    over the product of the cheaper coordinates (each eliminated coordinate
+    held at its least value), keeps the first class of highest norm, and
+    the replay then walks the final product."""
+    calls = []
+
+    def G(point):
+        calls.append(point)
+        return F(point)
+
+    order, cur = decisive_order(params, ws, x)
+    reps = [None] * len(params)
+    for pos in reversed(range(len(params))):
+        j, earlier = order[pos], order[:pos]
+        p = params[j]
+        grids = [sorted(params[i].val(cur[i])) for i in earlier]
+        classes = {}
+        for a in sorted(p.val(cur[j])):
+            color = []
+            for combo in itertools.product(*grids):
+                point = list(reps)
+                for i, value in zip(earlier, combo):
+                    point[i] = value
+                point[j] = a
+                color.append(G(tuple(point)))
+            classes.setdefault(tuple(color), []).append(a)
+        best = None
+        for cls in classes.values():
+            v = p.best_successor_within(cur[j], frozenset(cls))
+            if best is None or p.nor(v) > p.nor(best):
+                best = v
+        cur[j] = best
+        reps[j] = min(p.val(best))
+    grids = [sorted(p.val(w)) for p, w in zip(params, cur)]
+    G(tuple(g[0] for g in grids))
+    for point in itertools.product(*grids):
+        G(point)
+    return cur, calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_homogenize_three_coordinates_matches_pointwise_reference(seed):
+    ps = [_FlatLadder(4, 3), _FlatLadder(3, 2), _FlatLadder(5, 4)]
+    ws = [p.top() for p in ps]
+    x = Fraction(1, 6)
+    assert decisive_order(ps, ws, x)[0] == [1, 0, 2]
+    F = seeded_function(seed, range_size=3)
+    calls = []
+
+    def G(point):
+        calls.append(point)
+        return F(point)
+
+    cur, value, report = homogenize_product(ps, ws, G, 3)
+    ref_cur, ref_calls = _pointwise_calls(ps, ws, F, x)
+    assert cur == ref_cur
+    assert calls == ref_calls
+    grids = [sorted(p.val(w)) for p, w in zip(ps, cur)]
+    assert {F(pt) for pt in itertools.product(*grids)} == {value}

@@ -1,5 +1,6 @@
 """Command line: exit codes, artifact writing, determinism, replayability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -269,10 +270,7 @@ LADDER_SPEC = {
 def test_atomic_homogenize_order_disjoint(files):
     write, tmp = files
     _, ws = toy_witness_pair()
-    prod = write("prod.json", {"coordinates": [
-        {"param": LADDER_SPEC, "w": id_to_json(ws[0])},
-        {"param": {"kind": "reservoir"}, "w": id_to_json(ws[1])},
-    ]})
+    prod = _criterion6_product(write)
     hom = tmp / "hom.json"
     assert run(["atomic", "homogenize", "--in", prod, "--range", "2",
                 "--seed", "5"], hom) == 0
@@ -286,6 +284,56 @@ def test_atomic_homogenize_order_disjoint(files):
     assert run(["atomic", "disjoint", "--in", dis, "--x", "1"], out) == 0
     got = read_json(out)
     assert not set(got["val1"]) & set(got["val2"])
+
+
+def _criterion6_product(write):
+    _, ws = toy_witness_pair()
+    return write("prod.json", {"coordinates": [
+        {"param": LADDER_SPEC, "w": id_to_json(ws[0])},
+        {"param": {"kind": "reservoir"}, "w": id_to_json(ws[1])},
+    ]})
+
+
+# (seed, first 16 hex digits of sha256 of the output file)
+HOMOGENIZE_CLI_PINS = [(5, "380cc15c640a6ea1"), (2024, "998c16441a6413d9")]
+
+
+@pytest.mark.parametrize("seed, digest", HOMOGENIZE_CLI_PINS)
+def test_atomic_homogenize_output_bytes_are_pinned(files, seed, digest):
+    write, tmp = files
+    prod = _criterion6_product(write)
+    out = tmp / "hom.json"
+    assert run(["atomic", "homogenize", "--in", prod, "--seed", str(seed)], out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("w", ["[]", "[7]", '["a"]'])
+def test_atomic_verify_refuses_w_outside_the_parameter(files, capsys, w):
+    write, tmp = files
+    doc = write("log4.json", {"kind": "subset-log", "base_size": 4})
+    out = tmp / "cert.json"
+    assert run(["atomic", "verify", "--in", doc, "--property", "big", "--B", "2",
+                "--w", w, "--mode", "exhaustive"], out) == 2
+    err = capsys.readouterr().err
+    assert "not a creature" in err and doc in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["homogenize", "order"])
+def test_atomic_product_refuses_w_outside_the_parameter(files, capsys, command):
+    write, tmp = files
+    prod = write("prod.json", {"coordinates": [{"param": LADDER_SPEC, "w": [9]}]})
+    assert run(["atomic", command, "--in", prod]) == 2
+    err = capsys.readouterr().err
+    assert "(9,) is not a creature" in err and prod in err
+
+
+def test_atomic_disjoint_refuses_w_outside_the_parameter(files, capsys):
+    write, tmp = files
+    dis = write("dis.json", {"param": LADDER_SPEC, "w1": [], "w2": [0, 1]})
+    assert run(["atomic", "disjoint", "--in", dis]) == 2
+    err = capsys.readouterr().err
+    assert "() is not a creature" in err and dis in err
 
 
 # ml
