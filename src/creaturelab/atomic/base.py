@@ -186,7 +186,10 @@ class ExplicitAtomicParameter(AtomicParameter):
         return list(self._vals)
 
     def has(self, w):
-        return w in self._vals
+        try:
+            return w in self._vals
+        except TypeError:  # an unhashable id names no creature
+            return False
 
     def val(self, w):
         return self._vals[w]

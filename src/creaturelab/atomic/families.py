@@ -29,6 +29,17 @@ from ..logreal import LogReal, lr, lr_log2_fraction, lr_log2_int
 from .base import LADDER_LIMIT, AtomicParameter
 
 
+def _is_point_set(v, n) -> bool:
+    """Is v a nonempty increasing tuple of points in range(n)?  Ids of any
+    other shape or type answer False."""
+    return (
+        isinstance(v, tuple)
+        and len(v) >= 1
+        and all(isinstance(p, int) and 0 <= p < n for p in v)
+        and tuple(sorted(set(v))) == v
+    )
+
+
 class SubsetLadderFamily(AtomicParameter):
     """Nonempty subsets of {0..n-1}; nor = f(|val|); succ = subsets."""
 
@@ -63,12 +74,7 @@ class SubsetLadderFamily(AtomicParameter):
                 yield c
 
     def has(self, w):
-        return (
-            isinstance(w, tuple)
-            and len(w) >= 1
-            and tuple(sorted(set(w))) == w
-            and all(0 <= p < self.n for p in w)
-        )
+        return _is_point_set(w, self.n)
 
     def val(self, w):
         return frozenset(w)
@@ -231,13 +237,7 @@ class HalvingPairFamily(AtomicParameter):
             v, e2 = w
         except (TypeError, ValueError):
             return False
-        return (
-            isinstance(v, tuple)
-            and len(v) >= 1
-            and tuple(sorted(set(v))) == v
-            and all(0 <= p < self.n for p in v)
-            and 0 <= e2 < self.E_STEPS
-        )
+        return _is_point_set(v, self.n) and isinstance(e2, int) and 0 <= e2 < self.E_STEPS
 
     def val(self, w):
         return frozenset(w[0])
@@ -332,28 +332,13 @@ class ReservoirFamily(AtomicParameter):
         raise CapacityExceeded("reservoir family is intensional; its creatures are not enumerable")
 
     def has(self, w):
-        try:
-            kind = w[0]
-        except (TypeError, IndexError):
+        if not isinstance(w, tuple) or not w:
             return False
-        if kind == "free":
-            s = w[1]
-            return (
-                isinstance(s, tuple)
-                and 2 <= len(s) <= self.S_SIZE
-                and tuple(sorted(set(s))) == s
-                and all(0 <= p < self.S_SIZE for p in s)
-            )
-        if kind == "com":
+        if w[0] == "free" and len(w) == 2:
+            return _is_point_set(w[1], self.S_SIZE) and len(w[1]) >= 2
+        if w[0] == "com" and len(w) == 3:
             s, t = w[1], w[2]
-            return (
-                isinstance(s, int)
-                and 0 <= s < self.S_SIZE
-                and isinstance(t, tuple)
-                and len(t) >= 1
-                and tuple(sorted(set(t))) == t
-                and all(0 <= p < self.T_SIZE for p in t)
-            )
+            return isinstance(s, int) and 0 <= s < self.S_SIZE and _is_point_set(t, self.T_SIZE)
         return False
 
     def _pairs(self, s_points, t_points):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import (
     CapacityExceeded,
     CreatureLabError,
+    DomainMismatch,
     ModulusTooDeep,
     SizeInfeasible,
     UsageError,
@@ -83,6 +84,18 @@ def _load_creature(path):
     return _load(path, creature_from_json)
 
 
+def _load_member(path, profile):
+    """The creature read from path, if the profile has it; else a UsageError
+    naming the file.  `ml check` loads with _load_creature instead, since
+    there a creature outside the profile is the verdict, not a usage error."""
+    c = _load_creature(path)
+    try:
+        ml_validate(c, profile)
+    except DomainMismatch as exc:
+        raise UsageError(f"{path} holds no creature of the profile: {exc}") from exc
+    return c
+
+
 def _load_fragment(path) -> FiniteCondition:
     return _load(path, FiniteCondition.from_json)
 
@@ -97,11 +110,7 @@ def _parse_id(text):
 def _creature_of(p, w, path):
     """w, if it names a creature of the parameter read from path; else a
     UsageError naming both (an id of the wrong shape is no creature)."""
-    try:
-        ok = p.has(w)
-    except TypeError:
-        ok = False
-    if not ok:
+    if not p.has(w):
         raise UsageError(f"{w!r} is not a creature of the parameter in {path}")
     return w
 
@@ -255,7 +264,7 @@ def _cmd_ml_check(args):
 
 def _cmd_ml_norm(args):
     profile = _load_profile(args)
-    c = _load_creature(args.infile)
+    c = _load_member(args.infile, profile)
     result = _creature_result(c, profile)
     if args.threshold is not None:
         t = parse_rational(args.threshold)
@@ -268,15 +277,15 @@ def _cmd_ml_norm(args):
 
 def _cmd_ml_halve(args):
     profile = _load_profile(args)
-    c = _load_creature(args.infile)
+    c = _load_member(args.infile, profile)
     out = ml_halve(c, c.n, profile)
     return 0, _creature_result(out, profile)
 
 
 def _cmd_ml_merge(args):
     profile = _load_profile(args)
-    c1 = _load_creature(args.infile)
-    c2 = _load_creature(args.infile2)
+    c1 = _load_member(args.infile, profile)
+    c2 = _load_member(args.infile2, profile)
     enum1 = args.enum.split(',') if args.enum else sorted(c1.u, key=str)
     enum2 = args.enum2.split(',') if args.enum2 else sorted(c2.u, key=str)
     out = ml_merge(c1, c2, enum1, enum2, c1.n, profile)
@@ -285,14 +294,14 @@ def _cmd_ml_merge(args):
 
 def _cmd_ml_enlarge(args):
     profile = _load_profile(args)
-    c = _load_creature(args.infile)
+    c = _load_member(args.infile, profile)
     out = ml_enlarge(c, args.index, c.n, profile)
     return 0, _creature_result(out, profile, {"added": sorted(out.u - c.u, key=str)})
 
 
 def _cmd_ml_homogenize(args):
     profile = _load_profile(args)
-    c = _load_creature(args.infile)
+    c = _load_member(args.infile, profile)
 
     def G(nu):
         return _seeded_int(args.seed, nu.values) % args.range_size
@@ -403,10 +412,9 @@ def _cmd_demo_distinguish(args):
         if idx not in p.dom:
             raise UsageError(f"index {idx!r} is not in the fragment's domain")
     for nu in cond_poss(p, p.height, profile):
-        got = nu.as_dict()
-        for n in range(p.height):
-            a, b = got.get((n, i)), got.get((n, j))
-            if a is not None and b is not None and a != b:
+        for n in range(nu.n):
+            a, b = nu.get(n, i), nu.get(n, j)
+            if a != b:
                 return 0, {"level": n, "i": i, "j": j,
                            "value_i": a, "value_j": b,
                            "branch": nu.to_json()}

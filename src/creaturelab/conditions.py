@@ -171,15 +171,16 @@ def cond_validate(p: FiniteCondition, profile) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lift(nu: Possibility, u2: frozenset, trunk: dict) -> Possibility:
-    """Grow a possibility's index set, filling new cells from the trunk."""
-    if nu.u == u2:
-        return nu
-    cells = nu.as_dict()
-    for i in u2 - nu.u:
-        for m in range(nu.n):
-            cells[(m, i)] = trunk[(m, i)]
-    return Possibility.make(nu.n, u2, cells)
+def _lift(nus: list, u2: frozenset, trunk: dict) -> list:
+    """Grow the index set of possibilities that share one support, filling
+    the new cells from the trunk."""
+    if not nus or nus[0].u == u2:
+        return nus
+    n, cols, cols2 = nus[0].n, nus[0].cols, tuple(sorted(u2, key=str))
+    at = {i: j for j, i in enumerate(cols)}
+    cells = [(m, i, m * len(cols) + at[i] if i in at else None) for m in range(n) for i in cols2]
+    return [Possibility(n, u2, cols2, tuple(
+        trunk[(m, i)] if j is None else nu.vals[j] for m, i, j in cells)) for nu in nus]
 
 
 def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
@@ -192,59 +193,56 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
     if not 0 <= n <= p.height:
         raise UsageError(f"height {n} outside [0, {p.height}]")
     if method == "local":
-        return [
-            nu
-            for nu in poss_enumerate(n, p.supp(n), profile)
-            if cond_poss_contains(p, nu, profile)
-        ]
+        contains = _poss_test(p, n, profile)
+        return [nu for nu in poss_enumerate(n, p.supp(n), profile) if contains(nu)]
     if method != "inductive":
         raise UsageError(f"unknown method {method!r}")
-    out = [p.trunk_possibility().restrict_height(min(n, p.trnklg))] if n <= p.trnklg else None
-    if out is not None:
-        return out
+    if n <= p.trnklg:
+        return [p.trunk_possibility().restrict_height(n)]
     out = [p.trunk_possibility()]
     for m in range(p.trnklg, n):
-        c = p.creatures[m]
-        nxt = []
-        for eta in out:
-            nxt.extend(
-                _lift(nu, p.supp(m + 1), p.trunk) for nu in ml_val(c, eta, profile)
-            )
+        nxt = [nu for eta in out for nu in ml_val(p.creatures[m], eta, profile)]
         if len(nxt) > ENUM_CAP:
             raise CapacityExceeded("possibility walk exceeds the enumeration cap")
-        out = nxt
+        out = _lift(nxt, p.supp(m + 1), p.trunk)
+    contains = _poss_test(p, n, profile)
     for nu in out:
-        if not cond_poss_contains(p, nu, profile):
+        if not contains(nu):
             raise UsageError(f"characterizations disagree at {nu}")
     return out
 
 
-def cond_poss_contains(p: FiniteCondition, nu: Possibility, profile) -> bool:
-    """Local characterization: trunk agreement below each index's entry
-    level, one-step creature membership on every level band above."""
-    n = nu.n
-    if nu.u != p.supp(n):
-        return False
-    got = nu.as_dict()
-    for i in nu.u:
-        for m in range(min(n, p.entry_level(i))):
-            if got[(m, i)] != p.trunk[(m, i)]:
-                return False
+def _poss_test(p: FiniteCondition, n: int, profile):
+    """The local characterization of poss(p, n) as a predicate, reading the
+    fragment once: an index's cells below its entry level hold its trunk
+    values, and each cell above lies in the value set of its level's
+    creature (for an alpha, of the slot its selector's value picks)."""
+    u = p.supp(n)
+    k = len(u)
+    at = {i: j for j, i in enumerate(sorted(u, key=str))}
+    rules = [(m * k + at[i], None, {p.trunk[(m, i)]})
+             for i in u for m in range(min(n, p.entry_level(i)))]
     U = profile.universe
     for m in range(p.trnklg, n):
         c = p.creatures[m]
-        star = profile.star_param(m)
         for i in c.u:
             if U.is_mu(i):
-                if got[(m, i)] not in star.val(c.w_eps[i]):
-                    return False
-        for i in c.u:
-            if not U.is_mu(i):
-                k = got[(m, U.eps_of[i])]
-                w = c.w_alpha.get((i, k))
-                if w is None or got[(m, i)] not in profile.slot_param(m, k).val(w):
-                    return False
-    return True
+                rules.append((m * k + at[i], None, profile.star_param(m).val(c.w_eps[i])))
+            else:
+                rules.append((m * k + at[i], m * k + at[U.eps_of[i]], {
+                    s: profile.slot_param(m, s).val(w) for (a, s), w in c.w_alpha.items() if a == i}))
+
+    def contains(nu: Possibility) -> bool:
+        v = nu.vals
+        return nu.u == u and all(
+            v[j] in (ok if sel is None else ok.get(v[sel], ())) for j, sel, ok in rules)
+
+    return contains
+
+
+def cond_poss_contains(p: FiniteCondition, nu: Possibility, profile) -> bool:
+    """Is nu in poss(p, nu.n)?  Decided by the local characterization."""
+    return _poss_test(p, nu.n, profile)(nu)
 
 
 def cond_leq(q: FiniteCondition, p: FiniteCondition, profile):
@@ -454,11 +452,11 @@ def pull_back_labelling(p: FiniteCondition, M: int, n: int, psi: dict, profile):
     psi_next = dict(psi)
     for l in range(n - 1, M - 1, -1):
         c = q.creatures[l]
-        u_next = q.supp(l + 1)
+        # indices entering at l + 1 hold trunk values below it: cutting them loses nothing
+        psi_cut = {nu.restrict_indices(c.u): v for nu, v in psi_next.items()}
 
         def G(nu):
-            lifted = _lift(nu, u_next, q.trunk)
-            return psi_next.get(lifted, _OUTSIDE)
+            return psi_cut.get(nu, _OUTSIDE)
 
         range_size = len(set(psi_next.values())) + 1
         shrunk, gp = ml_homogenize(c, l, profile, G, range_size)

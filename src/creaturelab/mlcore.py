@@ -76,53 +76,63 @@ class IndexUniverse:
 
 @dataclass(frozen=True)
 class Possibility:
-    """Trunk of height n: a value for every cell (m < n, i in u)."""
+    """Trunk of height n: a value for every cell (m < n, i in u).  cols is u
+    sorted by str, and cell (m, cols[j]) holds vals[m * len(cols) + j].  Only
+    make and from_json check their input; derived possibilities share u and
+    cols with their source."""
 
     n: int
-    u: frozenset
-    values: tuple  # sorted tuple of ((m, i), v)
+    u: frozenset = field(compare=False, repr=False)
+    cols: tuple
+    vals: tuple
 
     @staticmethod
     def make(n, u, assignment) -> "Possibility":
         u = frozenset(u)
-        cells = {(m, i) for m in range(n) for i in u}
-        if set(assignment) != cells:
+        cols = tuple(sorted(u, key=str))
+        if assignment.keys() != {(m, i) for m in range(n) for i in cols}:
             raise DomainMismatch("assignment must cover exactly n x u")
-        values = tuple(sorted(assignment.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))))
-        return Possibility(n, u, values)
+        return Possibility(n, u, cols, tuple(assignment[(m, i)] for m in range(n) for i in cols))
+
+    @property
+    def values(self) -> tuple:
+        """Sorted tuple of ((m, i), v)."""
+        return tuple(zip(itertools.product(range(self.n), self.cols), self.vals))
 
     def get(self, m, i):
-        return dict(self.values)[(m, i)]
+        if not 0 <= m < self.n or i not in self.u:
+            raise KeyError((m, i))
+        return self.vals[m * len(self.cols) + self.cols.index(i)]
 
     def as_dict(self) -> dict:
         return dict(self.values)
 
-    def extend(self, level_values: dict) -> "Possibility":
-        """One-level extension: level_values maps each i in u to a value."""
-        if set(level_values) != set(self.u):
+    def extend(self, level: dict) -> "Possibility":
+        """One-level extension: level maps each i in u to a value."""
+        if level.keys() != self.u:
             raise DomainMismatch("extension must cover exactly u")
-        a = self.as_dict()
-        for i, v in level_values.items():
-            a[(self.n, i)] = v
-        return Possibility.make(self.n + 1, self.u, a)
+        return Possibility(self.n + 1, self.u, self.cols,
+                           self.vals + tuple(map(level.__getitem__, self.cols)))
 
     def restrict_height(self, m) -> "Possibility":
-        return Possibility.make(
-            m, self.u, {cell: v for cell, v in self.values if cell[0] < m}
-        )
+        if not 0 <= m <= self.n:
+            raise DomainMismatch(f"cannot restrict height {self.n} to {m}")
+        return Possibility(m, self.u, self.cols, self.vals[: m * len(self.cols)])
 
     def restrict_indices(self, u2) -> "Possibility":
         u2 = frozenset(u2)
+        if u2 == self.u:
+            return self
         if not u2 <= self.u:
             raise DomainMismatch("can only restrict to a subset of u")
-        return Possibility.make(
-            self.n, u2, {cell: v for cell, v in self.values if cell[1] in u2}
-        )
+        keep = [j for j, i in enumerate(self.cols) if i in u2]
+        return Possibility(self.n, u2, tuple(self.cols[j] for j in keep), tuple(
+            self.vals[m * len(self.cols) + j] for m in range(self.n) for j in keep))
 
     def to_json(self):
         return {
             "n": self.n,
-            "u": sorted(self.u, key=str),
+            "u": list(self.cols),
             "values": [[m, i, v] for (m, i), v in self.values],
         }
 
@@ -133,27 +143,20 @@ class Possibility:
         )
 
 
-def _cell_size(profile, m, i) -> int:
-    return profile.kstar(m) if profile.universe.is_mu(i) else profile.fmax(m)
-
-
 def poss_enumerate(n, u, profile) -> list:
     """All trunks of height n over u, smallest-cell-first product order."""
     u = frozenset(u)
     if not u:
         raise UsageError("u must be nonempty")
-    cells = sorted(
-        ((m, i) for m in range(n) for i in u), key=lambda c: (c[0], str(c[1]))
-    )
+    cols = tuple(sorted(u, key=str))
+    U = profile.universe
+    sizes = [profile.kstar(m) if U.is_mu(i) else profile.fmax(m) for m in range(n) for i in cols]
     total = 1
-    for m, i in cells:
-        total *= _cell_size(profile, m, i)
+    for size in sizes:
+        total *= size
         if total > ENUM_CAP:
             raise CapacityExceeded(f"{total}+ trunks exceed the enumeration cap")
-    out = []
-    for combo in itertools.product(*(range(_cell_size(profile, m, i)) for m, i in cells)):
-        out.append(Possibility.make(n, u, dict(zip(cells, combo))))
-    return out
+    return [Possibility(n, u, cols, vals) for vals in itertools.product(*map(range, sizes))]
 
 
 @dataclass
@@ -231,12 +234,11 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
     when eta lives on a larger index set)."""
     if eta.n != c.n or not c.u <= eta.u:
         raise DomainMismatch("trunk height or domain does not fit the creature")
-    if eta.u != c.u:
-        eta = eta.restrict_indices(c.u)
+    eta = eta.restrict_indices(c.u)
     U = profile.universe
     star = profile.star_param(c.n)
-    mus = sorted((i for i in c.u if U.is_mu(i)), key=str)
-    alphas = sorted((i for i in c.u if not U.is_mu(i)), key=str)
+    mus = [i for i in eta.cols if U.is_mu(i)]
+    alphas = [i for i in eta.cols if not U.is_mu(i)]
     out = []
     for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
         pick = dict(zip(mus, ks))
@@ -245,9 +247,8 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
             for a in alphas
         ]
         for avals in itertools.product(*slot_vals):
-            level = dict(pick)
-            level.update(zip(alphas, avals))
-            out.append(eta.extend(level))
+            pick.update(zip(alphas, avals))
+            out.append(eta.extend(pick))
     return out
 
 
@@ -343,10 +344,9 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
         # restriction axiom: every extension through d, cut down to c's
         # support, is an extension through c
         for eta in poss_enumerate(n, d.u, profile):
-            eta_c = eta.restrict_indices(c.u)
-            allowed = {nu.restrict_indices(c.u).values for nu in ml_val(c, eta_c, profile)}
+            allowed = set(ml_val(c, eta.restrict_indices(c.u), profile))
             for nu in ml_val(d, eta, profile):
-                if nu.restrict_indices(c.u).values not in allowed:
+                if nu.restrict_indices(c.u) not in allowed:
                     diagnostics.append(f"restriction axiom fails at {eta}")
                     break
             if diagnostics:

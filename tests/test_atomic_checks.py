@@ -55,6 +55,44 @@ def test_validate_rejects_asymmetric_intensional():
         validate_atomic(ReservoirFamily())
 
 
+# has() answers False on an id of the wrong shape or type, never raises
+
+
+@pytest.mark.parametrize("w", [("a",), (0, "a"), ([0],), (0.5,)])
+def test_subset_ladder_has_refuses_ill_typed_ids(w):
+    p = subset_log_family(4)
+    assert p.has(w) is False
+    assert p.in_succ(w, p.top()) is False
+
+
+@pytest.mark.parametrize("w", [((0,), "x"), (("a",), 0), ((0,), 0.5), ((0,), None)])
+def test_halving_pair_has_refuses_ill_typed_ids(w):
+    p = HalvingPairFamily(4)
+    assert p.has(w) is False
+    assert p.has(((0,), 0)) is True
+
+
+@pytest.mark.parametrize("w", [("free", ("a", "b")), ("free",), ("com", 0), ("com", 0, ("t",)),
+                               {"free": 1}])
+def test_reservoir_has_refuses_ill_typed_ids(w):
+    p = ReservoirFamily()
+    assert p.has(w) is False
+    assert p.has(("free", (0, 1))) and p.has(("com", 0, (1, 2)))
+
+
+@pytest.mark.parametrize("w", [[0], {}, ((0,), [1])])
+def test_explicit_table_has_refuses_unhashable_ids(w):
+    from creaturelab.atomic.base import ExplicitAtomicParameter
+
+    base = subset_log_family(2)
+    ids = list(base.ids())
+    p = ExplicitAtomicParameter("toy", base.base(), {w: base.val(w) for w in ids},
+                                {w: base.nor(w) for w in ids},
+                                {w: set(base.succ_ids(w)) for w in ids})
+    assert p.has(w) is False
+    assert p.has((0, 1)) is True
+
+
 def test_validate_catches_injected_violations():
     from creaturelab.atomic.base import ExplicitAtomicParameter
 

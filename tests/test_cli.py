@@ -11,7 +11,13 @@ import pytest
 
 from creaturelab.atomic import PropertyCertificate, replay_certificate, toy_witness_pair
 from creaturelab.cli import main
-from creaturelab.conditions import FiniteCondition, NameTable, cond_leq, cond_poss
+from creaturelab.conditions import (
+    FiniteCondition,
+    NameTable,
+    cond_leq,
+    cond_poss,
+    cond_separate_support,
+)
 from creaturelab.mlcore import MlCreature
 from creaturelab.params import make_toy_profile
 from creaturelab.serialize import (
@@ -365,6 +371,29 @@ def test_ml_check_norm_halve(wide_files):
                 "--against", cre], tmp / "s.json") == 0
 
 
+def test_ml_check_reports_an_ill_typed_star_id_as_a_verdict(wide_files, capsys):
+    write, tmp, prof, frag, cre = wide_files
+    doc = read_json(cre)
+    doc["w_eps"] = [[i, ["a"] if i == "e0" else w] for i, w in doc["w_eps"]]
+    assert run(["ml", "check", "--profile", prof, "--in", write("bad.json", doc)]) == 1
+    assert "DomainMismatch: unknown star creature at e0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w", [[7], {}])
+@pytest.mark.parametrize("command", [["norm"], ["halve"], ["merge", "--in2", "{in}"],
+                                     ["enlarge", "--index", "e0"],
+                                     ["homogenize", "--range", "1"]])
+def test_ml_transforms_refuse_creatures_outside_the_profile(wide_files, capsys, command, w):
+    write, tmp, prof, frag, cre = wide_files
+    doc = read_json(cre)
+    doc["w_eps"] = [[i, w if i == "e0" else v] for i, v in doc["w_eps"]]
+    bad = write("bad.json", doc)
+    argv = ["ml", command[0], "--profile", prof, "--in", bad] + command[1:]
+    assert run([bad if a == "{in}" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and bad in err and "unknown star creature" in err
+
+
 def halved_creature(halved, tmp):
     doc = read_json(halved)["creature"]
     path = tmp / "halved_creature.json"
@@ -552,3 +581,67 @@ def test_unreadable_rationals_in_documents_are_usage_errors(chain_files, where):
         doc = dict(read_json(frag), floors=[[1, "1/0"]])
         argv = ["cond", "poss", "--profile", prof, "--in", write("bad.json", doc)]
     assert run(argv) == 2
+
+
+# output bytes of the fragment and multi-level commands, pinned
+
+
+def _pin_inputs(write):
+    """The input documents of the pinned commands, keyed by placeholder."""
+    from test_mlcore import UNI, profile as ml_profile, top_creature
+
+    cp, wp = chain_profile(), wide_profile()
+    chain, wide = chain_fragment(cp), wide_fragment(wp)
+    sep = cond_separate_support(wide, wp)
+    ml_lvl = {"kstar": 4, "slot_sizes": 3, "height": 9,
+              "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    small = top_creature(ml_profile(height=9, kstar=4, slot=3), 1, {"e0", "a0"})
+    # sixteen selector values over two trunks: a binary coloring cannot
+    # exhaust the norm (the fragment-pipeline bench homogenizes the same)
+    sel_levels = [dict(ml_lvl, kstar=2), dict(ml_lvl, kstar=16)]
+    sel_profile = make_toy_profile({"universe": UNI, "levels": sel_levels})
+    return {
+        "{chain_profile}": write("chain_profile.json",
+                                 {"universe": CHAIN_UNI, "levels": CHAIN_LEVELS}),
+        "{chain}": write("chain_frag.json", chain.to_json()),
+        "{chain_name}": write("chain_name.json",
+                              seeded_name(chain, cp, [1, 2], 2, seed=3).to_json()),
+        "{wide_profile}": write("wide_profile.json",
+                                {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]}),
+        "{wide}": write("wide_frag.json", wide.to_json()),
+        "{sep}": write("wide_sep.json", sep.to_json()),
+        "{wide_name}": write("wide_name.json", seeded_name(sep, wp, [1], 2, seed=1).to_json()),
+        "{creature}": write("creature.json", creature_to_json(wide.creatures[1])),
+        "{ml_profile}": write("ml_profile.json", {"universe": UNI, "levels": [ml_lvl, ml_lvl]}),
+        "{small}": write("small_creature.json", creature_to_json(small)),
+        "{sel_profile}": write("sel_profile.json", {"universe": UNI, "levels": sel_levels}),
+        "{selector}": write("selector.json",
+                            creature_to_json(top_creature(sel_profile, 1, {"e0"}))),
+    }
+
+
+# (command, exit code, first 16 hex digits of the sha256 of its stdout)
+CLI_OUTPUT_PINS = [
+    ("cond poss --profile {chain_profile} --in {chain}", 0, "2ab5015443df1f11"),
+    ("cond poss --profile {chain_profile} --in {chain} --method local", 0, "2ab5015443df1f11"),
+    ("cond poss --profile {wide_profile} --in {wide} --n 2", 0, "2c46f81e56f2a1c1"),
+    ("cond rapid-read --profile {chain_profile} --in {chain} --name {chain_name} --M 1", 0, "df2f752598635413"),
+    ("cond separate --profile {wide_profile} --in {wide}", 0, "9517636962c98e1a"),
+    ("cond halve-step --profile {wide_profile} --in {wide} --M 1 --floor 1", 0, "2997132b84faf10c"),
+    ("cond cover --profile {wide_profile} --in {sep} --n 1 --eps e0 --name {wide_name}", 0, "a028db03cdf75a3d"),
+    ("ml homogenize --profile {ml_profile} --in {small} --range 1 --seed 2", 0, "e25e223aca924adc"),
+    ("ml homogenize --profile {sel_profile} --in {selector} --range 2 --seed 2", 0, "9ed6f4199ea4b2a9"),
+    ("ml merge --profile {wide_profile} --in {creature} --in2 {creature}", 0, "a14739fd13f1439b"),
+    ("ml enlarge --profile {ml_profile} --in {small} --index a1", 0, "8de08f4c86ea279e"),
+    ("demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1", 0, "ab2dcc184096857b"),
+    ("demo generic-sample --profile {chain_profile} --in {chain} --seed 7", 0, "0942f3e9fb00d0ed"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", CLI_OUTPUT_PINS)
+def test_cli_output_bytes_are_pinned(files, capsys, command, code, digest):
+    write, tmp = files
+    inputs = _pin_inputs(write)
+    assert run([inputs.get(a, a) for a in command.split()]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

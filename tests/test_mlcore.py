@@ -1,10 +1,14 @@
 """Level creatures: shape, trunk extension, exact norms, transforms."""
 
 import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creaturelab.errors import (
     CapacityExceeded,
@@ -101,6 +105,88 @@ def test_possibility_extend_and_json():
     assert Possibility.from_json(nu.to_json()) == nu
     with pytest.raises(DomainMismatch):
         eta.extend({"e1": 0})
+
+
+# the flat layout against a dict-backed reference: a possibility is its
+# cells (m, i) -> v, and `values` lists them ordered by (m, str(i))
+
+
+def _ref_values(cells: dict) -> tuple:
+    return tuple(sorted(cells.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))))
+
+
+def _cells(data, n, u, top=3):
+    return {(m, i): data.draw(st.integers(0, top)) for m in range(n) for i in sorted(u)}
+
+
+_INDICES = st.frozensets(st.sampled_from(["e0", "e1", "a0", "a1", "x"]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_possibility_matches_a_dict_reference(data):
+    n = data.draw(st.integers(0, 3))
+    u = data.draw(_INDICES)
+    cells = _cells(data, n, u)
+    nu = Possibility.make(n, u, cells)
+    assert nu.u == u and nu.values == _ref_values(cells) and nu.as_dict() == cells
+    assert all(nu.get(m, i) == v for (m, i), v in cells.items())
+    for m, i in [(n, "e0"), (-1, "e0"), (0, "zz")]:
+        with pytest.raises(KeyError):
+            nu.get(m, i)
+    assert Possibility.from_json(json.loads(json.dumps(nu.to_json()))) == nu
+    if cells:
+        with pytest.raises(DomainMismatch):
+            Possibility.make(n, u, dict(list(cells.items())[1:]))
+
+    level = {i: data.draw(st.integers(0, 3)) for i in u}
+    grown = {**cells, **{(n, i): v for i, v in level.items()}}
+    assert nu.extend(level).values == _ref_values(grown)
+    with pytest.raises(DomainMismatch):
+        nu.extend({**level, "zz": 0})
+
+    m = data.draw(st.integers(0, n + 1))
+    if m <= n:
+        cut = nu.restrict_height(m)
+        assert cut == Possibility.make(m, u, {c: v for c, v in cells.items() if c[0] < m})
+        assert cut.values == _ref_values({c: v for c, v in cells.items() if c[0] < m})
+    else:
+        with pytest.raises(DomainMismatch):
+            nu.restrict_height(m)
+
+    u2 = data.draw(_INDICES)
+    if u2 <= u:
+        part = nu.restrict_indices(u2)
+        assert part.u == u2
+        assert part.values == _ref_values({c: v for c, v in cells.items() if c[1] in u2})
+    else:
+        with pytest.raises(DomainMismatch):
+            nu.restrict_indices(u2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_possibility_equality_and_hash_follow_values(data):
+    small = st.frozensets(st.sampled_from(["e0", "a0"]), max_size=2)
+    pair = []
+    for _ in range(2):
+        n, u = data.draw(st.integers(0, 2)), data.draw(small)
+        pair.append(Possibility.make(n, u, _cells(data, n, u, top=1)))
+    a, b = pair
+    assert (a == b) == ((a.n, a.u, a.values) == (b.n, b.u, b.values))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.frozensets(st.sampled_from(UNI["mu"] + UNI["alpha"]), min_size=1))
+def test_poss_enumerate_follows_the_reference_product_order(n, u):
+    prof = profile()
+    cells = sorted(((m, i) for m in range(n) for i in u), key=lambda c: (c[0], str(c[1])))
+    sizes = [prof.kstar(m) if prof.universe.is_mu(i) else prof.fmax(m) for m, i in cells]
+    want = [_ref_values(dict(zip(cells, combo)))
+            for combo in itertools.product(*map(range, sizes))]
+    assert [nu.values for nu in poss_enumerate(n, u, prof)] == want
 
 
 def test_poss_enumerate_counts():
