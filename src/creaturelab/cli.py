@@ -86,8 +86,9 @@ def _load_creature(path):
 
 def _load_member(path, profile):
     """The creature read from path, if the profile has it; else a UsageError
-    naming the file.  `ml check` loads with _load_creature instead, since
-    there a creature outside the profile is the verdict, not a usage error."""
+    naming the file.  `ml check` loads its --in with _load_creature instead,
+    since there a creature outside the profile is the verdict, not a usage
+    error; its --against parent is loaded here."""
     c = _load_creature(path)
     try:
         ml_validate(c, profile)
@@ -96,8 +97,15 @@ def _load_member(path, profile):
     return c
 
 
-def _load_fragment(path) -> FiniteCondition:
-    return _load(path, FiniteCondition.from_json)
+def _load_fragment(path, profile) -> FiniteCondition:
+    """The fragment read from path, if cond_validate accepts it over the
+    profile; a shape mismatch is a UsageError naming the file."""
+    p = _load(path, FiniteCondition.from_json)
+    try:
+        cond_validate(p, profile)
+    except DomainMismatch as exc:
+        raise UsageError(f"{path} holds no fragment of the profile: {exc}") from exc
+    return p
 
 
 def _parse_id(text):
@@ -255,7 +263,7 @@ def _cmd_ml_check(args):
     c = _load_creature(args.infile)
     ml_validate(c, profile)
     if args.against:
-        parent = _load_creature(args.against)
+        parent = _load_member(args.against, profile)
         ok, diag = ml_successor_check(c, parent, c.n, profile,
                                       enumerate_axiom=args.enumerate)
         return (0 if ok else 1), {"valid": True, "successor": ok, "diagnostics": diag}
@@ -321,8 +329,7 @@ def _cmd_ml_homogenize(args):
 
 def _cmd_cond_poss(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
-    cond_validate(p, profile)
+    p = _load_fragment(args.infile, profile)
     n = args.n if args.n is not None else p.height
     branches = cond_poss(p, n, profile, method=args.method)
     return 0, {"n": n, "count": len(branches),
@@ -331,22 +338,22 @@ def _cmd_cond_poss(args):
 
 def _cmd_cond_leq(args):
     profile = _load_profile(args)
-    q = _load_fragment(args.infile)
-    p = _load_fragment(args.against)
+    q = _load_fragment(args.infile, profile)
+    p = _load_fragment(args.against, profile)
     ok, diag = cond_leq(q, p, profile)
     return (0 if ok else 1), {"extends": ok, "diagnostics": diag}
 
 
 def _cmd_cond_separate(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
+    p = _load_fragment(args.infile, profile)
     q = cond_separate_support(p, profile)
     return 0, {"fragment": q.to_json()}
 
 
 def _cmd_cond_rapid_read(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
+    p = _load_fragment(args.infile, profile)
     r = _load(args.name, NameTable.from_json)
     q = rapid_read(p, args.M, r, profile)
     return 0, {"M": args.M, "fragment": q.to_json()}
@@ -354,7 +361,7 @@ def _cmd_cond_rapid_read(args):
 
 def _cmd_cond_halve_step(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
+    p = _load_fragment(args.infile, profile)
 
     if args.oracle == "never":
         oracle = lambda cand: None
@@ -370,7 +377,7 @@ def _cmd_cond_halve_step(args):
 
 def _cmd_cond_cover(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
+    p = _load_fragment(args.infile, profile)
     r = _load(args.name, NameTable.from_json)
     q_n, Y = cover_step(p, args.n, r, args.eps, profile)
     return 0, {"level": Y["level"], "indices": Y["indices"],
@@ -379,7 +386,7 @@ def _cmd_cond_cover(args):
 
 def _cmd_cond_evade(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
+    p = _load_fragment(args.infile, profile)
     Y = _load(args.cover, lambda doc: {
         "level": doc["level"], "indices": doc["indices"],
         "table": {id_from_json(json.loads(k)): set(v) for k, v in doc["table"].items()}})
@@ -394,8 +401,7 @@ def _cmd_cond_evade(args):
 
 def _cmd_demo_generic_sample(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
-    cond_validate(p, profile)
+    p = _load_fragment(args.infile, profile)
     branches = cond_poss(p, p.height, profile)
     rng = random.Random(args.seed)
     nu = branches[rng.randrange(len(branches))]
@@ -405,8 +411,7 @@ def _cmd_demo_generic_sample(args):
 
 def _cmd_demo_distinguish(args):
     profile = _load_profile(args)
-    p = _load_fragment(args.infile)
-    cond_validate(p, profile)
+    p = _load_fragment(args.infile, profile)
     i, j = args.i, args.j
     for idx in (i, j):
         if idx not in p.dom:

@@ -394,6 +394,18 @@ def test_ml_transforms_refuse_creatures_outside_the_profile(wide_files, capsys, 
     assert err.startswith("usage error:") and bad in err and "unknown star creature" in err
 
 
+@pytest.mark.parametrize("enumerate_axiom", [False, True])
+def test_ml_check_refuses_a_parent_outside_the_profile(wide_files, capsys, enumerate_axiom):
+    write, tmp, prof, frag, cre = wide_files
+    doc = read_json(cre)
+    doc["w_alpha"] = [s for s in doc["w_alpha"] if s[:2] != ["a0", 3]]  # a demanded slot
+    parent = write("parent.json", doc)
+    argv = ["ml", "check", "--profile", prof, "--in", cre, "--against", parent]
+    assert run(argv + ["--enumerate"] * enumerate_axiom) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and parent in err and "slot creatures" in err
+
+
 def halved_creature(halved, tmp):
     doc = read_json(halved)["creature"]
     path = tmp / "halved_creature.json"
@@ -492,6 +504,42 @@ def test_cond_separate_halve_cover_evade(files):
                 "--n", "1", "--cover", str(cover), "--beta", "a0"]) == 1
 
 
+def _broken_fragments(doc):
+    """The wide fragment with trunk cell (0, "a0") removed, and with e0's
+    star id replaced by one no ladder creature has."""
+    no_cell = dict(doc, trunk=[t for t in doc["trunk"] if t[:2] != [0, "a0"]])
+    top = dict(doc["creatures"]["1"])
+    top["w_eps"] = [[i, {} if i == "e0" else w] for i, w in top["w_eps"]]
+    return {"no-cell": no_cell, "star-id": dict(doc, creatures={"1": top})}
+
+
+@pytest.mark.parametrize("broken", ["no-cell", "star-id"])
+@pytest.mark.parametrize("command", [
+    "cond leq --profile {prof} --in {bad} --against {frag}",
+    "cond leq --profile {prof} --in {frag} --against {bad}",
+    "cond separate --profile {prof} --in {bad}",
+    "cond rapid-read --profile {prof} --in {bad} --name {name} --M 1",
+    "cond halve-step --profile {prof} --in {bad} --M 1",
+    "cond cover --profile {prof} --in {bad} --n 1 --eps e0 --name {name}",
+    "cond evade --profile {prof} --in {bad} --n 1 --cover {cover} --beta a1",
+])
+def test_cond_commands_refuse_fragments_outside_the_profile(files, capsys, command, broken):
+    write, tmp = files
+    wp = wide_profile()
+    sep = cond_separate_support(wide_fragment(wp), wp)
+    paths = {
+        "{prof}": write("wide_profile.json", {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]}),
+        "{frag}": write("wide_sep.json", sep.to_json()),
+        "{bad}": write("bad.json", _broken_fragments(sep.to_json())[broken]),
+        "{name}": write("wide_name.json", seeded_name(sep, wp, [1], 2, seed=1).to_json()),
+        "{cover}": write("cover.json", {"level": 1, "indices": ["e0"], "table": {}}),
+    }
+    assert run([paths.get(a, a) for a in command.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and paths["{bad}"] in err
+    assert "holds no fragment of the profile" in err
+
+
 def test_cond_modulus_too_deep_is_exit_three(chain_files):
     write, tmp, prof, frag, name = chain_files
     cp = chain_profile()
@@ -586,6 +634,16 @@ def test_unreadable_rationals_in_documents_are_usage_errors(chain_files, where):
 # output bytes of the fragment and multi-level commands, pinned
 
 
+def _shrunk(c, prof):
+    """A successor of c: e0's selector keeps {0, 1}, a1's slot 2 keeps {0, 5}."""
+    star, slot = prof.star_param(1), prof.slot_param(1, 2)
+    out = c.copy()
+    out.w_eps["e0"] = star.best_successor_within(c.w_eps["e0"], frozenset({0, 1}))
+    out.w_alpha = {(a, k): w for (a, k), w in c.w_alpha.items() if a != "a0" or k < 2}
+    out.w_alpha[("a1", 2)] = slot.best_successor_within(c.w_alpha[("a1", 2)], frozenset({0, 5}))
+    return out
+
+
 def _pin_inputs(write):
     """The input documents of the pinned commands, keyed by placeholder."""
     from test_mlcore import UNI, profile as ml_profile, top_creature
@@ -612,6 +670,7 @@ def _pin_inputs(write):
         "{sep}": write("wide_sep.json", sep.to_json()),
         "{wide_name}": write("wide_name.json", seeded_name(sep, wp, [1], 2, seed=1).to_json()),
         "{creature}": write("creature.json", creature_to_json(wide.creatures[1])),
+        "{shrunk}": write("shrunk.json", creature_to_json(_shrunk(wide.creatures[1], wp))),
         "{ml_profile}": write("ml_profile.json", {"universe": UNI, "levels": [ml_lvl, ml_lvl]}),
         "{small}": write("small_creature.json", creature_to_json(small)),
         "{sel_profile}": write("sel_profile.json", {"universe": UNI, "levels": sel_levels}),
@@ -632,6 +691,8 @@ CLI_OUTPUT_PINS = [
     ("ml homogenize --profile {ml_profile} --in {small} --range 1 --seed 2", 0, "e25e223aca924adc"),
     ("ml homogenize --profile {sel_profile} --in {selector} --range 2 --seed 2", 0, "9ed6f4199ea4b2a9"),
     ("ml merge --profile {wide_profile} --in {creature} --in2 {creature}", 0, "a14739fd13f1439b"),
+    ("ml check --profile {wide_profile} --in {shrunk} --against {creature} --enumerate", 0, "754ee023e577aaf0"),
+    ("ml check --profile {wide_profile} --in {creature} --against {shrunk} --enumerate", 1, "d6c06532797bb404"),
     ("ml enlarge --profile {ml_profile} --in {small} --index a1", 0, "8de08f4c86ea279e"),
     ("demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1", 0, "ab2dcc184096857b"),
     ("demo generic-sample --profile {chain_profile} --in {chain} --seed 7", 0, "0942f3e9fb00d0ed"),

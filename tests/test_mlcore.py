@@ -379,6 +379,166 @@ def test_successor_check_diagnostics():
     assert not ok and "support must not shrink" in diag
 
 
+# the enumerated successor check against the per-trunk replay it replaces:
+# for every trunk over d's support, every extension through d, cut down to
+# c's support, must be an extension through c
+
+
+def _ref_val(c, eta, prof):
+    """ml_val built one pick dict per extension and extended through
+    Possibility.extend."""
+    eta = eta.restrict_indices(c.u)
+    U, star = prof.universe, prof.star_param(c.n)
+    mus = [i for i in eta.cols if U.is_mu(i)]
+    alphas = [i for i in eta.cols if not U.is_mu(i)]
+    out = []
+    for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
+        pick = dict(zip(mus, ks))
+        slot_vals = [sorted(prof.slot_param(c.n, pick[U.eps_of[a]]).val(
+            c.w_alpha[(a, pick[U.eps_of[a]])])) for a in alphas]
+        for avals in itertools.product(*slot_vals):
+            pick.update(zip(alphas, avals))
+            out.append(eta.extend(pick))
+    return out
+
+
+def _ref_successor_check(d, c, n, prof):
+    ok, diag = ml_successor_check(d, c, n, prof)
+    if not ok:
+        return ok, diag
+    for eta in poss_enumerate(n, d.u, prof):
+        allowed = set(_ref_val(c, eta.restrict_indices(c.u), prof))
+        for nu in _ref_val(d, eta, prof):
+            if nu.restrict_indices(c.u) not in allowed:
+                return False, [f"restriction axiom fails at {eta}"]
+    return True, []
+
+
+class _Lenient:
+    """A family whose successor test wrongly answers yes to everything."""
+
+    def __init__(self, family):
+        self._family = family
+
+    def __getattr__(self, name):
+        return getattr(self._family, name)
+
+    def in_succ(self, v, w):
+        return True
+
+
+class _LenientProfile:
+    """A profile handing out lenient families, so that the componentwise
+    clauses pass and only the enumerated restriction property can fail."""
+
+    def __init__(self, prof):
+        self._prof = prof
+
+    def __getattr__(self, name):
+        return getattr(self._prof, name)
+
+    def star_param(self, n):
+        return _Lenient(self._prof.star_param(n))
+
+    def slot_param(self, n, k):
+        return _Lenient(self._prof.slot_param(n, k))
+
+
+def _subset(data, within):
+    """A nonempty sub-creature of a plateau creature (a sorted tuple)."""
+    return tuple(sorted(data.draw(st.sets(st.sampled_from(within), min_size=1))))
+
+
+def _draw_creature(data, prof, n, u, parent=None):
+    """A well-formed level-n creature over u; where parent has the same
+    component, a successor of it unless the draw says otherwise."""
+    U, star = prof.universe, prof.star_param(n)
+    old = parent if parent is not None and data.draw(st.booleans()) else None
+
+    def pick(p, w):
+        return _subset(data, p.top() if w is None else w)
+
+    w_eps = {e: pick(star, old and old.w_eps.get(e)) for e in sorted(u) if U.is_mu(e)}
+    w_alpha = {(a, k): pick(prof.slot_param(n, k), old and old.w_alpha.get((a, k)))
+               for a in sorted(u) if not U.is_mu(a) for k in w_eps[U.eps_of[a]]}
+    c = MlCreature(n, frozenset(u), w_eps, w_alpha)
+    ml_validate(c, prof)
+    return c
+
+
+_EQUIV_LVL = {"kstar": 2, "slot_sizes": 3, "height": 4,
+              "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+_EQUIV_PROFILE = make_toy_profile({"universe": UNI, "levels": [_EQUIV_LVL] * 3})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_successor_check_matches_the_per_trunk_replay(data):
+    real = _EQUIV_PROFILE
+    U = real.universe
+    n = data.draw(st.sampled_from([1, 2]))
+    indices = st.sets(st.sampled_from(sorted(UNI["mu"] + UNI["alpha"])))
+    cu = U.closure(data.draw(indices.filter(bool)))
+    du = U.closure(cu | data.draw(indices))
+    c = _draw_creature(data, real, n, cu)
+    d = _draw_creature(data, real, n, du, parent=c)
+    prof = _LenientProfile(real) if data.draw(st.booleans()) else real
+    got = ml_successor_check(d, c, n, prof, enumerate_axiom=True)
+    assert got == _ref_successor_check(d, c, n, prof)
+    if prof is real:  # on true families the clauses decide it componentwise
+        assert got[0] == ml_successor_check(d, c, n, prof)[0]
+
+    trunks = poss_enumerate(n, du, real)
+    eta = trunks[data.draw(st.integers(0, len(trunks) - 1))]
+    for x in (c, d):
+        got, want = ml_val(x, eta, real), _ref_val(x, eta, real)
+        assert got == want and [nu.u for nu in got] == [nu.u for nu in want]
+
+
+def test_successor_check_reports_a_failing_row_at_the_first_trunk():
+    real = profile()
+    prof = _LenientProfile(real)
+    c = top_creature(real, 1, {"e0", "a0"})
+    d = c.copy()
+    d.w_eps["e0"] = (0,)
+    d.w_alpha = {("a0", 0): (0, 1, 2)}
+    c.w_eps["e0"] = (1,)
+    c.w_alpha = {("a0", 1): (0, 1, 2)}
+    ok, diag = ml_successor_check(d, c, 1, prof, enumerate_axiom=True)
+    assert (ok, diag) == _ref_successor_check(d, c, 1, prof)
+    first = poss_enumerate(1, d.u, real)[0]
+    assert diag == [f"restriction axiom fails at {first}"]
+    assert diag == ["restriction axiom fails at Possibility(n=1, cols=('a0', 'e0'), vals=(0, 0))"]
+
+
+def test_successor_check_keeps_the_enumeration_refusals():
+    lvl = {"kstar": 16, "slot_sizes": 16, "height": 4,
+           "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    big = make_toy_profile({"universe": UNI, "levels": [lvl] * 7})
+    c = top_creature(big, 6, {"e0", "e1", "a0", "a1"})
+    with pytest.raises(CapacityExceeded):
+        ml_successor_check(c, c, 6, big, enumerate_axiom=True)
+    with pytest.raises(CapacityExceeded):
+        _ref_successor_check(c, c, 6, big)
+    empty = MlCreature(1, frozenset(), {}, {})
+    with pytest.raises(UsageError):
+        ml_successor_check(empty, empty, 1, profile(), enumerate_axiom=True)
+
+
+def test_successor_check_holds_vacuously_without_trunks():
+    class NoTrunks(_LenientProfile):
+        def kstar(self, m):
+            return 0
+
+    real = profile()
+    c = MlCreature(1, frozenset({"e0"}), {"e0": (0,)}, {})
+    d = MlCreature(1, frozenset({"e0"}), {"e0": (1,)}, {})  # a row c does not have
+    prof = NoTrunks(real)
+    assert ml_successor_check(d, c, 1, prof, enumerate_axiom=True) == (True, [])
+    assert _ref_successor_check(d, c, 1, prof) == (True, [])
+    assert ml_successor_check(d, c, 1, _LenientProfile(real), enumerate_axiom=True)[0] is False
+
+
 # merge
 
 
