@@ -160,8 +160,8 @@ def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False)
                 return _big_cert(p, w, B, x, ok, "hook",
                                  witness={"witness_norm": witness_nor} if ok else None,
                                  counterexample=None if ok else {"witness_norm": witness_nor})
-        # class below norm 1 is not covered by the hook; fall through to
-        # the direct pigeonhole via a concrete balanced question
+        # the hook yields only classes of norm at least 1; any other class
+        # is refused here, not decided another way
         raise ModeUnsound(f"{p.name}: hook does not cover class {key}")
 
     if mode == "analytic" or (mode == "auto" and p.size_monotone_all_subsets):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -46,6 +47,7 @@ from .conditions import (
     cover_step,
     evade_step,
     halving_step,
+    name_validate,
     rapid_read,
 )
 from .params import make_toy_profile, params_exact, params_validate
@@ -106,6 +108,45 @@ def _load_fragment(path, profile) -> FiniteCondition:
     except DomainMismatch as exc:
         raise UsageError(f"{path} holds no fragment of the profile: {exc}") from exc
     return p
+
+
+def _load_name(path, p, profile) -> NameTable:
+    """The name table read from path, checked against the fragment p: its
+    levels, decision heights, bounds and values are ints, and name_validate
+    accepts it; anything else is a UsageError naming the file.  A decision
+    height past the fragment is ModulusTooDeep (exit 3), as rapid_read has it."""
+    def decode(doc):
+        r = NameTable.from_json(doc)
+        fields = itertools.chain(*r.modulus.items(), *r.bound.items(),
+                                 *(tbl.values() for tbl in r.values.values()))
+        if not all(type(x) is int for x in fields):
+            raise TypeError("levels, heights, bounds and values must be integers")
+        return r
+
+    r = _load(path, decode)
+    for n, h in r.modulus.items():
+        if h > p.height:
+            raise ModulusTooDeep(f"h({n}) = {h} exceeds the fragment height")
+    try:
+        name_validate(r, p, profile)
+    except DomainMismatch as exc:
+        raise UsageError(f"{path} holds no name table of the fragment: {exc}") from exc
+    return r
+
+
+def _load_cover(path, p) -> dict:
+    """The cover table read from path: its level is a level of p and its
+    indices are support indices at that level; anything else is a
+    UsageError naming the file."""
+    def decode(doc):
+        level, indices = doc["level"], doc["indices"]
+        if not (type(level) is int and level in p.levels and isinstance(indices, list)
+                and set(indices) <= p.supp(level)):
+            raise ValueError("level and indices must name one level's support indices")
+        return {"level": level, "indices": indices,
+                "table": {id_from_json(json.loads(k)): set(v) for k, v in doc["table"].items()}}
+
+    return _load(path, decode)
 
 
 def _parse_id(text):
@@ -354,7 +395,7 @@ def _cmd_cond_separate(args):
 def _cmd_cond_rapid_read(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
-    r = _load(args.name, NameTable.from_json)
+    r = _load_name(args.name, p, profile)
     q = rapid_read(p, args.M, r, profile)
     return 0, {"M": args.M, "fragment": q.to_json()}
 
@@ -378,7 +419,7 @@ def _cmd_cond_halve_step(args):
 def _cmd_cond_cover(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
-    r = _load(args.name, NameTable.from_json)
+    r = _load_name(args.name, p, profile)
     q_n, Y = cover_step(p, args.n, r, args.eps, profile)
     return 0, {"level": Y["level"], "indices": Y["indices"],
                "table": {json.dumps(list(k)): v for k, v in Y["table"].items()}}
@@ -387,9 +428,7 @@ def _cmd_cond_cover(args):
 def _cmd_cond_evade(args):
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
-    Y = _load(args.cover, lambda doc: {
-        "level": doc["level"], "indices": doc["indices"],
-        "table": {id_from_json(json.loads(k)): set(v) for k, v in doc["table"].items()}})
+    Y = _load_cover(args.cover, p)
     c = evade_step(p, args.n, Y, args.beta, profile)
     return 0, {"creature": creature_to_json(c)}
 

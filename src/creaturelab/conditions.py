@@ -42,6 +42,7 @@ from .logreal import as_fraction
 from .mlcore import (
     MlCreature,
     Possibility,
+    _prune_orphan_slots,
     ml_halve,
     ml_homogenize,
     ml_nor_z,
@@ -135,9 +136,12 @@ class FiniteCondition:
 
 def cond_validate(p: FiniteCondition, profile) -> None:
     """Raise on any fragment shape violation; silent when p is well-formed."""
+    if type(p.trnklg) is not int or type(p.height) is not int:
+        raise UsageError("trnklg and height must be integers")
     if not 0 <= p.trnklg < p.height:
         raise UsageError("need 0 <= trnklg < height")
-    if set(p.creatures) != set(p.levels):
+    # lengths first: a huge height must not build its level set
+    if len(p.creatures) != len(p.levels) or set(p.creatures) != set(p.levels):
         raise DomainMismatch("one creature per level from trnklg to height-1")
     U = profile.universe
     prev = None
@@ -156,8 +160,10 @@ def cond_validate(p: FiniteCondition, profile) -> None:
         raise DomainMismatch("trunk must cover exactly the below-entry cells")
     for (m, i), v in p.trunk.items():
         size = profile.kstar(m) if U.is_mu(i) else profile.fmax(m)
-        if not 0 <= v < size:
-            raise DomainMismatch(f"trunk value {v} at {(m, i)} out of range")
+        if type(v) is not int or not 0 <= v < size:
+            raise DomainMismatch(f"trunk value {v!r} at {(m, i)} out of range")
+    if not p.floors.keys() <= set(p.levels):
+        raise DomainMismatch("norm floors must name levels of the fragment")
     for n, floor in p.floors.items():
         if ml_norm_cmp(p.creatures[n], n, profile, floor) <= 0:
             raise NormTooSmall(f"declared norm floor fails at level {n}")
@@ -305,14 +311,6 @@ def cond_and(p: FiniteCondition, eta: Possibility, n: int, u, profile) -> Finite
 # ---------------------------------------------------------------------------
 
 
-def _prune_orphan_slots(c: MlCreature, profile) -> None:
-    star = profile.star_param(c.n)
-    U = profile.universe
-    for (a, k) in list(c.w_alpha):
-        if k not in star.val(c.w_eps[U.eps_of[a]]):
-            del c.w_alpha[(a, k)]
-
-
 def cond_separate_support(p: FiniteCondition, profile) -> FiniteCondition:
     """Shrink the selector creatures of every level until their value sets
     are pairwise disjoint across the level's mu-indices."""
@@ -339,12 +337,8 @@ def cond_separate_support(p: FiniteCondition, profile) -> FiniteCondition:
         ok, diag = ml_successor_check(c, p.creatures[n], n, profile)
         if not ok:
             raise NormTooSmall(f"level {n} separation fails replay: {diag}")
-        for a in range(len(mus)):
-            for b in range(a + 1, len(mus)):
-                if not star.val(c.w_eps[mus[a]]).isdisjoint(star.val(c.w_eps[mus[b]])):
-                    raise NotSeparated(
-                        f"level {n}: {mus[a]} and {mus[b]} still overlap after separation"
-                    )
+        if not cond_is_separated(q, n, profile):
+            raise NotSeparated(f"level {n}: selector value sets still overlap after separation")
     ok, diag = cond_leq(q, p, profile)
     if not ok:
         raise NormTooSmall(f"separated fragment fails order replay: {diag}")

@@ -26,6 +26,7 @@ two (lr_cmp_pow2); no check in this module uses floating tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -497,6 +498,15 @@ def ml_enlarge(c: MlCreature, new_index, n: int, profile) -> MlCreature:
 # ---------------------------------------------------------------------------
 
 
+def _prune_orphan_slots(c: MlCreature, profile) -> None:
+    """Drop c's slot creatures whose selector value their star no longer has."""
+    star = profile.star_param(c.n)
+    U = profile.universe
+    for (a, k) in list(c.w_alpha):
+        if k not in star.val(c.w_eps[U.eps_of[a]]):
+            del c.w_alpha[(a, k)]
+
+
 def _shrink_within(p, w, keep):
     v = p.best_successor_within(w, frozenset(keep))
     if v is None:
@@ -504,13 +514,39 @@ def _shrink_within(p, w, keep):
     return v
 
 
+def _eliminate(coords, ids, param, color, fixed, side):
+    """Shrink ids[x] (a creature of param(x)) for each coordinate x, last
+    first, until color no longer depends on them.  Each value v of x is
+    colored by its behavior tuple: color(f, point) for every f in fixed and
+    every point of the earlier coordinates' grids, with v at x and the later
+    coordinates held at their least values; x keeps the first largest class.
+    Returns the point that holds every coordinate at its least value."""
+    def grid(x):
+        return sorted(param(x).val(ids[x]))
+
+    for j in range(len(coords) - 1, -1, -1):
+        grids = [grid(x) for x in coords[:j]]
+        if len(fixed) * math.prod(map(len, grids)) > TUPLE_CAP:
+            raise CapacityExceeded(f"{side}-side behavior tuple too wide")
+        held = tuple(grid(x)[0] for x in coords[j + 1:])
+        classes = {}
+        for v in grid(coords[j]):
+            key = tuple(color(f, combo + (v,) + held)
+                        for f in fixed for combo in itertools.product(*grids))
+            classes.setdefault(key, []).append(v)
+        x = coords[j]
+        ids[x] = _shrink_within(param(x), ids[x], max(classes.values(), key=len))
+    return tuple(grid(x)[0] for x in coords)
+
+
 def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     """Shrink c (same support, componentwise) until G, a function on the
     one-step extensions of every height-n trunk over u, only depends on the
     trunk.  Returns (d, G_prime) with G_prime a dict trunk -> value.
 
-    Elimination is sequential with behavior-tuple colorings: slot creatures
-    first (per selector choice), then the selector creatures themselves.
+    Elimination is sequential with behavior-tuple colorings (_eliminate):
+    slot creatures first, once per (trunk, selector choice), then the
+    selector creatures, with the trunks as a fixed leading coordinate.
     Loss is bounded by one full norm unit, checked exactly on z.
     """
     if range_size < 1:
@@ -522,85 +558,27 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     mus = sorted((i for i in c.u if U.is_mu(i)), key=str)
     alphas = sorted((i for i in c.u if not U.is_mu(i)), key=str)
 
-    def slot_of(alpha, ks):
-        return (alpha, ks[U.eps_of[alpha]])
+    cells = mus + alphas
 
-    # phase 1: for every (trunk, selector-choice) pair, make G constant in
-    # the alpha values by shrinking the active slot creatures
+    def slot(s):
+        return profile.slot_param(n, s[1])
+
+    def color(trunk, avals):
+        eta, ks = trunk
+        return G(eta.extend(dict(zip(cells, ks + avals))))
+
+    # phase 1: make G constant in the alpha values of every (trunk,
+    # selector choice); table holds G with the slots at their least values
     table = {}
     for eta in etas:
-        for ks_combo in itertools.product(*(sorted(star.val(out.w_eps[e])) for e in mus)):
-            ks = dict(zip(mus, ks_combo))
-            active = [slot_of(a, ks) for a in alphas]
-            for j in range(len(active) - 1, -1, -1):
-                dom = 1
-                for s in active[:j]:
-                    dom *= profile.slot_param(n, s[1]).val_size(out.w_alpha[s])
-                if dom > TUPLE_CAP:
-                    raise CapacityExceeded("alpha-side behavior tuple too wide")
-                grids = [
-                    sorted(profile.slot_param(n, s[1]).val(out.w_alpha[s]))
-                    for s in active[:j]
-                ]
-                reps = {
-                    s: min(profile.slot_param(n, s[1]).val(out.w_alpha[s]))
-                    for s in active[j + 1 :]
-                }
+        for ks in itertools.product(*(sorted(star.val(out.w_eps[e])) for e in mus)):
+            active = [(a, ks[mus.index(U.eps_of[a])]) for a in alphas]
+            least = _eliminate(active, out.w_alpha, slot, color, ((eta, ks),), "alpha")
+            table[eta, ks] = color((eta, ks), least)
 
-                def evaluate(a_value, combo):
-                    level = dict(ks)
-                    for s, v in zip(active[:j], combo):
-                        level[s[0]] = v
-                    level[active[j][0]] = a_value
-                    for s, v in reps.items():
-                        level[s[0]] = v
-                    return G(eta.extend(level))
-
-                p = profile.slot_param(n, active[j][1])
-                w = out.w_alpha[active[j]]
-                classes = {}
-                for a_value in sorted(p.val(w)):
-                    key = tuple(evaluate(a_value, combo) for combo in itertools.product(*grids))
-                    classes.setdefault(key, []).append(a_value)
-                keep = max(classes.values(), key=len)
-                out.w_alpha[active[j]] = _shrink_within(p, w, keep)
-            level = dict(ks)
-            for a in alphas:
-                level[a] = min(profile.slot_param(n, slot_of(a, ks)[1]).val(out.w_alpha[slot_of(a, ks)]))
-            table[(eta, ks_combo)] = G(eta.extend(level))
-
-    # phase 2: make the table constant in the selector choices by shrinking
-    # the star creatures, one at a time
-    for j in range(len(mus) - 1, -1, -1):
-        dom = len(etas)
-        for e in mus[:j]:
-            dom *= star.val_size(out.w_eps[e])
-        if dom > TUPLE_CAP:
-            raise CapacityExceeded("mu-side behavior tuple too wide")
-        grids = [sorted(star.val(out.w_eps[e])) for e in mus[:j]]
-        reps = [min(star.val(out.w_eps[e])) for e in mus[j + 1 :]]
-
-        def star_key(k):
-            key = []
-            for eta in etas:
-                for combo in itertools.product(*grids):
-                    full = tuple(combo) + (k,) + tuple(reps)
-                    key.append(table[(eta, full)])
-            return tuple(key)
-
-        w = out.w_eps[mus[j]]
-        classes = {}
-        for k in sorted(star.val(w)):
-            classes.setdefault(star_key(k), []).append(k)
-        keep = max(classes.values(), key=len)
-        out.w_eps[mus[j]] = _shrink_within(star, w, keep)
-
-    # drop slots whose selector value no longer occurs
-    for alpha in alphas:
-        live = star.val(out.w_eps[U.eps_of[alpha]])
-        for (a, k) in list(out.w_alpha):
-            if a == alpha and k not in live:
-                del out.w_alpha[(a, k)]
+    # phase 2: make the table constant in the selector choices
+    _eliminate(mus, out.w_eps, lambda e: star, lambda eta, ks: table[eta, ks], etas, "mu")
+    _prune_orphan_slots(out, profile)
 
     ml_validate(out, profile)
     ok, diag = ml_successor_check(out, c, n, profile)

@@ -251,10 +251,10 @@ class ToyProfile:
         return len(self._levels)
 
     def _row(self, n: int) -> _LevelSpec:
-        try:
-            return self._levels[n]
-        except IndexError:
-            raise UsageError(f"profile has no level {n}") from None
+        """Level n's spec; n must be an int (not a bool) in range(height)."""
+        if type(n) is not int or not 0 <= n < len(self._levels):
+            raise UsageError(f"profile has no level {n!r}")
+        return self._levels[n]
 
     def kstar(self, n):
         return self._row(n).kstar
@@ -276,8 +276,8 @@ class ToyProfile:
 
     def slot_size(self, n, k):
         row = self._row(n)
-        if not 0 <= k < row.kstar:
-            raise UsageError(f"selector value {k} out of range at level {n}")
+        if type(k) is not int or not 0 <= k < row.kstar:
+            raise UsageError(f"selector value {k!r} out of range at level {n}")
         return row.slot_sizes[k]
 
     def star_param(self, n):

@@ -1,13 +1,21 @@
 """Command line: exit codes, artifact writing, determinism, replayability."""
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creaturelab.atomic import PropertyCertificate, replay_certificate, toy_witness_pair
 from creaturelab.cli import main
@@ -17,6 +25,7 @@ from creaturelab.conditions import (
     cond_leq,
     cond_poss,
     cond_separate_support,
+    cover_step,
 )
 from creaturelab.mlcore import MlCreature
 from creaturelab.params import make_toy_profile
@@ -42,6 +51,7 @@ from test_conditions import (
     wide_fragment,
     wide_profile,
 )
+from test_mlcore import UNI, profile as ml_profile, top_creature
 
 
 @pytest.fixture
@@ -424,8 +434,6 @@ def test_ml_merge_enlarge_homogenize(wide_files):
 
 
 def test_ml_homogenize(files):
-    from test_mlcore import profile as ml_profile, top_creature, UNI
-
     write, tmp = files
     lvl = {"kstar": 4, "slot_sizes": 3, "height": 9,
            "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
@@ -644,13 +652,14 @@ def _shrunk(c, prof):
     return out
 
 
-def _pin_inputs(write):
-    """The input documents of the pinned commands, keyed by placeholder."""
-    from test_mlcore import UNI, profile as ml_profile, top_creature
-
+def _pin_docs():
+    """The input documents of the pinned commands: placeholder -> (file
+    name, JSON document)."""
     cp, wp = chain_profile(), wide_profile()
     chain, wide = chain_fragment(cp), wide_fragment(wp)
     sep = cond_separate_support(wide, wp)
+    wide_name = seeded_name(sep, wp, [1], 2, seed=1)
+    _, cover = cover_step(sep, 1, wide_name, "e0", wp)
     ml_lvl = {"kstar": 4, "slot_sizes": 3, "height": 9,
               "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
     small = top_creature(ml_profile(height=9, kstar=4, slot=3), 1, {"e0", "a0"})
@@ -659,24 +668,28 @@ def _pin_inputs(write):
     sel_levels = [dict(ml_lvl, kstar=2), dict(ml_lvl, kstar=16)]
     sel_profile = make_toy_profile({"universe": UNI, "levels": sel_levels})
     return {
-        "{chain_profile}": write("chain_profile.json",
-                                 {"universe": CHAIN_UNI, "levels": CHAIN_LEVELS}),
-        "{chain}": write("chain_frag.json", chain.to_json()),
-        "{chain_name}": write("chain_name.json",
-                              seeded_name(chain, cp, [1, 2], 2, seed=3).to_json()),
-        "{wide_profile}": write("wide_profile.json",
-                                {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]}),
-        "{wide}": write("wide_frag.json", wide.to_json()),
-        "{sep}": write("wide_sep.json", sep.to_json()),
-        "{wide_name}": write("wide_name.json", seeded_name(sep, wp, [1], 2, seed=1).to_json()),
-        "{creature}": write("creature.json", creature_to_json(wide.creatures[1])),
-        "{shrunk}": write("shrunk.json", creature_to_json(_shrunk(wide.creatures[1], wp))),
-        "{ml_profile}": write("ml_profile.json", {"universe": UNI, "levels": [ml_lvl, ml_lvl]}),
-        "{small}": write("small_creature.json", creature_to_json(small)),
-        "{sel_profile}": write("sel_profile.json", {"universe": UNI, "levels": sel_levels}),
-        "{selector}": write("selector.json",
-                            creature_to_json(top_creature(sel_profile, 1, {"e0"}))),
+        "{chain_profile}": ("chain_profile.json", {"universe": CHAIN_UNI, "levels": CHAIN_LEVELS}),
+        "{chain}": ("chain_frag.json", chain.to_json()),
+        "{chain_name}": ("chain_name.json", seeded_name(chain, cp, [1, 2], 2, seed=3).to_json()),
+        "{wide_profile}": ("wide_profile.json",
+                           {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]}),
+        "{wide}": ("wide_frag.json", wide.to_json()),
+        "{sep}": ("wide_sep.json", sep.to_json()),
+        "{wide_name}": ("wide_name.json", wide_name.to_json()),
+        "{cover}": ("cover.json", dict(cover, table={
+            json.dumps(list(k)): v for k, v in cover["table"].items()})),
+        "{creature}": ("creature.json", creature_to_json(wide.creatures[1])),
+        "{shrunk}": ("shrunk.json", creature_to_json(_shrunk(wide.creatures[1], wp))),
+        "{ml_profile}": ("ml_profile.json", {"universe": UNI, "levels": [ml_lvl, ml_lvl]}),
+        "{small}": ("small_creature.json", creature_to_json(small)),
+        "{sel_profile}": ("sel_profile.json", {"universe": UNI, "levels": sel_levels}),
+        "{selector}": ("selector.json", creature_to_json(top_creature(sel_profile, 1, {"e0"}))),
     }
+
+
+def _pin_inputs(write):
+    """The input documents of the pinned commands, written, keyed by placeholder."""
+    return {key: write(name, doc) for key, (name, doc) in _pin_docs().items()}
 
 
 # (command, exit code, first 16 hex digits of the sha256 of its stdout)
@@ -706,3 +719,149 @@ def test_cli_output_bytes_are_pinned(files, capsys, command, code, digest):
     assert run([inputs.get(a, a) for a in command.split()]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# malformed fields of ml, cond and demo input documents: exit 2, never a traceback
+
+
+_DROP = object()  # mutation marker: remove the field instead of setting it
+
+
+def _mutated(doc, path, value):
+    """A deep copy of doc with the field at path (keys and list indices)
+    removed (value _DROP) or set to a fresh copy of value."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return doc
+
+
+def _run_mutated(directory, command, target, path, value):
+    """Run command on the pinned documents with target's field at path
+    mutated; stderr is dropped and the output goes to a file."""
+    docs, paths = _pin_docs_once(), {}
+    argv = command.split()
+    for a in argv:
+        if a in docs:
+            name, doc = docs[a]
+            paths[a] = str(directory / name)
+            with open(paths[a], "w") as f:
+                json.dump(_mutated(doc, path, value) if a == target else doc, f)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([paths.get(a, a) for a in argv] + ["--out", str(directory / "out.json")])
+    return code, err.getvalue()
+
+
+@functools.lru_cache(maxsize=1)
+def _pin_docs_once():
+    return _pin_docs()
+
+
+_WIDE_POSS = "cond poss --profile {wide_profile} --in {wide}"
+_COVER = "cond cover --profile {wide_profile} --in {sep} --n 1 --eps e0 --name {wide_name}"
+_RAPID = "cond rapid-read --profile {chain_profile} --in {chain} --name {chain_name} --M 1"
+_EVADE = "cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1"
+
+# (command, document, path, value): each once ended in a traceback, or in a
+# verdict where the document should have been refused
+REFUSED_FIELDS = {
+    "creature-level-negative": ("ml norm --profile {wide_profile} --in {creature} --threshold 1",
+                                "{creature}", ("n",), -1),
+    "creature-level-list": ("ml norm --profile {wide_profile} --in {creature}",
+                            "{creature}", ("n",), [1]),
+    "creature-level-bool": ("ml check --profile {wide_profile} --in {creature}",
+                            "{creature}", ("n",), True),
+    "fragment-height-float": (_WIDE_POSS, "{wide}", ("height",), 1.5),
+    "fragment-height-null": (_WIDE_POSS, "{wide}", ("height",), None),
+    "fragment-trnklg-float": (_WIDE_POSS, "{wide}", ("trnklg",), 0.5),
+    "fragment-trunk-string": (_WIDE_POSS, "{wide}", ("trunk", 0, 2), "x"),
+    "fragment-trunk-level": (_WIDE_POSS, "{wide}", ("trunk", 0, 0), 0.0),
+    "fragment-floor-level": (_WIDE_POSS, "{wide}", ("floors",), [["x", "1"]]),
+    "demo-height-null": ("demo generic-sample --profile {chain_profile} --in {chain}",
+                         "{chain}", ("height",), None),
+    "cover-name-missing-branch": (_COVER, "{wide_name}", ("values", "1", 0), _DROP),
+    "rapid-read-modulus-key": (_RAPID, "{chain_name}", ("modulus", 0, 0), "x"),
+    "rapid-read-value-dict": (_RAPID, "{chain_name}", ("values", "1", 0, 1), {}),
+    "evade-indices-int": (_EVADE, "{cover}", ("indices",), 5),
+    "evade-indices-stray": (_EVADE, "{cover}", ("indices",), ["e0", "zz"]),
+    "evade-indices-unhashable": (_EVADE, "{cover}", ("indices",), [["e0"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FIELDS))
+def test_malformed_fields_are_usage_errors(tmp_path, case):
+    code, err = _run_mutated(tmp_path, *REFUSED_FIELDS[case])
+    assert code == 2 and err.startswith("usage error:"), err
+
+
+def test_a_huge_fragment_height_is_refused_without_building_its_levels(tmp_path):
+    """Run in a child limited to 1 GiB of address space, so a level set of
+    10**12 entries ends the child, not the machine."""
+    name, doc = _pin_docs_once()["{wide}"]
+    frag = tmp_path / name
+    frag.write_text(json.dumps(dict(doc, height=10**12)))
+    prof = tmp_path / "wide_profile.json"
+    prof.write_text(json.dumps(_pin_docs_once()["{wide_profile}"][1]))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    out = subprocess.run([sys.executable, "-m", "creaturelab.cli", "cond", "poss",
+                          "--profile", str(prof), "--in", str(frag)],
+                         env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert out.returncode == 2 and "one creature per level" in out.stderr, out.stderr[-300:]
+
+
+def test_a_name_table_past_the_fragment_stays_modulus_too_deep(tmp_path):
+    """The cover loader checks decision heights before the table's keys."""
+    code, err = _run_mutated(tmp_path, _COVER, "{wide_name}", ("modulus", 0, 1), 9)
+    assert code == 3 and "ModulusTooDeep" in err
+
+
+def _paths(doc, depth=2):
+    """Every path of at most depth keys or list indices into doc."""
+    if depth == 0 or not isinstance(doc, (dict, list)):
+        return []
+    keys = list(doc) if isinstance(doc, dict) else range(len(doc))
+    return [(k,) + rest for k in keys for rest in [()] + _paths(doc[k], depth - 1)]
+
+
+FUZZ_COMMANDS = [
+    "ml check --profile {wide_profile} --in {shrunk} --against {creature} --enumerate",
+    "ml norm --profile {wide_profile} --in {creature} --threshold 1",
+    "ml halve --profile {wide_profile} --in {creature}",
+    "ml merge --profile {wide_profile} --in {creature} --in2 {creature}",
+    "ml enlarge --profile {ml_profile} --in {small} --index a1",
+    "ml homogenize --profile {ml_profile} --in {small} --range 1",
+    "cond poss --profile {chain_profile} --in {chain}",
+    "cond leq --profile {wide_profile} --in {sep} --against {wide}",
+    "cond separate --profile {wide_profile} --in {wide}",
+    _RAPID,
+    "cond halve-step --profile {wide_profile} --in {wide} --M 1",
+    _COVER,
+    _EVADE,
+    "demo generic-sample --profile {chain_profile} --in {chain} --seed 7",
+    "demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise(fuzz_dir, data):
+    """Drop one field (depth <= 2) of one input document, or set it to a
+    value of the wrong kind: every command answers with an exit code."""
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    target = data.draw(st.sampled_from(sorted({a for a in command.split() if a.startswith("{")})))
+    path = data.draw(st.sampled_from(_paths(_pin_docs_once()[target][1])))
+    value = data.draw(st.sampled_from([_DROP, None, "x", -1, 1.5, [], {}]))
+    code, _ = _run_mutated(fuzz_dir, command, target, path, value)
+    assert 0 <= code <= 3

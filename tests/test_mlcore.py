@@ -684,6 +684,115 @@ def test_homogenize_rejects_empty_range():
         ml_homogenize(c, 1, prof, lambda nu: 0, 0)
 
 
+def _lvl(kstar, slot):
+    return {"kstar": kstar, "slot_sizes": slot, "height": 9,
+            "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+
+
+_SHARED_UNI = {"mu": ["e0"], "alpha": ["a0", "a1", "a2"],
+               "eps_of": {"a0": "e0", "a1": "e0", "a2": "e0"}}
+
+# (universe, levels, support at level 1): zero, one and two alpha indices,
+# the two alphas either on one selector or on two
+_G_SHAPES = {
+    "sel": (UNI, [_lvl(2, 3), _lvl(16, 3)], {"e0"}),
+    "two-sel": (UNI, [_lvl(2, 3), _lvl(5, 3)], {"e0", "e1"}),
+    "one-alpha": (UNI, [_lvl(4, 3), _lvl(4, 3)], {"e0", "a0"}),
+    "one-alpha-wide": (UNI, [_lvl(2, 2), _lvl(16, 3)], {"e0", "a0"}),
+    "shared-alphas": (_SHARED_UNI, [_lvl(2, 2), _lvl(4, 3)], {"e0", "a0", "a1"}),
+    "two-alphas": (UNI, [_lvl(1, 1), _lvl(4, 3)], {"e0", "e1", "a0", "a1"}),
+}
+
+
+def _hashed(blob, r):
+    return int(hashlib.sha256(blob.encode()).hexdigest(), 16) % r
+
+
+def _g_kind(kind):
+    """(G, range) for a kind: "constant"; "structured" (parity of the level
+    values); "seeded<s>/<r>" (a hash of the whole branch); "coarse<s>/<r>"
+    (a hash that sees each level alpha value only as zero or not, so slot
+    creatures can keep two values)."""
+    if kind == "constant":
+        return (lambda nu: 7), 1
+    if kind == "structured":
+        return (lambda nu: sum(nu.vals[len(nu.cols):]) % 2), 2
+    name, r = kind.split("/")
+    name, seed, r = name[:6], name[6:], int(r)
+    if name == "seeded":
+        return (lambda nu: _hashed(f"{seed}:{nu.vals}", r)), r
+
+    def G(nu):
+        k = len(nu.cols)
+        top = tuple(min(v, 1) if i.startswith("a") else v
+                    for i, v in zip(nu.cols, nu.vals[-k:]))
+        return _hashed(f"{seed}:{nu.vals[:-k]}:{top}", r)
+
+    return G, r
+
+
+# (shape, G kind, outcome, first 16 hex digits of sha256 of the output or
+# refusal, of the sequence of branches G receives)
+G_SEQUENCE_PINS = [
+    ("sel", "structured", "ok", "f61b3ba5a6f2ef79", "6de348371c2c4dec"),
+    ("sel", "seeded1/2", "ok", "a584bb11d3fc1ac2", "e43a47afb53feb19"),
+    ("sel", "seeded3/3", "ok", "00c69a7731681e64", "0c651e7a7887af99"),
+    ("two-sel", "structured", "ok", "9739df130b0a5ed1", "0378fb9b33c0e582"),
+    ("two-sel", "seeded1/2", "NormTooSmall", "3ad22aff0cf18f73", "decaefd257d9ed07"),
+    ("one-alpha", "constant", "ok", "8d15add282138a13", "69731038c29fe53e"),
+    ("one-alpha", "structured", "ok", "a0c8a04c08891b9b", "e14bdd371801d3c1"),
+    ("one-alpha", "seeded1/2", "NormTooSmall", "3ad22aff0cf18f73", "e861a98d2ae0a8a3"),
+    ("one-alpha", "coarse1/2", "NormTooSmall", "3ad22aff0cf18f73", "6fd401b99a35e546"),
+    ("one-alpha-wide", "coarse1/2", "ok", "ede66228c222da05", "1410ffe4ff85dc53"),
+    ("one-alpha-wide", "coarse2/2", "ok", "c807e8cc8a478f5a", "884b887edab6ea0a"),
+    ("one-alpha-wide", "seeded3/3", "NormTooSmall", "3ad22aff0cf18f73", "d13fb700b3a905c0"),
+    ("shared-alphas", "structured", "ok", "e151322b615a6e34", "e66213c4843bfaba"),
+    ("shared-alphas", "coarse1/2", "ok", "0ff8425869dd9e32", "7895f987bb9710e1"),
+    ("shared-alphas", "coarse2/2", "NormTooSmall", "3ad22aff0cf18f73", "c08a2b8324ffec4b"),
+    ("two-alphas", "structured", "ok", "385889f60a73633a", "91550b2796fda814"),
+    ("two-alphas", "coarse2/2", "ok", "a41727784aafc045", "6d600d60648c9e81"),
+    ("two-alphas", "seeded1/2", "NormTooSmall", "3ad22aff0cf18f73", "1cfd9c723c828efa"),
+]
+
+
+@pytest.mark.parametrize("shape, kind, outcome, out_digest, calls_digest", G_SEQUENCE_PINS)
+def test_homogenize_G_call_sequence_is_pinned(shape, kind, outcome, out_digest, calls_digest):
+    uni, levels, u = _G_SHAPES[shape]
+    prof = make_toy_profile({"universe": uni, "levels": levels})
+    c = top_creature(prof, 1, u)
+    F, r = _g_kind(kind)
+    seen = hashlib.sha256()
+
+    def G(nu):
+        seen.update(repr(nu).encode() + b"\n")
+        return F(nu)
+
+    try:
+        out, gp = ml_homogenize(c, 1, prof, G, r)
+    except NormTooSmall as exc:
+        got, result = "NormTooSmall", f"NormTooSmall: {exc}"
+    else:
+        got, result = "ok", json.dumps([out.to_json(), [
+            [eta.to_json(), v] for eta, v in sorted(gp.items(), key=lambda kv: kv[0].vals)]],
+            sort_keys=True)
+    assert got == outcome
+    assert hashlib.sha256(result.encode()).hexdigest()[:16] == out_digest
+    assert seen.hexdigest()[:16] == calls_digest
+
+
+@pytest.mark.parametrize("uni, levels, u, side", [
+    # three slots on one selector, five values each: the first two slots'
+    # product (25) is the alpha-side behavior tuple of the third
+    (_SHARED_UNI, [_lvl(1, 1), _lvl(2, 5)], {"e0", "a0", "a1", "a2"}, "alpha"),
+    # 25 trunks over two selectors: the mu-side tuple is wider than the cap
+    (UNI, [_lvl(5, 1), _lvl(2, 3)], {"e0", "e1"}, "mu"),
+])
+def test_homogenize_refuses_a_behavior_tuple_wider_than_the_cap(uni, levels, u, side):
+    prof = make_toy_profile({"universe": uni, "levels": levels})
+    with pytest.raises(CapacityExceeded, match=f"^{side}-side behavior tuple too wide$"):
+        ml_homogenize(top_creature(prof, 1, u), 1, prof, lambda nu: 0, 1)
+
+
 # lifecycle soak: randomized shrink / halve / unhalve round trips
 
 
