@@ -10,9 +10,9 @@ parameter instead of trusting the stored verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from ..errors import UsageError
+from ..records import Record
 
 
 def _encode(x):
@@ -48,17 +48,20 @@ def _decode(x):
     return x
 
 
-@dataclass
-class PropertyCertificate:
+class PropertyCertificate(Record):
     """Outcome of one property check, sufficient to replay it."""
 
-    kind: str  # "bigness" | "halving" | "decisive" | "nice" | "valid"
-    params: dict = field(default_factory=dict)
-    verdict: bool = False
-    witness: object = None
-    counterexample: object = None
-    param_hash: str = ""
-    mode: str = ""
+    __slots__ = ("kind", "params", "verdict", "witness", "counterexample", "param_hash", "mode")
+
+    def __init__(self, kind: str, params: dict | None = None, verdict: bool = False,
+                 witness=None, counterexample=None, param_hash: str = "", mode: str = ""):
+        self.kind = kind  # "bigness" | "halving" | "decisive" | "nice" | "valid"
+        self.params = {} if params is None else params
+        self.verdict = verdict
+        self.witness = witness
+        self.counterexample = counterexample
+        self.param_hash = param_hash
+        self.mode = mode
 
     def to_json(self) -> dict:
         return {

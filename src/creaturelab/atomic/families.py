@@ -23,6 +23,7 @@ import itertools
 import json
 from collections import defaultdict
 from fractions import Fraction
+from operator import lt
 
 from ..errors import CapacityExceeded, UsageError
 from ..logreal import LogReal, lr, lr_log2_fraction, lr_log2_int
@@ -30,13 +31,17 @@ from .base import LADDER_LIMIT, AtomicParameter
 
 
 def _is_point_set(v, n) -> bool:
-    """Is v a nonempty increasing tuple of points in range(n)?  Ids of any
-    other shape or type answer False."""
+    """Is v a nonempty strictly increasing tuple of points in range(n)?  Ids
+    of any other shape or type answer False.  The int test runs first, so
+    the comparisons never meet a non-int; strictly increasing puts every
+    point between the two ends."""
     return (
         isinstance(v, tuple)
         and len(v) >= 1
-        and all(isinstance(p, int) and 0 <= p < n for p in v)
-        and tuple(sorted(set(v))) == v
+        and all(map(isinstance, v, itertools.repeat(int)))
+        and 0 <= v[0]
+        and v[-1] < n
+        and all(map(lt, v, v[1:]))
     )
 
 

@@ -19,22 +19,24 @@ Three regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import NotNice, SizeInfeasible, UsageError
 from ..logreal import as_fraction
+from ..records import Frozen
 from .base import AtomicParameter
 from .checks import check_nice
 from .families import TrivialTwoPointFamily, capped_ladder
 
 
-@dataclass(frozen=True)
-class ScaleBudget:
+class ScaleBudget(Frozen):
     """Hard caps a construction may not exceed."""
 
-    max_base_size: int = 1 << 16
-    max_creature_count: int = 1 << 20
+    __slots__ = ("max_base_size", "max_creature_count")
+
+    def __init__(self, max_base_size: int = 1 << 16, max_creature_count: int = 1 << 20):
+        object.__setattr__(self, "max_base_size", max_base_size)
+        object.__setattr__(self, "max_creature_count", max_creature_count)
 
 
 _LADDER_CAP = Fraction(15, 8)

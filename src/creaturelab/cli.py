@@ -6,6 +6,11 @@ failure record is still written), 2 usage error, 3 capacity or
 infeasibility (the requested object cannot exist at the requested size).
 All outputs are deterministic; randomized generation is seeded and the
 seed is recorded in the output.
+
+Each process runs one command, so each handler (and each loader it calls)
+imports the layers it uses: an `atomic` command never loads mlcore,
+conditions, params or tower, and an `ml` or `params` command never loads
+conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import itertools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .errors import (
     CapacityExceeded,
@@ -26,31 +30,6 @@ from .errors import (
     SizeInfeasible,
     UsageError,
 )
-from . import atomic
-from .mlcore import (
-    ml_enlarge,
-    ml_halve,
-    ml_homogenize,
-    ml_merge,
-    ml_nor_z,
-    ml_norm_cmp,
-    ml_successor_check,
-    ml_validate,
-)
-from .conditions import (
-    FiniteCondition,
-    NameTable,
-    cond_leq,
-    cond_poss,
-    cond_separate_support,
-    cond_validate,
-    cover_step,
-    evade_step,
-    halving_step,
-    name_validate,
-    rapid_read,
-)
-from .params import make_toy_profile, params_exact, params_validate
 from .serialize import (
     atomic_param_from_json,
     creature_from_json,
@@ -79,6 +58,8 @@ def _load(path, decode):
 
 
 def _load_profile(args):
+    from .params import make_toy_profile
+
     return _load(args.profile, make_toy_profile)
 
 
@@ -91,6 +72,8 @@ def _load_member(path, profile):
     naming the file.  `ml check` loads its --in with _load_creature instead,
     since there a creature outside the profile is the verdict, not a usage
     error; its --against parent is loaded here."""
+    from .mlcore import ml_validate
+
     c = _load_creature(path)
     try:
         ml_validate(c, profile)
@@ -99,9 +82,11 @@ def _load_member(path, profile):
     return c
 
 
-def _load_fragment(path, profile) -> FiniteCondition:
+def _load_fragment(path, profile):
     """The fragment read from path, if cond_validate accepts it over the
     profile; a shape mismatch is a UsageError naming the file."""
+    from .conditions import FiniteCondition, cond_validate
+
     p = _load(path, FiniteCondition.from_json)
     try:
         cond_validate(p, profile)
@@ -110,11 +95,13 @@ def _load_fragment(path, profile) -> FiniteCondition:
     return p
 
 
-def _load_name(path, p, profile) -> NameTable:
+def _load_name(path, p, profile):
     """The name table read from path, checked against the fragment p: its
     levels, decision heights, bounds and values are ints, and name_validate
     accepts it; anything else is a UsageError naming the file.  A decision
     height past the fragment is ModulusTooDeep (exit 3), as rapid_read has it."""
+    from .conditions import NameTable, name_validate
+
     def decode(doc):
         r = NameTable.from_json(doc)
         fields = itertools.chain(*r.modulus.items(), *r.bound.items(),
@@ -170,6 +157,8 @@ def _creature_of(p, w, path):
 
 
 def _cmd_params(args):
+    from .params import params_exact, params_validate
+
     row = params_exact(args.level)
     report = params_validate(row)
     resolved = {}
@@ -189,6 +178,8 @@ def _cmd_params(args):
 
 
 def _cmd_atomic_verify(args):
+    from . import atomic
+
     p = _load(args.infile, atomic_param_from_json)
     prop = args.property
     if prop == "axioms":
@@ -217,8 +208,12 @@ def _cmd_atomic_verify(args):
 
 
 def _cmd_atomic_make_nice(args):
+    from . import atomic
+
     m_max = parse_rational(args.m_max)
     bits = args.budget_bits
+    if bits is not None and not 0 <= bits <= 64:
+        raise UsageError(f"--budget-bits must be in 0..64 (0 for the default budget), got {bits}")
     budget = atomic.ScaleBudget(1 << bits, 1 << bits) if bits else None
     p = atomic.make_nice(args.M, m_max, budget=budget)
     cert = atomic.check_nice(p, args.M, m_max)
@@ -251,6 +246,8 @@ def _norm_repr(v) -> str:
 
 
 def _cmd_atomic_homogenize(args):
+    from . import atomic
+
     params, ws = _load_product(args)
     indexes = [{v: j for j, v in enumerate(sorted(p.val(w), key=repr))}
                for p, w in zip(params, ws)]
@@ -271,12 +268,16 @@ def _cmd_atomic_homogenize(args):
 
 
 def _cmd_atomic_order(args):
+    from . import atomic
+
     params, ws = _load_product(args)
     order, new_ws = atomic.decisive_order(params, ws, parse_rational(args.x))
     return 0, {"order": order, "ws": [repr(w) for w in new_ws]}
 
 
 def _cmd_atomic_disjoint(args):
+    from . import atomic
+
     p, w1, w2 = _load(args.infile, lambda doc: (
         atomic_param_from_json(doc["param"]), id_from_json(doc["w1"]), id_from_json(doc["w2"])))
     w1, w2 = (_creature_of(p, w, args.infile) for w in (w1, w2))
@@ -292,6 +293,8 @@ def _cmd_atomic_disjoint(args):
 
 
 def _creature_result(c, profile, extra=None):
+    from .mlcore import ml_nor_z
+
     out = {"creature": creature_to_json(c),
            "z_approx": ml_nor_z(c, profile).approx()}
     if extra:
@@ -300,6 +303,8 @@ def _creature_result(c, profile, extra=None):
 
 
 def _cmd_ml_check(args):
+    from .mlcore import ml_successor_check, ml_validate
+
     profile = _load_profile(args)
     c = _load_creature(args.infile)
     ml_validate(c, profile)
@@ -312,6 +317,8 @@ def _cmd_ml_check(args):
 
 
 def _cmd_ml_norm(args):
+    from .mlcore import ml_norm_cmp
+
     profile = _load_profile(args)
     c = _load_member(args.infile, profile)
     result = _creature_result(c, profile)
@@ -325,6 +332,8 @@ def _cmd_ml_norm(args):
 
 
 def _cmd_ml_halve(args):
+    from .mlcore import ml_halve
+
     profile = _load_profile(args)
     c = _load_member(args.infile, profile)
     out = ml_halve(c, c.n, profile)
@@ -332,6 +341,8 @@ def _cmd_ml_halve(args):
 
 
 def _cmd_ml_merge(args):
+    from .mlcore import ml_merge
+
     profile = _load_profile(args)
     c1 = _load_member(args.infile, profile)
     c2 = _load_member(args.infile2, profile)
@@ -342,6 +353,8 @@ def _cmd_ml_merge(args):
 
 
 def _cmd_ml_enlarge(args):
+    from .mlcore import ml_enlarge
+
     profile = _load_profile(args)
     c = _load_member(args.infile, profile)
     out = ml_enlarge(c, args.index, c.n, profile)
@@ -349,6 +362,8 @@ def _cmd_ml_enlarge(args):
 
 
 def _cmd_ml_homogenize(args):
+    from .mlcore import ml_homogenize
+
     profile = _load_profile(args)
     c = _load_member(args.infile, profile)
 
@@ -369,6 +384,8 @@ def _cmd_ml_homogenize(args):
 
 
 def _cmd_cond_poss(args):
+    from .conditions import cond_poss
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     n = args.n if args.n is not None else p.height
@@ -378,6 +395,8 @@ def _cmd_cond_poss(args):
 
 
 def _cmd_cond_leq(args):
+    from .conditions import cond_leq
+
     profile = _load_profile(args)
     q = _load_fragment(args.infile, profile)
     p = _load_fragment(args.against, profile)
@@ -386,6 +405,8 @@ def _cmd_cond_leq(args):
 
 
 def _cmd_cond_separate(args):
+    from .conditions import cond_separate_support
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     q = cond_separate_support(p, profile)
@@ -393,6 +414,8 @@ def _cmd_cond_separate(args):
 
 
 def _cmd_cond_rapid_read(args):
+    from .conditions import rapid_read
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     r = _load_name(args.name, p, profile)
@@ -401,6 +424,8 @@ def _cmd_cond_rapid_read(args):
 
 
 def _cmd_cond_halve_step(args):
+    from .conditions import halving_step
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
 
@@ -417,6 +442,8 @@ def _cmd_cond_halve_step(args):
 
 
 def _cmd_cond_cover(args):
+    from .conditions import cover_step
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     r = _load_name(args.name, p, profile)
@@ -426,6 +453,8 @@ def _cmd_cond_cover(args):
 
 
 def _cmd_cond_evade(args):
+    from .conditions import evade_step
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     Y = _load_cover(args.cover, p)
@@ -439,6 +468,8 @@ def _cmd_cond_evade(args):
 
 
 def _cmd_demo_generic_sample(args):
+    from .conditions import cond_poss
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     branches = cond_poss(p, p.height, profile)
@@ -449,6 +480,8 @@ def _cmd_demo_generic_sample(args):
 
 
 def _cmd_demo_distinguish(args):
+    from .conditions import cond_poss
+
     profile = _load_profile(args)
     p = _load_fragment(args.infile, profile)
     i, j = args.i, args.j

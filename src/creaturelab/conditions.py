@@ -22,7 +22,6 @@ and every norm bound is checked exactly on the z-scale (no floats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
 from .atomic.base import ENUM_CAP
 from .atomic.ops import disjoint_successors
 from .logreal import as_fraction
+from .records import Record
 from .mlcore import (
     MlCreature,
     Possibility,
@@ -58,8 +58,7 @@ from .mlcore import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiniteCondition:
+class FiniteCondition(Record):
     """Trunk + creatures for levels trnklg <= n < height.
 
     trunk maps cells (m, i) to values and covers, for every index i in the
@@ -69,11 +68,15 @@ class FiniteCondition:
     approximates.
     """
 
-    trnklg: int
-    height: int
-    trunk: dict  # (m, i) -> value
-    creatures: dict  # n -> MlCreature
-    floors: dict = field(default_factory=dict)  # n -> Fraction norm floor
+    __slots__ = ("trnklg", "height", "trunk", "creatures", "floors")
+
+    def __init__(self, trnklg: int, height: int, trunk: dict, creatures: dict,
+                 floors: dict | None = None):
+        self.trnklg = trnklg
+        self.height = height
+        self.trunk = trunk  # (m, i) -> value
+        self.creatures = creatures  # n -> MlCreature
+        self.floors = {} if floors is None else floors  # n -> Fraction norm floor
 
     def copy(self) -> "FiniteCondition":
         return FiniteCondition(
@@ -362,14 +365,16 @@ def cond_is_separated(p: FiniteCondition, n: int, profile) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NameTable:
+class NameTable(Record):
     """A continuous name with an explicit decision modulus: the level-n value
     is a function of the possibility at height modulus[n]."""
 
-    modulus: dict  # n -> decision height h(n)
-    values: dict  # n -> {Possibility at height h(n): value}
-    bound: dict  # n -> values at level n lie in range(bound[n])
+    __slots__ = ("modulus", "values", "bound")
+
+    def __init__(self, modulus: dict, values: dict, bound: dict):
+        self.modulus = modulus  # n -> decision height h(n)
+        self.values = values  # n -> {Possibility at height h(n): value}
+        self.bound = bound  # n -> values at level n lie in range(bound[n])
 
     def levels(self):
         return sorted(self.values)

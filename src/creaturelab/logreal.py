@@ -13,11 +13,11 @@ real number; past _MAX_PREC bits it refuses with Indeterminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import CapacityExceeded, Indeterminate, UsageError
+from .records import Frozen
 
 __all__ = [
     "LogReal",
@@ -101,12 +101,26 @@ def _factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class LogReal:
-    """Canonical form: prime keys sorted, zero coefficients absent."""
+class LogReal(Frozen):
+    """Canonical form: prime keys sorted, zero coefficients absent, so
+    equal forms are equal values."""
 
-    q: Fraction
-    logs: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("q", "logs")
+
+    def __init__(self, q: Fraction, logs: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "logs", logs)
+
+    # the partition games rank norms through sets and dicts
+    # (checks._ranks), so == and hash are spelled out, not read from
+    # __slots__ as Frozen's are
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.logs) == (other.q, other.logs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q, self.logs))
 
     @staticmethod
     def make(q, logs: Mapping[int, Fraction] | None = None) -> "LogReal":

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json
 from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
+from .records import Frozen, Record
 
 
 class IndexUniverse:
@@ -75,17 +75,31 @@ class IndexUniverse:
         return self.closure(indices) == frozenset(indices)
 
 
-@dataclass(frozen=True)
-class Possibility:
+class Possibility(Frozen):
     """Trunk of height n: a value for every cell (m < n, i in u).  cols is u
     sorted by str, and cell (m, cols[j]) holds vals[m * len(cols) + j].  Only
     make and from_json check their input; derived possibilities share u and
-    cols with their source."""
+    cols with their source.  u stays out of repr, == and hash (cols
+    determines it)."""
 
-    n: int
-    u: frozenset = field(compare=False, repr=False)
-    cols: tuple
-    vals: tuple
+    __slots__ = ("n", "u", "cols", "vals")
+
+    def __init__(self, n: int, u: frozenset, cols: tuple, vals: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
+
+    def __repr__(self):
+        return f"Possibility(n={self.n!r}, cols={self.cols!r}, vals={self.vals!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.cols, self.vals) == (other.n, other.cols, other.vals)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.cols, self.vals))
 
     @staticmethod
     def make(n, u, assignment) -> "Possibility":
@@ -167,13 +181,19 @@ def poss_enumerate(n, u, profile) -> list:
     return [Possibility(n, u, cols, vals) for vals in itertools.product(*map(range, sizes))]
 
 
-@dataclass
-class MlCreature:
-    n: int
-    u: frozenset
-    w_eps: dict  # mu-index -> atomic creature id in star_param(n)
-    w_alpha: dict  # (alpha-index, k) -> atomic creature id in slot_param(n, k)
-    d: LogReal = field(default_factory=lr_zero)
+class MlCreature(Record):
+    """Level n, support u, the atomic creatures w_eps (mu-index -> creature
+    id in star_param(n)) and w_alpha ((alpha-index, k) -> creature id in
+    slot_param(n, k)), and the halving component d (default zero)."""
+
+    __slots__ = ("n", "u", "w_eps", "w_alpha", "d")
+
+    def __init__(self, n: int, u: frozenset, w_eps: dict, w_alpha: dict, d: LogReal | None = None):
+        self.n = n
+        self.u = u
+        self.w_eps = w_eps
+        self.w_alpha = w_alpha
+        self.d = lr_zero() if d is None else d
 
     def copy(self) -> "MlCreature":
         return MlCreature(self.n, self.u, dict(self.w_eps), dict(self.w_alpha), self.d)

@@ -18,13 +18,13 @@ capacities from the profile explicitly and fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .atomic import plateau_family
 from .atomic.base import LADDER_LIMIT
 from .atomic.niceness import make_nice
 from .errors import Indeterminate, SizeInfeasible, UsageError
 from .mlcore import IndexUniverse
+from .records import Record
 from .tower import TowerNat, add, lit, mul, pow_, ref, tower_compare
 
 
@@ -37,13 +37,16 @@ def _sym(name: str) -> TowerNat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParamRow:
-    n: int
-    fields: dict  # name -> TowerNat
-    provenance: dict  # name -> provenance tag
-    f_list: list = field(default_factory=list)  # slot sizes f_{n,m}, m = 0, 1
-    g_list: list = field(default_factory=list)  # slot floors g_{n,m}, m = 0, 1
+class ParamRow(Record):
+    __slots__ = ("n", "fields", "provenance", "f_list", "g_list")
+
+    def __init__(self, n: int, fields: dict, provenance: dict,
+                 f_list: list | None = None, g_list: list | None = None):
+        self.n = n
+        self.fields = fields  # name -> TowerNat
+        self.provenance = provenance  # name -> provenance tag
+        self.f_list = [] if f_list is None else f_list  # slot sizes f_{n,m}, m = 0, 1
+        self.g_list = [] if g_list is None else g_list  # slot floors g_{n,m}, m = 0, 1
 
     def to_json(self):
         return {
@@ -211,15 +214,18 @@ def params_validate(row: ParamRow, prev: ParamRow | None = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LevelSpec:
-    kstar: int
-    slot_sizes: list  # one size per selector value
-    height: object  # plateau norm of every atomic family at this level
-    maxposs: int
-    maxsupp: int
-    gmin: int
-    bmin: int
+class _LevelSpec(Record):
+    __slots__ = ("kstar", "slot_sizes", "height", "maxposs", "maxsupp", "gmin", "bmin")
+
+    def __init__(self, kstar: int, slot_sizes: list, height: int, maxposs: int,
+                 maxsupp: int, gmin: int, bmin: int):
+        self.kstar = kstar
+        self.slot_sizes = slot_sizes  # one size per selector value
+        self.height = height  # plateau norm of every atomic family at this level
+        self.maxposs = maxposs
+        self.maxsupp = maxsupp
+        self.gmin = gmin
+        self.bmin = bmin
 
 
 class ToyProfile:
@@ -320,6 +326,39 @@ _RELAX_CONSUMERS = {
 }
 
 
+# Bit budget of the toy report: every count field, and every power the
+# report forms from the fields, stays below 2**_REPORT_BITS, so each margin
+# (at most a product of three such numbers) is formed at once and prints.
+_REPORT_BITS = 1 << 12
+_COUNT_DEFAULTS = {"height": 9, "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+
+
+def _size(n, s):
+    """A kstar or slot size: an int (not a bool) in 1..LADDER_LIMIT."""
+    if type(s) is not int:
+        raise UsageError(f"level {n}: sizes must be integers, got {s!r}")
+    if s < 1:
+        raise UsageError(f"level {n}: sizes must be positive")
+    if s > LADDER_LIMIT:
+        raise SizeInfeasible(
+            f"level {n}: base size {s} exceeds the subset-ladder limit; "
+            "true recursion magnitudes are not materializable"
+        )
+    return s
+
+
+def _count(n, raw, name):
+    """A count field of level n (or its default): an int (not a bool) >= 0
+    within the report's bit budget."""
+    x = raw.get(name, _COUNT_DEFAULTS[name])
+    if type(x) is not int or x < 0:
+        raise UsageError(f"level {n}: {name} must be a nonnegative integer, got {x!r}")
+    if x.bit_length() > _REPORT_BITS:
+        raise SizeInfeasible(f"level {n}: {name} has more than {_REPORT_BITS} bits; "
+                             "toy profiles stay at desk scale")
+    return x
+
+
 def make_toy_profile(spec: dict) -> ToyProfile:
     """Build a ToyProfile from a plain dict:
 
@@ -328,8 +367,10 @@ def make_toy_profile(spec: dict) -> ToyProfile:
                  "height": int, "maxposs": int, "maxsupp": int,
                  "gmin": int, "bmin": int}, ...]}
 
-    Requesting true recursion magnitudes (any size past the explicit
-    enumeration limit) raises SizeInfeasible.
+    Every number is an int (bools are refused): kstar and the slot sizes
+    positive, the other fields nonnegative.  Requesting true recursion
+    magnitudes (any size past the explicit enumeration limit, or a report
+    item past its bit budget) raises SizeInfeasible.
     """
     try:
         uni = spec["universe"]
@@ -340,33 +381,26 @@ def make_toy_profile(spec: dict) -> ToyProfile:
 
     levels = []
     for n, raw in enumerate(raw_levels):
+        kstar = _size(n, raw["kstar"])
         sizes = raw["slot_sizes"]
         if isinstance(sizes, int):
-            sizes = [sizes] * raw["kstar"]
-        if len(sizes) != raw["kstar"]:
+            sizes = [sizes] * kstar
+        if len(sizes) != kstar:
             raise UsageError(f"level {n}: need one slot size per selector value")
-        for s in list(sizes) + [raw["kstar"]]:
-            if s < 1:
-                raise UsageError(f"level {n}: sizes must be positive")
-            if s > LADDER_LIMIT:
-                raise SizeInfeasible(
-                    f"level {n}: base size {s} exceeds the subset-ladder limit; "
-                    "true recursion magnitudes are not materializable"
-                )
-        levels.append(
-            _LevelSpec(
-                kstar=raw["kstar"],
-                slot_sizes=list(sizes),
-                height=raw.get("height", 9),
-                maxposs=raw.get("maxposs", 2),
-                maxsupp=raw.get("maxsupp", 16),
-                gmin=raw.get("gmin", 32),
-                bmin=raw.get("bmin", 8),
-            )
-        )
+        levels.append(_LevelSpec(kstar, [_size(n, s) for s in sizes],
+                                 **{name: _count(n, raw, name) for name in _COUNT_DEFAULTS}))
 
     report = _toy_report(levels)
     return ToyProfile(universe, levels, report)
+
+
+def _power(n, item, base, exp):
+    """base ** exp for base >= 1, refused when its bit-length bound passes
+    the report's budget, before the power is formed."""
+    if base > 1 and exp * base.bit_length() > _REPORT_BITS:
+        raise SizeInfeasible(f"level {n}: the {item} item needs a number past "
+                             f"{_REPORT_BITS} bits; toy profiles stay at desk scale")
+    return base ** exp
 
 
 def _toy_report(levels) -> list:
@@ -386,16 +420,17 @@ def _toy_report(levels) -> list:
                 }
             )
 
-        need = 1 + fmax_prev ** (n * maxsupp_prev)
+        need = 1 + _power(n, "maxposs-formula", fmax_prev, n * maxsupp_prev)
         entry("maxposs-formula", row.maxposs >= need, row.maxposs - need)
-        need = 1 + 2 ** (n * row.maxposs)
+        need = 1 + _power(n, "maxnor-formula", 2, n * row.maxposs)
         # the plateau height stands in for maxnor
         entry("maxnor-formula", row.height >= need, row.height - need)
-        need = 1 + 2 ** row.height
+        need = 1 + _power(n, "maxsupp-formula", 2, row.height)
         entry("maxsupp-formula", row.maxsupp >= need, row.maxsupp - need)
         need = 2 * row.maxsupp ** 2
         entry("Bmin-vs-support", row.bmin > need, row.bmin - need - 1)
-        need = fmax_prev ** (n * row.maxsupp) * row.maxposs * row.kstar ** row.maxsupp
+        need = (_power(n, "gmin-vs-reading", fmax_prev, n * row.maxsupp) * row.maxposs
+                * _power(n, "gmin-vs-reading", row.kstar, row.maxsupp))
         entry("gmin-vs-reading", row.gmin > need, row.gmin - need - 1)
         # a plateau family is never Bmin-regular: its small blocks keep no
         # norm, so the niceness items are relaxed by construction

@@ -14,7 +14,6 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
-from .mlcore import MlCreature
 from .atomic.base import id_from_json, id_to_json
 from .atomic import (
     HalvingPairFamily,
@@ -129,5 +128,13 @@ def atomic_param_from_json(obj):
     raise UsageError(f"unknown atomic parameter kind: {kind!r}")
 
 
-creature_to_json = MlCreature.to_json
-creature_from_json = MlCreature.from_json
+def creature_to_json(c) -> dict:
+    return c.to_json()
+
+
+def creature_from_json(obj, n=None):
+    """MlCreature.from_json, imported on first use: commands that read no
+    creature never load mlcore."""
+    from .mlcore import MlCreature
+
+    return MlCreature.from_json(obj, n)

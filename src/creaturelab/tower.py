@@ -13,12 +13,12 @@ Indeterminate rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import Indeterminate, UsageError
 from .logreal import _log2_range
+from .records import Frozen
 
 __all__ = [
     "TowerNat",
@@ -38,21 +38,32 @@ _MAX_LOG_DEPTH = 6
 _LOG_BITS = 64
 
 
-@dataclass(frozen=True)
-class TowerNat:
-    """op in {'lit', 'add', 'mul', 'pow', 'ref'}."""
+class TowerNat(Frozen):
+    """op in {'lit', 'add', 'mul', 'pow', 'ref'}; env (the bindings of a
+    ref) stays out of == and hash."""
 
-    op: str
-    args: tuple = ()
-    n: int = 0
-    name: str = ""
-    env: Optional[dict] = field(default=None, compare=False, hash=False)
+    __slots__ = ("op", "args", "n", "name", "env")
 
     # -- construction --------------------------------------------------------
 
-    def __post_init__(self):
-        if self.op == "lit" and self.n < 1:
+    def __init__(self, op: str, args: tuple = (), n: int = 0, name: str = "",
+                 env: Optional[dict] = None):
+        if op == "lit" and n < 1:
             raise UsageError("tower literals must be >= 1")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "env", env)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.op, self.args, self.n, self.name)
+                    == (other.op, other.args, other.n, other.name))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.args, self.n, self.name))
 
     def __add__(self, other):
         return add(self, _coerce(other))

@@ -752,3 +752,21 @@ def test_reservoir_single_class_bigness_finds_any_committed_size():
                 cert = check_bigness(ReservoirFamily(), w, B, x, mode="auto")
                 assert cert.mode == "hook"
                 assert cert.verdict == (rung[-(-n // B)] >= rung[n] - x * 32), (n, B, x)
+
+
+def test_point_set_test_agrees_with_the_set_based_definition():
+    """Every tuple of length <= 4 over ints, bools and a float, against the
+    sort-and-dedupe definition the C-level test replaced."""
+    from creaturelab.atomic.families import _is_point_set
+
+    def reference(v, n):
+        return (isinstance(v, tuple) and len(v) >= 1
+                and all(isinstance(p, int) and 0 <= p < n for p in v)
+                and tuple(sorted(set(v))) == v)
+
+    atoms = [-1, *range(9), True, False, 1.0]
+    for k in range(5):
+        for v in itertools.product(atoms, repeat=k):
+            for n in (1, 5, 9):
+                assert _is_point_set(v, n) == reference(v, n), (v, n)
+    assert not _is_point_set([0, 1], 9) and not _is_point_set("01", 9)

@@ -268,6 +268,39 @@ def test_import_leaves_mpmath_out():
     assert out.stdout.strip() == "False"
 
 
+_IMPORT_PROBE = """\
+import contextlib, io, sys
+import creaturelab.cli
+dataclasses = "dataclasses" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = creaturelab.cli.main(sys.argv[1:])
+print(dataclasses, code, *sorted(sys.modules))
+"""
+
+_LAYERS = {"creaturelab.mlcore", "creaturelab.conditions", "creaturelab.params",
+           "creaturelab.tower"}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("atomic verify --in {toyh} --property axioms", _LAYERS),
+    ("ml norm --profile {wide_profile} --in {creature}", {"creaturelab.conditions"}),
+    ("params --level 0", {"creaturelab.conditions"}),
+], ids=["atomic", "ml", "params"])
+def test_each_command_group_loads_only_its_layers(files, command, absent):
+    """A fresh process per command: importing the CLI loads no dataclasses,
+    and running a command loads only the layers its group uses."""
+    write, _ = files
+    inputs = _pin_inputs(write)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE]
+                         + [inputs.get(a, a) for a in command.split()],
+                         env=env, capture_output=True, text=True, check=True)
+    dataclasses, code, *modules = out.stdout.split()
+    assert dataclasses == "False" and code == "0"
+    assert "creaturelab.atomic" in modules and not absent & set(modules)
+
+
 def test_atomic_make_nice(files):
     write, tmp = files
     out = tmp / "nice.json"
@@ -667,6 +700,7 @@ def _pin_docs():
     # exhaust the norm (the fragment-pipeline bench homogenizes the same)
     sel_levels = [dict(ml_lvl, kstar=2), dict(ml_lvl, kstar=16)]
     sel_profile = make_toy_profile({"universe": UNI, "levels": sel_levels})
+    _, tops = toy_witness_pair()
     return {
         "{chain_profile}": ("chain_profile.json", {"universe": CHAIN_UNI, "levels": CHAIN_LEVELS}),
         "{chain}": ("chain_frag.json", chain.to_json()),
@@ -684,6 +718,13 @@ def _pin_docs():
         "{small}": ("small_creature.json", creature_to_json(small)),
         "{sel_profile}": ("sel_profile.json", {"universe": UNI, "levels": sel_levels}),
         "{selector}": ("selector.json", creature_to_json(top_creature(sel_profile, 1, {"e0"}))),
+        "{toyh}": ("toyh.json", {"kind": "halving-pairs", "base_size": 8}),
+        "{toya}": ("toya.json", {"kind": "subset-log", "base_size": 8}),
+        "{prod}": ("prod.json", {"coordinates": [
+            {"param": LADDER_SPEC, "w": id_to_json(tops[0])},
+            {"param": {"kind": "reservoir"}, "w": id_to_json(tops[1])}]}),
+        "{dis}": ("dis.json", {"param": LADDER_SPEC, "w1": id_to_json(tops[0]),
+                               "w2": id_to_json(tops[0])}),
     }
 
 
@@ -709,6 +750,22 @@ CLI_OUTPUT_PINS = [
     ("ml enlarge --profile {ml_profile} --in {small} --index a1", 0, "8de08f4c86ea279e"),
     ("demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1", 0, "ab2dcc184096857b"),
     ("demo generic-sample --profile {chain_profile} --in {chain} --seed 7", 0, "0942f3e9fb00d0ed"),
+    ("params --level 0", 0, "4dbcc81c9e91c22b"),
+    ("atomic verify --in {toyh} --property axioms", 0, "773f3d0fc52c6e18"),
+    ("atomic verify --in {toyh} --property halving --x 3/2", 0, "6e24184f58960eb1"),
+    ("atomic verify --in {toya} --property halving --x 1", 1, "0d31be2f37b86d11"),
+    ("atomic verify --in {toya} --property big --B 2 --x 1", 0, "69a3c536afb63351"),
+    ("atomic verify --in {toya} --property big --B 8 --x 2", 1, "43a4dc39f2a1291a"),
+    ("atomic make-nice --M 1 --m-max 7/4", 0, "d2f60ac89dff4a3e"),
+    ("atomic order --in {prod} --x 1/4", 0, "7869f5149580596b"),
+    ("atomic disjoint --in {dis} --x 1", 0, "304e7f609a480243"),
+    ("ml check --profile {wide_profile} --in {creature}", 0, "ff965d1b75e95c9b"),
+    ("ml norm --profile {wide_profile} --in {creature} --threshold 2", 0, "bec114c9422f95ce"),
+    ("ml norm --profile {wide_profile} --in {creature} --threshold 9", 1, "52a1da52295f3d0e"),
+    ("ml halve --profile {wide_profile} --in {creature}", 0, "2ecafb522fb4c0ec"),
+    ("cond leq --profile {wide_profile} --in {sep} --against {wide}", 0, "c3502724a5235164"),
+    ("cond leq --profile {wide_profile} --in {wide} --against {sep}", 1, "845ca2e5a50c500e"),
+    ("cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1", 0, "36d799dc9022b78d"),
 ]
 
 
@@ -799,21 +856,56 @@ def test_malformed_fields_are_usage_errors(tmp_path, case):
     assert code == 2 and err.startswith("usage error:"), err
 
 
-def test_a_huge_fragment_height_is_refused_without_building_its_levels(tmp_path):
-    """Run in a child limited to 1 GiB of address space, so a level set of
-    10**12 entries ends the child, not the machine."""
-    name, doc = _pin_docs_once()["{wide}"]
-    frag = tmp_path / name
-    frag.write_text(json.dumps(dict(doc, height=10**12)))
-    prof = tmp_path / "wide_profile.json"
-    prof.write_text(json.dumps(_pin_docs_once()["{wide_profile}"][1]))
+def _cli_child(tmp_path, command, target, change):
+    """Run command on the pinned documents, target's document updated by
+    change, in a child limited to 1 GiB of address space and 60 s, so a
+    runaway allocation ends the child, not the machine."""
+    argv = []
+    for a in command.split():
+        if a in _pin_docs_once():
+            name, doc = _pin_docs_once()[a]
+            path = tmp_path / name
+            path.write_text(json.dumps(change(copy.deepcopy(doc)) if a == target else doc))
+            a = str(path)
+        argv.append(a)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    out = subprocess.run([sys.executable, "-m", "creaturelab.cli", "cond", "poss",
-                          "--profile", str(prof), "--in", str(frag)],
-                         env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "creaturelab.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+
+def test_a_huge_fragment_height_is_refused_without_building_its_levels(tmp_path):
+    out = _cli_child(tmp_path, _WIDE_POSS, "{wide}", lambda doc: dict(doc, height=10**12))
     assert out.returncode == 2 and "one creature per level" in out.stderr, out.stderr[-300:]
+
+
+def _set_level_field(level, field, value):
+    def change(doc):
+        doc["levels"][level][field] = value
+        return doc
+    return change
+
+
+# (level, field, value, exit code): a profile number that once hung the
+# report, exhausted memory, raised an untyped ValueError or was accepted
+PROFILE_NUMBERS = [
+    (0, "height", 10**12, 3),
+    (0, "height", 20000, 3),
+    (0, "height", True, 2),
+    (1, "maxposs", 10**12, 3),
+    (0, "maxsupp", 10**12, 3),
+    (0, "kstar", 10**12, 3),
+    (0, "gmin", 1.5, 2),
+]
+
+
+@pytest.mark.parametrize("level, field, value, code", PROFILE_NUMBERS)
+def test_profile_numbers_are_typed_and_bounded(tmp_path, level, field, value, code):
+    out = _cli_child(tmp_path, "ml check --profile {wide_profile} --in {creature}",
+                     "{wide_profile}", _set_level_field(level, field, value))
+    prefix = "usage error:" if code == 2 else "infeasible: SizeInfeasible: level"
+    assert out.returncode == code and out.stderr.startswith(prefix), out.stderr[-300:]
 
 
 def test_a_name_table_past_the_fragment_stays_modulus_too_deep(tmp_path):
@@ -831,6 +923,12 @@ def _paths(doc, depth=2):
 
 
 FUZZ_COMMANDS = [
+    "atomic verify --in {toyh} --property axioms",
+    "atomic verify --in {toyh} --property halving --x 3/2",
+    "atomic verify --in {toya} --property big --B 2 --x 1",
+    "atomic homogenize --in {prod} --range 2",
+    "atomic order --in {prod} --x 1/4",
+    "atomic disjoint --in {dis} --x 1",
     "ml check --profile {wide_profile} --in {shrunk} --against {creature} --enumerate",
     "ml norm --profile {wide_profile} --in {creature} --threshold 1",
     "ml halve --profile {wide_profile} --in {creature}",
@@ -854,14 +952,40 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+FUZZ_VALUES = [_DROP, None, "x", -1, 1.5, True, [], {}, 10**12]
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_paths(target):
+    """The fields of target's document that the fuzz test mutates: every
+    field at depth <= 2; in a profile also each level's numbers, and in a
+    product document each coordinate's parameter fields and id (depth 4)."""
+    doc = _pin_docs_once()[target][1]
+    if target.endswith("profile}"):
+        return _paths(doc) + [p for p in _paths(doc, 3) if len(p) == 3 and p[0] == "levels"]
+    return _paths(doc, 4 if target == "{prod}" else 2)
+
+
+@settings(max_examples=450, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_documents_never_raise(fuzz_dir, data):
-    """Drop one field (depth <= 2) of one input document, or set it to a
-    value of the wrong kind: every command answers with an exit code."""
+    """Drop one field of one input document, or set it to a value of the
+    wrong kind: every command answers with an exit code."""
     command = data.draw(st.sampled_from(FUZZ_COMMANDS))
     target = data.draw(st.sampled_from(sorted({a for a in command.split() if a.startswith("{")})))
-    path = data.draw(st.sampled_from(_paths(_pin_docs_once()[target][1])))
-    value = data.draw(st.sampled_from([_DROP, None, "x", -1, 1.5, [], {}]))
+    path = data.draw(st.sampled_from(_fuzz_paths(target)))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
     code, _ = _run_mutated(fuzz_dir, command, target, path, value)
     assert 0 <= code <= 3
+
+
+@pytest.mark.parametrize("option", ["--M", "--m-max", "--budget-bits"])
+@pytest.mark.parametrize("value", FUZZ_VALUES, ids=lambda v: "drop" if v is _DROP else repr(v))
+def test_mutated_make_nice_specs_never_raise(capsys, option, value):
+    """make-nice reads its parameter spec from options, not a document."""
+    spec = {"--M": "1", "--m-max": "7/4", "--budget-bits": "20"}
+    if value is _DROP:
+        del spec[option]
+    else:
+        spec[option] = json.dumps(value)
+    assert 0 <= run(["atomic", "make-nice"] + [a for kv in spec.items() for a in kv]) <= 3

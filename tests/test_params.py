@@ -1,5 +1,6 @@
 """Capacity recursion rows and desk-scale profiles."""
 
+import hashlib
 import json
 
 import pytest
@@ -196,3 +197,38 @@ def test_describe_is_deterministic():
     a = make_toy_profile(TOY_SPEC).describe()
     b = make_toy_profile(json.loads(json.dumps(TOY_SPEC))).describe()
     assert a == b and "kstar" in a
+
+
+def _report_digest(spec):
+    report = make_toy_profile(spec).report
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# (levels, first 16 hex digits of the sha256 of the report): the verdict
+# and relaxed(margin) texts of these profiles, recorded before the report
+# decided its items within a bit budget
+_WIDE_LVL = {"kstar": 4, "slot_sizes": 8, "height": 19,
+             "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+REPORT_PINS = [
+    (TOY_SPEC["levels"], "8c1a872a367f2cf0"),
+    ([_WIDE_LVL, _WIDE_LVL], "9b27059e4d58b3cd"),
+    ([dict(_WIDE_LVL, maxposs=64, maxsupp=40)] * 6, "6775219bf49fe670"),
+]
+
+
+@pytest.mark.parametrize("levels, digest", REPORT_PINS)
+def test_toy_report_text_is_pinned(levels, digest):
+    assert _report_digest(dict(TOY_SPEC, levels=levels)) == digest
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kstar", True), ("kstar", 2.0), ("slot_sizes", [4, True]), ("slot_sizes", "44"),
+    ("height", True), ("height", 9.0), ("height", "9"), ("height", -1), ("maxposs", None),
+    ("maxsupp", False), ("gmin", 1.5), ("bmin", -8),
+])
+def test_toy_profile_numbers_must_be_integers(field, value):
+    spec = json.loads(json.dumps(TOY_SPEC))
+    spec["levels"][0][field] = value
+    with pytest.raises(UsageError, match="^level 0: "):
+        make_toy_profile(spec)
+
