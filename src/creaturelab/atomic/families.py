@@ -32,13 +32,14 @@ from .base import LADDER_LIMIT, AtomicParameter
 
 def _is_point_set(v, n) -> bool:
     """Is v a nonempty strictly increasing tuple of points in range(n)?  Ids
-    of any other shape or type answer False.  The int test runs first, so
-    the comparisons never meet a non-int; strictly increasing puts every
-    point between the two ends."""
+    of any other shape or type answer False; a point's type must be int
+    itself, so a bool is no point.  The type test runs first, so the
+    comparisons never meet a non-int; strictly increasing puts every point
+    between the two ends."""
     return (
         isinstance(v, tuple)
         and len(v) >= 1
-        and all(map(isinstance, v, itertools.repeat(int)))
+        and set(map(type, v)) == {int}
         and 0 <= v[0]
         and v[-1] < n
         and all(map(lt, v, v[1:]))
@@ -242,7 +243,7 @@ class HalvingPairFamily(AtomicParameter):
             v, e2 = w
         except (TypeError, ValueError):
             return False
-        return _is_point_set(v, self.n) and isinstance(e2, int) and 0 <= e2 < self.E_STEPS
+        return _is_point_set(v, self.n) and type(e2) is int and 0 <= e2 < self.E_STEPS
 
     def val(self, w):
         return frozenset(w[0])
@@ -343,7 +344,7 @@ class ReservoirFamily(AtomicParameter):
             return _is_point_set(w[1], self.S_SIZE) and len(w[1]) >= 2
         if w[0] == "com" and len(w) == 3:
             s, t = w[1], w[2]
-            return isinstance(s, int) and 0 <= s < self.S_SIZE and _is_point_set(t, self.T_SIZE)
+            return type(s) is int and 0 <= s < self.S_SIZE and _is_point_set(t, self.T_SIZE)
         return False
 
     def _pairs(self, s_points, t_points):

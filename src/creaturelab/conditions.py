@@ -22,6 +22,8 @@ and every norm bound is checked exactly on the z-scale (no floats).
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -42,13 +44,13 @@ from .records import Record
 from .mlcore import (
     MlCreature,
     Possibility,
+    _level_rows,
     _prune_orphan_slots,
     ml_halve,
     ml_homogenize,
     ml_nor_z,
     ml_norm_cmp,
     ml_successor_check,
-    ml_val,
     ml_validate,
     poss_enumerate,
 )
@@ -180,24 +182,13 @@ def cond_validate(p: FiniteCondition, profile) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lift(nus: list, u2: frozenset, trunk: dict) -> list:
-    """Grow the index set of possibilities that share one support, filling
-    the new cells from the trunk."""
-    if not nus or nus[0].u == u2:
-        return nus
-    n, cols, cols2 = nus[0].n, nus[0].cols, tuple(sorted(u2, key=str))
-    at = {i: j for j, i in enumerate(cols)}
-    cells = [(m, i, m * len(cols) + at[i] if i in at else None) for m in range(n) for i in cols2]
-    return [Possibility(n, u2, cols2, tuple(
-        trunk[(m, i)] if j is None else nu.vals[j] for m, i, j in cells)) for nu in nus]
-
-
 def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
     """The possibilities of p at height n, over supp(p, n).
 
-    "inductive" walks the levels extending through each creature (each
-    member is re-checked against the local characterization); "local"
-    filters the raw trunk enumeration by the local characterization alone.
+    "inductive" takes the trunk times the product of the level creatures'
+    rows (earlier levels vary slowest, later-entering indices read the
+    trunk) and re-checks each member against the local characterization;
+    "local" filters the raw trunk enumeration by that characterization alone.
     """
     if not 0 <= n <= p.height:
         raise UsageError(f"height {n} outside [0, {p.height}]")
@@ -206,14 +197,17 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
         return [nu for nu in poss_enumerate(n, p.supp(n), profile) if contains(nu)]
     if method != "inductive":
         raise UsageError(f"unknown method {method!r}")
-    if n <= p.trnklg:
-        return [p.trunk_possibility().restrict_height(n)]
-    out = [p.trunk_possibility()]
+    u = p.supp(n)
+    cols = tuple(sorted(u, key=str))
+    levels = [[tuple(p.trunk[m, i] for i in cols)] for m in range(min(n, p.trnklg))]
     for m in range(p.trnklg, n):
-        nxt = [nu for eta in out for nu in ml_val(p.creatures[m], eta, profile)]
-        if len(nxt) > ENUM_CAP:
+        fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
+        levels.append(list(_level_rows(p.creatures[m], cols, profile, fill)))
+        if math.prod(map(len, levels)) > ENUM_CAP:
             raise CapacityExceeded("possibility walk exceeds the enumeration cap")
-        out = _lift(nxt, p.supp(m + 1), p.trunk)
+    vals = [sum(rows, ()) for rows in itertools.product(*levels)]
+    del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
+    out = [Possibility(n, u, cols, v) for v in vals]
     contains = _poss_test(p, n, profile)
     for nu in out:
         if not contains(nu):
@@ -562,8 +556,10 @@ def _selector_block(p: FiniteCondition, n: int, eps0, profile) -> list:
     return block
 
 
-def _block_key(nu: Possibility, n: int, block) -> tuple:
-    return tuple((i, nu.get(n, i)) for i in block)
+def _block_key(block, cols, m):
+    """Reads the block's (index, value) pairs at level m of values over cols."""
+    at = [m * len(cols) + cols.index(i) for i in block]
+    return lambda vals: tuple(zip(block, map(vals.__getitem__, at)))
 
 
 def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
@@ -578,10 +574,10 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
     if ml_norm_cmp(p.creatures[n], n, profile, 2) <= 0:
         raise PreconditionFailed(f"cover needs norm above 2 at level {n}")
     block = _selector_block(p, n, eps0, profile)
+    key_of = _block_key(block, tuple(sorted(p.supp(n + 1), key=str)), n)
     table = {}
     for nu in cond_poss(p, n + 1, profile):
-        key = _block_key(nu, n, block)
-        table.setdefault(key, set()).add(name_value(r, n, nu, p, profile))
+        table.setdefault(key_of(nu.vals), set()).add(name_value(r, n, nu, p, profile))
     g = profile.gmin(n)
     for key, vals in table.items():
         if len(vals) >= g:
@@ -594,27 +590,34 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
 
 def evade_step(p: FiniteCondition, n: int, Y: dict, beta, profile) -> MlCreature:
     """Shrink beta's slot creatures at level n so that every branch value at
-    beta avoids the cover table along its own branch."""
+    beta avoids the cover table along its own branch.
+
+    Evading reads only level-n cells, so both walks go over the creature's
+    rows: each lies on a branch, as poss(p, n) is nonempty for a validated
+    fragment (were it empty, rows would forbid more, never less)."""
     U = profile.universe
     if n not in p.levels or Y.get("level") != n:
         raise UsageError("Y must cover the requested level")
-    if beta in Y["indices"]:
+    block = Y["indices"]
+    if beta in block:
         raise DependsOnBeta(f"the cover table reads {beta!r}'s slot")
     if U.is_mu(beta) or beta not in p.supp(n):
         raise DomainMismatch(f"{beta!r} is not a level-{n} slot index")
+    if not set(block) <= p.supp(n):
+        raise DomainMismatch(f"the cover table's indices are not level-{n} support indices")
     if ml_norm_cmp(p.creatures[n], n, profile, 2) <= 0:
         raise PreconditionFailed(f"evading needs norm above 2 at level {n}")
 
     c = p.creatures[n].copy()
-    star = profile.star_param(n)
+    cols = tuple(sorted(c.u, key=str))
+    key_of, table = _block_key(block, cols, 0), Y["table"]
     sel = U.eps_of[beta]
-    block = Y["indices"]
+    at_sel, at_beta = cols.index(sel), cols.index(beta)
     # per selector value of beta's star, the values the branch table can
     # force anywhere; beta's slot must outsize this union
-    forbidden = {k: set() for k in star.val(c.w_eps[sel])}
-    for nu in cond_poss(p, n + 1, profile):
-        key = _block_key(nu, n, block)
-        forbidden[nu.get(n, sel)].update(Y["table"].get(key, ()))
+    forbidden = {k: set() for k in profile.star_param(n).val(c.w_eps[sel])}
+    for row in _level_rows(p.creatures[n], cols, profile):
+        forbidden[row[at_sel]].update(table.get(key_of(row), ()))
     for k, bad in sorted(forbidden.items()):
         slot = profile.slot_param(n, k)
         w = c.w_alpha[(beta, k)]
@@ -634,10 +637,7 @@ def evade_step(p: FiniteCondition, n: int, Y: dict, beta, profile) -> MlCreature
     if not ok:
         raise CapacityExceeded(f"evading fails successor replay: {diag}")
 
-    q = p.copy()
-    q.creatures[n] = c
-    for nu in cond_poss(q, n + 1, profile):
-        key = _block_key(nu, n, block)
-        if nu.get(n, beta) in Y["table"].get(key, ()):
-            raise CapacityExceeded(f"evading replay failed at {nu}")
+    for row in _level_rows(c, cols, profile):
+        if row[at_beta] in table.get(key_of(row), ()):
+            raise CapacityExceeded(f"evading replay failed at level-{n} row {dict(zip(cols, row))}")
     return c

@@ -257,15 +257,15 @@ def ml_validate(c: MlCreature, profile) -> None:
         raise UsageError("d must be nonnegative")
 
 
-def _level_rows(c: MlCreature, cols, profile):
-    """c's one-level rows: the values one step through c gives the cells of
-    cols (c's support), in cols order; selector values vary slowest."""
+def _level_rows(c: MlCreature, cols, profile, fill=()):
+    """c's one-level rows over cols (selector values vary slowest); a column
+    outside c's support takes its value from fill's (column, value) pairs."""
     U = profile.universe
     star = profile.star_param(c.n)
-    mus = [i for i in cols if U.is_mu(i)]
-    alphas = [i for i in cols if not U.is_mu(i)]
+    mus = [i for i in cols if i in c.u and U.is_mu(i)]
+    alphas = [i for i in cols if i in c.u and not U.is_mu(i)]
     for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
-        pick = dict(zip(mus, ks))
+        pick = dict(itertools.chain(fill, zip(mus, ks)))
         slot_vals = [
             sorted(profile.slot_param(c.n, pick[U.eps_of[a]]).val(c.w_alpha[(a, pick[U.eps_of[a]])]))
             for a in alphas
@@ -608,9 +608,10 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
         raise NormTooSmall("homogenization lost more than one norm unit")
 
     # exact replay: G through the result depends only on the trunk
+    rows = list(_level_rows(out, tuple(sorted(c.u, key=str)), profile))
     g_prime = {}
     for eta in etas:
-        values = {G(nu) for nu in ml_val(out, eta, profile)}
+        values = {G(Possibility(n + 1, eta.u, eta.cols, eta.vals + row)) for row in rows}
         if len(values) != 1:
             raise NotNice(f"homogenization replay failed at {eta}")
         g_prime[eta] = values.pop()

@@ -58,14 +58,14 @@ def test_validate_rejects_asymmetric_intensional():
 # has() answers False on an id of the wrong shape or type, never raises
 
 
-@pytest.mark.parametrize("w", [("a",), (0, "a"), ([0],), (0.5,)])
+@pytest.mark.parametrize("w", [("a",), (0, "a"), ([0],), (0.5,), (0, True)])
 def test_subset_ladder_has_refuses_ill_typed_ids(w):
     p = subset_log_family(4)
     assert p.has(w) is False
     assert p.in_succ(w, p.top()) is False
 
 
-@pytest.mark.parametrize("w", [((0,), "x"), (("a",), 0), ((0,), 0.5), ((0,), None)])
+@pytest.mark.parametrize("w", [((0,), "x"), (("a",), 0), ((0,), 0.5), ((0,), None), ((0,), True)])
 def test_halving_pair_has_refuses_ill_typed_ids(w):
     p = HalvingPairFamily(4)
     assert p.has(w) is False
@@ -73,7 +73,7 @@ def test_halving_pair_has_refuses_ill_typed_ids(w):
 
 
 @pytest.mark.parametrize("w", [("free", ("a", "b")), ("free",), ("com", 0), ("com", 0, ("t",)),
-                               {"free": 1}])
+                               {"free": 1}, ("com", True, (1, 2)), ("free", (0, True))])
 def test_reservoir_has_refuses_ill_typed_ids(w):
     p = ReservoirFamily()
     assert p.has(w) is False
@@ -761,7 +761,7 @@ def test_point_set_test_agrees_with_the_set_based_definition():
 
     def reference(v, n):
         return (isinstance(v, tuple) and len(v) >= 1
-                and all(isinstance(p, int) and 0 <= p < n for p in v)
+                and all(type(p) is int and 0 <= p < n for p in v)
                 and tuple(sorted(set(v))) == v)
 
     atoms = [-1, *range(9), True, False, 1.0]

@@ -43,10 +43,13 @@ from creaturelab.errors import UsageError
 from test_conditions import (
     CHAIN_LEVELS,
     CHAIN_UNI,
+    GROW_LVL,
     WIDE_LVL,
     WIDE_UNI,
     chain_fragment,
     chain_profile,
+    grow_fragment,
+    grow_profile,
     seeded_name,
     wide_fragment,
     wide_profile,
@@ -708,6 +711,8 @@ def _pin_docs():
         "{wide_profile}": ("wide_profile.json",
                            {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]}),
         "{wide}": ("wide_frag.json", wide.to_json()),
+        "{grow_profile}": ("grow_profile.json", {"universe": WIDE_UNI, "levels": [GROW_LVL] * 4}),
+        "{grow}": ("grow_frag.json", grow_fragment().to_json()),
         "{sep}": ("wide_sep.json", sep.to_json()),
         "{wide_name}": ("wide_name.json", wide_name.to_json()),
         "{cover}": ("cover.json", dict(cover, table={
@@ -738,6 +743,8 @@ CLI_OUTPUT_PINS = [
     ("cond poss --profile {chain_profile} --in {chain}", 0, "2ab5015443df1f11"),
     ("cond poss --profile {chain_profile} --in {chain} --method local", 0, "2ab5015443df1f11"),
     ("cond poss --profile {wide_profile} --in {wide} --n 2", 0, "2c46f81e56f2a1c1"),
+    ("cond poss --profile {grow_profile} --in {grow}", 0, "377a5da36702f5a0"),
+    ("cond poss --profile {grow_profile} --in {grow} --n 3", 0, "f9bda2689c8f491a"),
     ("cond rapid-read --profile {chain_profile} --in {chain} --name {chain_name} --M 1", 0, "df2f752598635413"),
     ("cond separate --profile {wide_profile} --in {wide}", 0, "9517636962c98e1a"),
     ("cond halve-step --profile {wide_profile} --in {wide} --M 1 --floor 1", 0, "2997132b84faf10c"),
@@ -756,6 +763,8 @@ CLI_OUTPUT_PINS = [
     ("atomic verify --in {toya} --property halving --x 1", 1, "0d31be2f37b86d11"),
     ("atomic verify --in {toya} --property big --B 2 --x 1", 0, "69a3c536afb63351"),
     ("atomic verify --in {toya} --property big --B 8 --x 2", 1, "43a4dc39f2a1291a"),
+    ("atomic verify --in {toya} --property big --B 2 --w [0,true,2,3]", 2, "e3b0c44298fc1c14"),
+    ("atomic verify --in {toyh} --property halving --w [[0,1,2,3],true]", 2, "e3b0c44298fc1c14"),
     ("atomic make-nice --M 1 --m-max 7/4", 0, "d2f60ac89dff4a3e"),
     ("atomic order --in {prod} --x 1/4", 0, "7869f5149580596b"),
     ("atomic disjoint --in {dis} --x 1", 0, "304e7f609a480243"),

@@ -1,16 +1,20 @@
 """Condition fragments: poss calculus, order, and the transform pipeline."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creaturelab import conditions
 from creaturelab.atomic import SubsetLadderFamily
 from creaturelab.conditions import (
     FiniteCondition,
     NameTable,
+    _selector_block,
     cond_and,
     cond_is_separated,
     cond_leq,
@@ -36,7 +40,7 @@ from creaturelab.errors import (
     OracleInconsistent,
     UsageError,
 )
-from creaturelab.mlcore import MlCreature, ml_norm_cmp
+from creaturelab.mlcore import MlCreature, Possibility, ml_norm_cmp, ml_val
 from creaturelab.params import make_toy_profile
 
 # chain profile: one selector index, growing selector ranges, used for the
@@ -57,6 +61,12 @@ WIDE_UNI = {"mu": ["e0", "e1"], "alpha": ["a0", "a1"],
             "eps_of": {"a0": "e0", "a1": "e1"}}
 WIDE_LVL = {"kstar": 4, "slot_sizes": 8, "height": 19,
             "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+
+
+# growing profile: e1 and a1 enter the support at level 3 of a height-4
+# fragment, so every level below reads their cells from the trunk
+GROW_LVL = {"kstar": 3, "slot_sizes": 2, "height": 4,
+            "maxposs": 600, "maxsupp": 16, "gmin": 32, "bmin": 8}
 
 
 def chain_profile():
@@ -88,6 +98,22 @@ def wide_fragment(prof):
         1, 2, {(0, i): 0 for i in u},
         {1: MlCreature(1, u, {"e0": star.top(), "e1": star.top()}, w_alpha)},
     )
+
+
+def grow_profile():
+    return make_toy_profile({"universe": WIDE_UNI, "levels": [GROW_LVL] * 4})
+
+
+def grow_fragment():
+    low = frozenset({"e0", "a0"})
+    trunk = {(0, "e0"): 1, (0, "a0"): 0, (0, "e1"): 2, (0, "a1"): 1,
+             (1, "e1"): 0, (1, "a1"): 1, (2, "e1"): 1, (2, "a1"): 0}
+    return FiniteCondition(1, 4, trunk, {
+        1: MlCreature(1, low, {"e0": (0, 1)}, {("a0", 0): (0, 1), ("a0", 1): (0, 1)}),
+        2: MlCreature(2, low, {"e0": (2,)}, {("a0", 2): (0, 1)}),
+        3: MlCreature(3, low | {"e1", "a1"}, {"e0": (0, 1), "e1": (1, 2)},
+                      {(a, k): (0, 1) for a, k in [("a0", 0), ("a0", 1), ("a1", 1), ("a1", 2)]}),
+    })
 
 
 def seeded_name(p, prof, levels, bound, seed=0):
@@ -183,6 +209,17 @@ def test_poss_inductive_equals_local():
     prof_w = make_toy_profile({"universe": WIDE_UNI, "levels": [lvl, lvl]})
     q = wide_fragment(prof_w)
     assert set(cond_poss(q, 2, prof_w)) == set(cond_poss(q, 2, prof_w, "local"))
+
+
+def test_poss_of_a_growing_support_reads_the_trunk():
+    prof = grow_profile()
+    p = grow_fragment()
+    cond_validate(p, prof)
+    assert [len(cond_poss(p, n, prof)) for n in range(5)] == [1, 1, 4, 8, 128]
+    for n in range(4):
+        assert set(cond_poss(p, n, prof)) == set(cond_poss(p, n, prof, "local"))
+    # below level 3, e1 and a1 hold their trunk values on every branch
+    assert {(nu.get(1, "e1"), nu.get(2, "a1")) for nu in cond_poss(p, 4, prof)} == {(0, 0)}
 
 
 def test_poss_predensity():
@@ -484,6 +521,38 @@ def test_evade_step_depends_on_beta():
         evade_step(p, 1, Y, "a0", prof)
 
 
+def test_evade_step_refuses_cover_indices_outside_the_level():
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    Y = {"level": 1, "indices": ["zz"], "table": {}}
+    with pytest.raises(DomainMismatch, match="not level-1 support indices"):
+        evade_step(p, 1, Y, "a1", prof)
+
+
+def test_evade_step_replay_still_refuses_a_shrink_that_misses(monkeypatch):
+    # a slot family that never shrinks leaves beta on the table; the row
+    # replay must refuse the result
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    _, Y = cover_step(p, 1, seeded_name(p, prof, [1], 4), "e0", prof)
+    monkeypatch.setattr(SubsetLadderFamily, "best_successor_within", lambda self, w, keep: w)
+    with pytest.raises(CapacityExceeded, match="evading replay failed"):
+        evade_step(p, 1, Y, "a1", prof)
+
+
+def test_poss_still_refuses_a_row_outside_its_value_set(monkeypatch):
+    rows = conditions._level_rows
+
+    def stray(c, cols, profile, fill=()):
+        first, *rest = rows(c, cols, profile, fill)
+        return [(profile.kstar(c.n),) + first[1:], *rest]
+
+    monkeypatch.setattr(conditions, "_level_rows", stray)
+    prof = chain_profile()
+    with pytest.raises(UsageError, match="characterizations disagree"):
+        cond_poss(chain_fragment(prof), 2, prof)
+
+
 def test_evade_step_empty_table_is_identity():
     prof = wide_profile()
     p = cond_separate_support(wide_fragment(prof), prof)
@@ -523,3 +592,112 @@ def test_cover_and_evade_build_each_family_once(monkeypatch):
     evade_step(p, 1, Y, "a1", prof)
     levels, kstar = prof.height, WIDE_LVL["kstar"]
     assert len(built) <= levels * (1 + kstar), sorted(set(built))
+
+
+# the level-row walks against the per-branch walks they replace
+
+
+def _ref_poss(p, n, prof):
+    """poss(p, n) branch by branch: each branch extends through ml_val and
+    then grows to the next level's support, the new cells read from the
+    trunk."""
+    if n <= p.trnklg:
+        return [p.trunk_possibility().restrict_height(n)]
+    out = [p.trunk_possibility()]
+    for m in range(p.trnklg, n):
+        u = p.supp(m + 1)
+        out = [Possibility.make(m + 1, u, {**nu.as_dict(), **{
+            (l, i): p.trunk[(l, i)] for l in range(m + 1) for i in u - nu.u}})
+            for eta in out for nu in ml_val(p.creatures[m], eta, prof)]
+    return out
+
+
+def _ref_evade(p, n, Y, beta, prof):
+    """evade_step's shrink with the forbidden sets and the replay read off
+    every branch of height n + 1."""
+    sel = prof.universe.eps_of[beta]
+
+    def key(nu):
+        return tuple((i, nu.get(n, i)) for i in Y["indices"])
+
+    c = p.creatures[n].copy()
+    forbidden = {k: set() for k in prof.star_param(n).val(c.w_eps[sel])}
+    for nu in _ref_poss(p, n + 1, prof):
+        forbidden[nu.get(n, sel)].update(Y["table"].get(key(nu), ()))
+    for k, bad in sorted(forbidden.items()):
+        slot, w = prof.slot_param(n, k), c.w_alpha[(beta, k)]
+        keep = slot.val(w) - bad
+        c.w_alpha[(beta, k)] = slot.best_successor_within(w, frozenset(keep)) if keep else None
+        if c.w_alpha[(beta, k)] is None:
+            raise CapacityExceeded(f"slot at {k}")
+    q = p.copy()
+    q.creatures[n] = c
+    if any(nu.get(n, beta) in Y["table"].get(key(nu), ()) for nu in _ref_poss(q, n + 1, prof)):
+        raise CapacityExceeded("replay")
+    return c
+
+
+# plateau height 19 and maxposs 2: a level creature whose components all
+# hold two or more values clears the norm 2 that evading needs
+_SEED_PROFILE = make_toy_profile({"universe": WIDE_UNI, "levels": [
+    dict(GROW_LVL, height=19, maxposs=2)] * 4})
+
+
+def _draw_fragment(data, prof):
+    """A shape-valid fragment of one or two levels whose support grows at
+    the second level unless it is already full; the creature at the cut
+    keeps two or more values in every component."""
+    U = prof.universe
+    every = U.mu_part | U.alpha_part
+    trnklg = data.draw(st.integers(0, 2))
+    height = trnklg + data.draw(st.integers(1, 2))
+    u = U.closure(data.draw(st.sets(st.sampled_from(sorted(every)), min_size=1)))
+    creatures = {}
+    for m in range(trnklg, height):
+        if m > trnklg and u != every:
+            u = U.closure(u | data.draw(st.sets(st.sampled_from(sorted(every - u)), min_size=1)))
+        star = prof.star_param(m)
+        least = 2 if m == trnklg else 1
+
+        def pick(top):
+            return tuple(sorted(data.draw(st.sets(st.sampled_from(top), min_size=least))))
+
+        w_eps = {e: pick(star.top()) for e in sorted(u) if U.is_mu(e)}
+        w_alpha = {(a, k): pick(prof.slot_param(m, k).top())
+                   for a in sorted(u) if not U.is_mu(a) for k in w_eps[U.eps_of[a]]}
+        creatures[m] = MlCreature(m, u, w_eps, w_alpha)
+    p = FiniteCondition(trnklg, height, {}, creatures)
+    p.trunk = {(m, i): data.draw(st.integers(0, (prof.kstar(m) if U.is_mu(i) else prof.fmax(m)) - 1))
+               for i in sorted(p.dom) for m in range(p.entry_level(i))}
+    return p
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CapacityExceeded:
+        return CapacityExceeded
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_level_row_walks_match_the_branch_walks(data):
+    prof = _SEED_PROFILE
+    p = _draw_fragment(data, prof)
+    for n in range(p.height + 1):
+        got, want = cond_poss(p, n, prof), _ref_poss(p, n, prof)
+        assert got == want and [nu.u for nu in got] == [nu.u for nu in want]
+    n, U = p.trnklg, prof.universe
+    betas = sorted(a for a in p.supp(n) if not U.is_mu(a))
+    if not betas:
+        return
+    beta = data.draw(st.sampled_from(betas))
+    block = [i for i in sorted(p.supp(n)) if U.is_mu(i) and i != U.eps_of[beta]]
+    if not block:
+        return
+    block = _selector_block(p, n, block[0], prof)
+    sizes = [range(prof.kstar(n) if U.is_mu(i) else prof.fmax(n)) for i in block]
+    table = {tuple(zip(block, vals)): data.draw(st.sets(st.sampled_from(range(prof.fmax(n)))))
+             for vals in itertools.product(*sizes)}
+    Y = {"level": n, "indices": block, "table": {k: v for k, v in table.items() if v}}
+    assert _outcome(evade_step, p, n, Y, beta, prof) == _outcome(_ref_evade, p, n, Y, beta, prof)
