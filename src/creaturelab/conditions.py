@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     CapacityExceeded,
@@ -187,8 +188,12 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
 
     "inductive" takes the trunk times the product of the level creatures'
     rows (earlier levels vary slowest, later-entering indices read the
-    trunk) and re-checks each member against the local characterization;
-    "local" filters the raw trunk enumeration by that characterization alone.
+    trunk) and checks each level's rows once against that level's rules of
+    the local characterization, by projecting them onto a rule's columns.
+    That is the per-branch check, exactly: every rule reads one level, so a
+    branch passes iff each of its rows does, and every row lies on a branch
+    unless some level has no rows (then there is no branch to check).
+    "local" filters the raw trunk enumeration by the characterization alone.
     """
     if not 0 <= n <= p.height:
         raise UsageError(f"height {n} outside [0, {p.height}]")
@@ -202,38 +207,42 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
     levels = [[tuple(p.trunk[m, i] for i in cols)] for m in range(min(n, p.trnklg))]
     for m in range(p.trnklg, n):
         fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
-        levels.append(list(_level_rows(p.creatures[m], cols, profile, fill)))
+        levels.append(_level_rows(p.creatures[m], cols, profile, fill))
         if math.prod(map(len, levels)) > ENUM_CAP:
             raise CapacityExceeded("possibility walk exceeds the enumeration cap")
+    for m, rows in enumerate(levels if all(levels) else ()):
+        for j, sel, ok in _level_rules(p, m, cols, profile):
+            seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
+            if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
+                raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
-    out = [Possibility(n, u, cols, v) for v in vals]
-    contains = _poss_test(p, n, profile)
-    for nu in out:
-        if not contains(nu):
-            raise UsageError(f"characterizations disagree at {nu}")
-    return out
+    return [Possibility(n, u, cols, v) for v in vals]
+
+
+def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
+    """The local characterization of poss at level m, over rows of values in
+    cols order, as (column, None, allowed values) for a trunk or selector
+    cell and (column, selector column, {selector value: allowed values})
+    for a slot cell: an index's cells below its entry level hold its trunk
+    values, and each cell above lies in the value set of its level's
+    creature (for an alpha, of the slot its selector's value picks)."""
+    U, c = profile.universe, p.creatures.get(m)  # no creature below the cut
+    return [(j, None, {p.trunk[m, i]}) if c is None or i not in c.u
+            else (j, None, profile.star_param(m).val(c.w_eps[i])) if U.is_mu(i)
+            else (j, cols.index(U.eps_of[i]),
+                  {s: profile.slot_param(m, s).val(w) for (a, s), w in c.w_alpha.items() if a == i})
+            for j, i in enumerate(cols)]
 
 
 def _poss_test(p: FiniteCondition, n: int, profile):
-    """The local characterization of poss(p, n) as a predicate, reading the
-    fragment once: an index's cells below its entry level hold its trunk
-    values, and each cell above lies in the value set of its level's
-    creature (for an alpha, of the slot its selector's value picks)."""
+    """The local characterization of poss(p, n) as a predicate: level m's
+    rules read the m-th block of a branch's values."""
     u = p.supp(n)
-    k = len(u)
-    at = {i: j for j, i in enumerate(sorted(u, key=str))}
-    rules = [(m * k + at[i], None, {p.trunk[(m, i)]})
-             for i in u for m in range(min(n, p.entry_level(i)))]
-    U = profile.universe
-    for m in range(p.trnklg, n):
-        c = p.creatures[m]
-        for i in c.u:
-            if U.is_mu(i):
-                rules.append((m * k + at[i], None, profile.star_param(m).val(c.w_eps[i])))
-            else:
-                rules.append((m * k + at[i], m * k + at[U.eps_of[i]], {
-                    s: profile.slot_param(m, s).val(w) for (a, s), w in c.w_alpha.items() if a == i}))
+    cols = tuple(sorted(u, key=str))
+    k = len(cols)
+    rules = [(m * k + j, None if sel is None else m * k + sel, ok)
+             for m in range(n) for j, sel, ok in _level_rules(p, m, cols, profile)]
 
     def contains(nu: Possibility) -> bool:
         v = nu.vals
@@ -251,7 +260,8 @@ def cond_poss_contains(p: FiniteCondition, nu: Possibility, profile) -> bool:
 def cond_leq(q: FiniteCondition, p: FiniteCondition, profile):
     """Is q a strengthening of p?  Returns (ok, diagnostics); the four
     clauses are domain growth, support agreement over p's domain, creature
-    successorship, and trunk membership in poss(p, trnklg(q))."""
+    successorship, and trunk membership in poss(p, h), where q's trunk is cut
+    to h, the lower of trnklg(q) and p's height."""
     diagnostics = []
     if q.trnklg < p.trnklg:
         diagnostics.append("trunk length must not decrease")
@@ -266,14 +276,13 @@ def cond_leq(q: FiniteCondition, p: FiniteCondition, profile):
         ok, diag = ml_successor_check(q.creatures[n], p.creatures[n], n, profile)
         if not ok:
             diagnostics.append(f"level {n}: {'; '.join(diag)}")
-    if q.trnklg <= p.height:
-        eta = q.trunk_possibility()
-        want = p.supp(q.trnklg)
-        if want <= eta.u:
-            if not cond_poss_contains(p, eta.restrict_indices(want), profile):
-                diagnostics.append("trunk is not a possibility of p")
-        else:
-            diagnostics.append("trunk does not cover p's support at the cut")
+    h = min(q.trnklg, p.height)
+    want = p.supp(h)
+    cells = {(m, i): q.trunk.get((m, i)) for m in range(h) for i in want}
+    if None in cells.values():
+        diagnostics.append("trunk does not cover p's support at the cut")
+    elif not cond_poss_contains(p, Possibility.make(h, want, cells), profile):
+        diagnostics.append("trunk is not a possibility of p")
     return not diagnostics, diagnostics
 
 
@@ -576,8 +585,9 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
     block = _selector_block(p, n, eps0, profile)
     key_of = _block_key(block, tuple(sorted(p.supp(n + 1), key=str)), n)
     table = {}
-    for nu in cond_poss(p, n + 1, profile):
-        table.setdefault(key_of(nu.vals), set()).add(name_value(r, n, nu, p, profile))
+    for nu in cond_poss(p, n + 1, profile):  # at modulus n + 1, nu is name_value's key
+        v = r.values[n][nu] if r.modulus[n] == n + 1 else name_value(r, n, nu, p, profile)
+        table.setdefault(key_of(nu.vals), set()).add(v)
     g = profile.gmin(n)
     for key, vals in table.items():
         if len(vals) >= g:

@@ -257,22 +257,20 @@ def ml_validate(c: MlCreature, profile) -> None:
         raise UsageError("d must be nonnegative")
 
 
-def _level_rows(c: MlCreature, cols, profile, fill=()):
-    """c's one-level rows over cols (selector values vary slowest); a column
-    outside c's support takes its value from fill's (column, value) pairs."""
+def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
+    """c's one-level rows over cols: selector values vary slowest, then the
+    slot columns in cols order, the last fastest.  A column outside c's
+    support takes its value from fill's (column, value) pairs."""
     U = profile.universe
     star = profile.star_param(c.n)
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
-    alphas = [i for i in cols if i in c.u and not U.is_mu(i)]
+    rows = []
     for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
-        slot_vals = [
-            sorted(profile.slot_param(c.n, pick[U.eps_of[a]]).val(c.w_alpha[(a, pick[U.eps_of[a]])]))
-            for a in alphas
-        ]
-        for avals in itertools.product(*slot_vals):
-            pick.update(zip(alphas, avals))
-            yield tuple(map(pick.__getitem__, cols))
+        rows += itertools.product(*[
+            sorted(profile.slot_param(c.n, pick[U.eps_of[i]]).val(c.w_alpha[(i, pick[U.eps_of[i]])]))
+            if i in c.u and not U.is_mu(i) else (pick[i],) for i in cols])
+    return rows
 
 
 def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
@@ -608,7 +606,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
         raise NormTooSmall("homogenization lost more than one norm unit")
 
     # exact replay: G through the result depends only on the trunk
-    rows = list(_level_rows(out, tuple(sorted(c.u, key=str)), profile))
+    rows = _level_rows(out, tuple(sorted(c.u, key=str)), profile)
     g_prime = {}
     for eta in etas:
         values = {G(Possibility(n + 1, eta.u, eta.cols, eta.vals + row)) for row in rows}

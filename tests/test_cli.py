@@ -46,6 +46,7 @@ from test_conditions import (
     GROW_LVL,
     WIDE_LVL,
     WIDE_UNI,
+    above_cut_pair,
     chain_fragment,
     chain_profile,
     grow_fragment,
@@ -704,6 +705,7 @@ def _pin_docs():
     sel_levels = [dict(ml_lvl, kstar=2), dict(ml_lvl, kstar=16)]
     sel_profile = make_toy_profile({"universe": UNI, "levels": sel_levels})
     _, tops = toy_witness_pair()
+    below, above = above_cut_pair(1)
     return {
         "{chain_profile}": ("chain_profile.json", {"universe": CHAIN_UNI, "levels": CHAIN_LEVELS}),
         "{chain}": ("chain_frag.json", chain.to_json()),
@@ -713,6 +715,9 @@ def _pin_docs():
         "{wide}": ("wide_frag.json", wide.to_json()),
         "{grow_profile}": ("grow_profile.json", {"universe": WIDE_UNI, "levels": [GROW_LVL] * 4}),
         "{grow}": ("grow_frag.json", grow_fragment().to_json()),
+        "{cut_profile}": ("cut_profile.json", {"universe": CHAIN_UNI, "levels": [CHAIN_LEVELS[1]] * 4}),
+        "{below}": ("below_frag.json", below.to_json()),
+        "{above}": ("above_frag.json", above.to_json()),
         "{sep}": ("wide_sep.json", sep.to_json()),
         "{wide_name}": ("wide_name.json", wide_name.to_json()),
         "{cover}": ("cover.json", dict(cover, table={
@@ -774,6 +779,7 @@ CLI_OUTPUT_PINS = [
     ("ml halve --profile {wide_profile} --in {creature}", 0, "2ecafb522fb4c0ec"),
     ("cond leq --profile {wide_profile} --in {sep} --against {wide}", 0, "c3502724a5235164"),
     ("cond leq --profile {wide_profile} --in {wide} --against {sep}", 1, "845ca2e5a50c500e"),
+    ("cond leq --profile {cut_profile} --in {above} --against {below}", 1, "f6d9fb3cb8a1d126"),
     ("cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1", 0, "36d799dc9022b78d"),
 ]
 

@@ -40,7 +40,7 @@ from creaturelab.errors import (
     OracleInconsistent,
     UsageError,
 )
-from creaturelab.mlcore import MlCreature, Possibility, ml_norm_cmp, ml_val
+from creaturelab.mlcore import MlCreature, Possibility, _level_rows, ml_norm_cmp, ml_val
 from creaturelab.params import make_toy_profile
 
 # chain profile: one selector index, growing selector ranges, used for the
@@ -114,6 +114,20 @@ def grow_fragment():
         3: MlCreature(3, low | {"e1", "a1"}, {"e0": (0, 1), "e1": (1, 2)},
                       {(a, k): (0, 1) for a, k in [("a0", 0), ("a0", 1), ("a1", 1), ("a1", 2)]}),
     })
+
+
+def cut_profile():
+    return make_toy_profile({"universe": CHAIN_UNI, "levels": [CHAIN_LEVELS[1]] * 4})
+
+
+def above_cut_pair(value):
+    """p of height 2 whose level-1 selector keeps only 0, and q with its cut
+    at 3, above p's height, whose trunk puts value at level 1."""
+    e = frozenset({"e"})
+    p = FiniteCondition(1, 2, {(0, "e"): 0}, {1: MlCreature(1, e, {"e": (0,)}, {})})
+    q = FiniteCondition(3, 4, {(0, "e"): 0, (1, "e"): value, (2, "e"): 0},
+                        {3: MlCreature(3, e, {"e": (0, 1)}, {})})
+    return p, q
 
 
 def seeded_name(p, prof, levels, bound, seed=0):
@@ -289,6 +303,38 @@ def test_conjunction_with_a_non_possibility_is_not_below():
     q = cond_and(p, stranger, 2, p.supp(2), prof)
     ok, diag = cond_leq(q, p, prof)
     assert not ok and any("trunk" in m for m in diag)
+
+
+def test_leq_checks_a_trunk_cut_above_p():
+    prof = cut_profile()
+    p, q = above_cut_pair(1)
+    cond_validate(p, prof)
+    cond_validate(q, prof)
+    assert cond_leq(q, p, prof) == (False, ["trunk is not a possibility of p"])
+    # the same trunk with the cut at p's height is refused for the same reason
+    low = FiniteCondition(2, 4, {(m, "e"): v for (m, _), v in q.trunk.items() if m < 2}, {
+        2: MlCreature(2, frozenset({"e"}), {"e": (0, 1)}, {}), 3: q.creatures[3]})
+    assert cond_leq(low, p, prof) == (False, ["trunk is not a possibility of p"])
+    assert cond_leq(above_cut_pair(0)[1], p, prof) == (True, [])
+
+
+def test_leq_reads_p_s_indices_entering_q_late_from_q_s_trunk():
+    # e0 and a0 enter q at level 3, above q's cut 2 = p's height: q's trunk
+    # holds their cells below p's height
+    prof = grow_profile()
+    low = frozenset({"e0", "a0"})
+    p = FiniteCondition(1, 2, {(0, "e0"): 1, (0, "a0"): 0}, {
+        1: MlCreature(1, low, {"e0": (0, 1)}, {("a0", 0): (0, 1), ("a0", 1): (0, 1)})})
+    trunk = {(m, i): 0 for m in range(3) for i in ("e0", "a0")}
+    trunk.update({(0, "e0"): 1, (0, "e1"): 2, (0, "a1"): 1, (1, "e1"): 0, (1, "a1"): 1})
+    q = FiniteCondition(2, 4, trunk, {
+        2: MlCreature(2, frozenset({"e1", "a1"}), {"e1": (0, 1)}, {("a1", 0): (0,), ("a1", 1): (1,)}),
+        3: grow_fragment().creatures[3]})
+    cond_validate(p, prof)
+    cond_validate(q, prof)
+    assert cond_leq(q, p, prof) == (True, [])
+    q.trunk[(1, "e0")] = 2
+    assert cond_leq(q, p, prof) == (False, ["trunk is not a possibility of p"])
 
 
 def test_leq_rejects_support_meddling():
@@ -553,6 +599,56 @@ def test_poss_still_refuses_a_row_outside_its_value_set(monkeypatch):
         cond_poss(chain_fragment(prof), 2, prof)
 
 
+def _with_stray_row(monkeypatch, level, change):
+    """Patch cond_poss's rows so that level's rows end in a copy of the
+    first one with change's (index, value) pairs applied."""
+    rows = conditions._level_rows
+
+    def stray(c, cols, profile, fill=()):
+        out = rows(c, cols, profile, fill)
+        if c.n == level:
+            row = {**dict(zip(cols, out[0])), **change}
+            out = out + [tuple(map(row.get, cols))]
+        return out
+
+    monkeypatch.setattr(conditions, "_level_rows", stray)
+
+
+def _two_slot_fragment(prof):
+    """One level over the wide profile where a0's slots differ by selector
+    value: {0, 1} at e0 = 0 and {2, 3} at e0 = 1."""
+    u = frozenset({"e0", "e1", "a0", "a1"})
+    return FiniteCondition(1, 2, {(0, i): 0 for i in u}, {1: MlCreature(
+        1, u, {"e0": (0, 1), "e1": (2, 3)},
+        {("a0", 0): (0, 1), ("a0", 1): (2, 3), ("a1", 2): (0, 1), ("a1", 3): (0, 1)})})
+
+
+@pytest.mark.parametrize("fragment, profile, level, change, height", [
+    # a0 = 2 lies in a0's slot at e0 = 1, not in the one e0 = 0 picks
+    (_two_slot_fragment, wide_profile, 1, {"e0": 0, "a0": 2}, 2),
+    # e1 enters at level 3: its level-1 cell must hold the trunk's 0
+    (lambda prof: grow_fragment(), grow_profile, 1, {"e1": 1}, 4),
+], ids=["slot-of-another-selector", "trunk-filled-cell"])
+def test_poss_checks_each_row_against_its_own_level(monkeypatch, fragment, profile, level,
+                                                     change, height):
+    prof = profile()
+    p = fragment(prof)
+    assert cond_poss(p, height, prof)
+    _with_stray_row(monkeypatch, level, change)
+    with pytest.raises(UsageError, match="characterizations disagree"):
+        cond_poss(p, height, prof)
+
+
+def test_poss_with_a_rowless_level_is_empty(monkeypatch):
+    # no branch passes through a level without rows, so a stray row at
+    # another level is never on a branch and nothing disagrees
+    prof = grow_profile()
+    _with_stray_row(monkeypatch, 1, {"e1": 1})
+    rows = conditions._level_rows
+    monkeypatch.setattr(conditions, "_level_rows", lambda c, *args: [] if c.n == 2 else rows(c, *args))
+    assert cond_poss(grow_fragment(), 4, prof) == []
+
+
 def test_evade_step_empty_table_is_identity():
     prof = wide_profile()
     p = cond_separate_support(wide_fragment(prof), prof)
@@ -610,6 +706,23 @@ def _ref_poss(p, n, prof):
             (l, i): p.trunk[(l, i)] for l in range(m + 1) for i in u - nu.u}})
             for eta in out for nu in ml_val(p.creatures[m], eta, prof)]
     return out
+
+
+def _ref_level_rows(c, cols, prof, fill=()):
+    """c's one-level rows, one selector pick and one row at a time."""
+    U = prof.universe
+    star = prof.star_param(c.n)
+    mus = [i for i in cols if i in c.u and U.is_mu(i)]
+    alphas = [i for i in cols if i in c.u and not U.is_mu(i)]
+    for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
+        pick = dict(itertools.chain(fill, zip(mus, ks)))
+        slot_vals = [
+            sorted(prof.slot_param(c.n, pick[U.eps_of[a]]).val(c.w_alpha[(a, pick[U.eps_of[a]])]))
+            for a in alphas
+        ]
+        for avals in itertools.product(*slot_vals):
+            pick.update(zip(alphas, avals))
+            yield tuple(map(pick.__getitem__, cols))
 
 
 def _ref_evade(p, n, Y, beta, prof):
@@ -701,3 +814,19 @@ def test_level_row_walks_match_the_branch_walks(data):
              for vals in itertools.product(*sizes)}
     Y = {"level": n, "indices": block, "table": {k: v for k, v in table.items() if v}}
     assert _outcome(evade_step, p, n, Y, beta, prof) == _outcome(_ref_evade, p, n, Y, beta, prof)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_level_rows_keep_the_per_pick_order(data):
+    """Every level's rows over its own support and over each later, larger
+    support (the new columns read from the trunk)."""
+    grow = data.draw(st.booleans())
+    prof = grow_profile() if grow else _SEED_PROFILE
+    p = grow_fragment() if grow else _draw_fragment(data, prof)
+    for m in p.levels:
+        c = p.creatures[m]
+        for u in {c.u} | {p.supp(n) for n in range(m, p.height)}:
+            cols = tuple(sorted(u, key=str))
+            fill = [(i, p.trunk[m, i]) for i in cols if i not in c.u]
+            assert _level_rows(c, cols, prof, fill) == list(_ref_level_rows(c, cols, prof, fill))
