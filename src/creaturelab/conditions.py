@@ -217,7 +217,7 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
                 raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
-    return [Possibility(n, u, cols, v) for v in vals]
+    return [tuple.__new__(Possibility, (n, cols, v)) for v in vals]
 
 
 def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
@@ -228,10 +228,17 @@ def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
     values, and each cell above lies in the value set of its level's
     creature (for an alpha, of the slot its selector's value picks)."""
     U, c = profile.universe, p.creatures.get(m)  # no creature below the cut
-    return [(j, None, {p.trunk[m, i]}) if c is None or i not in c.u
-            else (j, None, profile.star_param(m).val(c.w_eps[i])) if U.is_mu(i)
-            else (j, cols.index(U.eps_of[i]),
-                  {s: profile.slot_param(m, s).val(w) for (a, s), w in c.w_alpha.items() if a == i})
+    if c is None:
+        return [(j, None, {p.trunk[m, i]}) for j, i in enumerate(cols)]
+    star, families, slots = profile.star_param(m), {}, {}
+    for (a, s), w in c.w_alpha.items():
+        if s not in families:
+            families[s] = profile.slot_param(m, s)
+        slots.setdefault(a, {})[s] = families[s].val(w)
+    at = {i: j for j, i in enumerate(cols)}
+    return [(j, None, {p.trunk[m, i]}) if i not in c.u
+            else (j, None, star.val(c.w_eps[i])) if U.is_mu(i)
+            else (j, at[U.eps_of[i]], slots.get(i, {}))
             for j, i in enumerate(cols)]
 
 

@@ -45,10 +45,11 @@ _TRIAL_LIMIT = 1 << 16
 
 
 def as_fraction(x) -> Fraction:
-    """The one coercion to Fraction: an int, a Fraction or a rational string."""
+    """The one coercion to Fraction: an int, a Fraction or a rational
+    string.  A bool is refused, not read as 0 or 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -101,9 +102,24 @@ def _factorize(n: int) -> dict:
     return out
 
 
+def _merge_logs(a: tuple, b: tuple, sign: int) -> tuple:
+    """The log terms of a + sign * b for canonical a and b, canonical: keys
+    sorted, a coefficient that cancels dropped."""
+    if not b:
+        return a
+    acc = dict(a)
+    for p, c in b:
+        c = acc.pop(p, 0) + c if sign > 0 else acc.pop(p, 0) - c
+        if c:
+            acc[p] = c
+    return tuple(sorted(acc.items()))
+
+
 class LogReal(Frozen):
-    """Canonical form: prime keys sorted, zero coefficients absent, so
-    equal forms are equal values."""
+    """Canonical form: prime keys sorted, zero coefficients absent, no key
+    2 (log2(2) = 1 is rational), so equal forms are equal values.  make and
+    from_json are the validating entry points; arithmetic on canonical
+    values builds canonical values directly."""
 
     __slots__ = ("q", "logs")
 
@@ -143,10 +159,7 @@ class LogReal(Frozen):
 
     def __add__(self, other: "LogReal") -> "LogReal":
         other = lr(other)
-        acc = dict(self.logs)
-        for p, c in other.logs:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return LogReal.make(self.q + other.q, acc)
+        return LogReal(self.q + other.q, _merge_logs(self.logs, other.logs, 1))
 
     __radd__ = __add__
 
@@ -154,10 +167,11 @@ class LogReal(Frozen):
         return LogReal(-self.q, tuple((p, -c) for p, c in self.logs))
 
     def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-lr(other))
+        other = lr(other)
+        return LogReal(self.q - other.q, _merge_logs(self.logs, other.logs, -1))
 
     def __rsub__(self, other) -> "LogReal":
-        return lr(other) + (-self)
+        return lr(other) - self
 
     def scale(self, r) -> "LogReal":
         """Multiply by a rational scalar."""
@@ -181,10 +195,9 @@ class LogReal(Frozen):
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or 1."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return -1 if self.q < 0 else 1
+        if not self.logs:
+            n = self.q.numerator
+            return (n > 0) - (n < 0)
         return _interval_sign(self)
 
     # -- comparisons (total order) -------------------------------------------
@@ -247,12 +260,10 @@ def lr_from_rational(r) -> LogReal:
 
 def lr_log2_int(n: int) -> LogReal:
     """log2 of a positive integer, as an exact combination of prime logs."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"lr_log2_int needs a positive integer, got {n!r}")
-    if n == 1:
-        return lr_zero()
-    logs = {p: Fraction(e) for p, e in _factorize(n).items()}
-    return LogReal.make(0, logs)
+    factors = _factorize(n)  # ascending primes
+    return LogReal(Fraction(factors.pop(2, 0)), tuple((p, Fraction(e)) for p, e in factors.items()))
 
 
 def lr_log2_fraction(r) -> LogReal:
@@ -337,7 +348,8 @@ def lr_compare(a: LogReal, b: LogReal) -> int:
     """Total order: -1, 0, 1.  Equality is decided symbolically."""
     a, b = lr(a), lr(b)
     if not a.logs and not b.logs:
-        return (a.q > b.q) - (a.q < b.q)
+        x, y = a.q.numerator * b.q.denominator, b.q.numerator * a.q.denominator
+        return (x > y) - (x < y)
     return (a - b).sign()
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     CapacityExceeded,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json
 from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
-from .records import Frozen, Record
+from .records import Record
 
 
 class IndexUniverse:
@@ -75,31 +76,31 @@ class IndexUniverse:
         return self.closure(indices) == frozenset(indices)
 
 
-class Possibility(Frozen):
+class Possibility(tuple):
     """Trunk of height n: a value for every cell (m < n, i in u).  cols is u
-    sorted by str, and cell (m, cols[j]) holds vals[m * len(cols) + j].  Only
-    make and from_json check their input; derived possibilities share u and
-    cols with their source.  u stays out of repr, == and hash (cols
-    determines it)."""
+    sorted by str, and cell (m, cols[j]) holds vals[m * len(cols) + j].  A
+    possibility is the tuple (n, cols, vals), so construction, == and hash
+    are the tuple's; u is derived from cols.  Only make and from_json check
+    their input; derived possibilities share cols with their source."""
 
-    __slots__ = ("n", "u", "cols", "vals")
+    __slots__ = ()
 
-    def __init__(self, n: int, u: frozenset, cols: tuple, vals: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+    def __new__(cls, n: int, u: frozenset, cols: tuple, vals: tuple):
+        return tuple.__new__(cls, (n, cols, vals))
+
+    def __getnewargs__(self):
+        return self.n, self.u, self.cols, self.vals
+
+    n = property(itemgetter(0))
+    cols = property(itemgetter(1))
+    vals = property(itemgetter(2))
+
+    @property
+    def u(self) -> frozenset:
+        return frozenset(self[1])
 
     def __repr__(self):
         return f"Possibility(n={self.n!r}, cols={self.cols!r}, vals={self.vals!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.cols, self.vals) == (other.n, other.cols, other.vals)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.cols, self.vals))
 
     @staticmethod
     def make(n, u, assignment) -> "Possibility":
@@ -112,37 +113,41 @@ class Possibility(Frozen):
     @property
     def values(self) -> tuple:
         """Sorted tuple of ((m, i), v)."""
-        return tuple(zip(itertools.product(range(self.n), self.cols), self.vals))
+        n, cols, vals = self
+        return tuple(zip(itertools.product(range(n), cols), vals))
 
     def get(self, m, i):
-        if not 0 <= m < self.n or i not in self.u:
+        n, cols, vals = self
+        if not 0 <= m < n or i not in cols:
             raise KeyError((m, i))
-        return self.vals[m * len(self.cols) + self.cols.index(i)]
+        return vals[m * len(cols) + cols.index(i)]
 
     def as_dict(self) -> dict:
         return dict(self.values)
 
     def extend(self, level: dict) -> "Possibility":
         """One-level extension: level maps each i in u to a value."""
+        n, cols, vals = self
         if level.keys() != self.u:
             raise DomainMismatch("extension must cover exactly u")
-        return Possibility(self.n + 1, self.u, self.cols,
-                           self.vals + tuple(map(level.__getitem__, self.cols)))
+        return tuple.__new__(Possibility, (n + 1, cols, vals + tuple(map(level.__getitem__, cols))))
 
     def restrict_height(self, m) -> "Possibility":
-        if not 0 <= m <= self.n:
-            raise DomainMismatch(f"cannot restrict height {self.n} to {m}")
-        return Possibility(m, self.u, self.cols, self.vals[: m * len(self.cols)])
+        n, cols, vals = self
+        if not 0 <= m <= n:
+            raise DomainMismatch(f"cannot restrict height {n} to {m}")
+        return tuple.__new__(Possibility, (m, cols, vals[: m * len(cols)]))
 
     def restrict_indices(self, u2) -> "Possibility":
-        u2 = frozenset(u2)
-        if u2 == self.u:
+        n, cols, vals = self
+        u2, u = frozenset(u2), frozenset(cols)
+        if u2 == u:
             return self
-        if not u2 <= self.u:
+        if not u2 <= u:
             raise DomainMismatch("can only restrict to a subset of u")
-        keep = [j for j, i in enumerate(self.cols) if i in u2]
-        return Possibility(self.n, u2, tuple(self.cols[j] for j in keep), tuple(
-            self.vals[m * len(self.cols) + j] for m in range(self.n) for j in keep))
+        keep = [j for j, i in enumerate(cols) if i in u2]
+        return tuple.__new__(Possibility, (n, tuple(cols[j] for j in keep), tuple(
+            vals[m * len(cols) + j] for m in range(n) for j in keep)))
 
     def to_json(self):
         return {
@@ -178,7 +183,8 @@ def poss_enumerate(n, u, profile) -> list:
     """All trunks of height n over u, smallest-cell-first product order."""
     u = frozenset(u)
     cols, sizes = _trunk_space(n, u, profile)
-    return [Possibility(n, u, cols, vals) for vals in itertools.product(*map(range, sizes))]
+    return [tuple.__new__(Possibility, (n, cols, vals))
+            for vals in itertools.product(*map(range, sizes))]
 
 
 class MlCreature(Record):
@@ -197,13 +203,6 @@ class MlCreature(Record):
 
     def copy(self) -> "MlCreature":
         return MlCreature(self.n, self.u, dict(self.w_eps), dict(self.w_alpha), self.d)
-
-    def components(self, profile):
-        """Yield (key, parameter, creature id) over every atomic slot."""
-        for eps, w in sorted(self.w_eps.items(), key=lambda kv: str(kv[0])):
-            yield ("eps", eps), profile.star_param(self.n), w
-        for (alpha, k), w in sorted(self.w_alpha.items(), key=lambda kv: str(kv[0])):
-            yield ("alpha", alpha, k), profile.slot_param(self.n, k), w
 
     def to_json(self) -> dict:
         return {
@@ -245,15 +244,13 @@ def ml_validate(c: MlCreature, profile) -> None:
     for eps, w in c.w_eps.items():
         if not star.has(w):
             raise DomainMismatch(f"unknown star creature at {eps}")
-    demanded = {
-        (alpha, k) for alpha in alphas for k in sorted(star.val(c.w_eps[U.eps_of[alpha]]))
-    }
-    if set(c.w_alpha) != demanded:
+    demanded = {(alpha, k) for alpha in alphas for k in star.val(c.w_eps[U.eps_of[alpha]])}
+    if c.w_alpha.keys() != demanded:
         raise DomainMismatch("slot creatures must match the selector values exactly")
     for (alpha, k), w in c.w_alpha.items():
         if not profile.slot_param(c.n, k).has(w):
             raise DomainMismatch(f"unknown slot creature at {(alpha, k)}")
-    if c.d < lr_zero():
+    if c.d.sign() < 0:
         raise UsageError("d must be nonnegative")
 
 
@@ -264,12 +261,15 @@ def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     U = profile.universe
     star = profile.star_param(c.n)
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
-    rows = []
-    for ks in itertools.product(*(sorted(star.val(c.w_eps[e])) for e in mus)):
+    picks = {e: sorted(star.val(c.w_eps[e])) for e in mus}
+    # a slot column's sorted values, by the value its selector picks
+    slots = {i: {k: sorted(profile.slot_param(c.n, k).val(c.w_alpha[i, k]))
+                 for k in picks[U.eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
+    eps_of, rows = U.eps_of, []
+    for ks in itertools.product(*picks.values()):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
-        rows += itertools.product(*[
-            sorted(profile.slot_param(c.n, pick[U.eps_of[i]]).val(c.w_alpha[(i, pick[U.eps_of[i]])]))
-            if i in c.u and not U.is_mu(i) else (pick[i],) for i in cols])
+        rows += itertools.product(*[slots[i][pick[eps_of[i]]] if i in slots else (pick[i],)
+                                    for i in cols])
     return rows
 
 
@@ -280,8 +280,9 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
     if eta.n != c.n or not c.u <= eta.u:
         raise DomainMismatch("trunk height or domain does not fit the creature")
     eta = eta.restrict_indices(c.u)
-    return [Possibility(eta.n + 1, eta.u, eta.cols, eta.vals + row)
-            for row in _level_rows(c, eta.cols, profile)]
+    n, cols, vals = eta
+    return [tuple.__new__(Possibility, (n + 1, cols, vals + row))
+            for row in _level_rows(c, cols, profile)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +291,13 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
 
 
 def ml_minnor(c: MlCreature, profile) -> LogReal:
-    best = None
-    for _, p, w in c.components(profile):
-        nw = p.nor(w)
-        if best is None or nw < best:
-            best = nw
-    if best is None:
+    """The least norm of c's atomic creatures."""
+    star = profile.star_param(c.n)
+    norms = [star.nor(w) for w in c.w_eps.values()]
+    norms += [profile.slot_param(c.n, k).nor(w) for (_, k), w in c.w_alpha.items()]
+    if not norms:
         raise UsageError("creature has no atomic components")
-    return best
+    return min(norms)
 
 
 def ml_nor_z(c: MlCreature, profile) -> LogReal:
@@ -367,11 +367,12 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
     for eps, w in c.w_eps.items():
         if eps not in d.w_eps or not star.in_succ(d.w_eps[eps], w):
             diagnostics.append(f"star component at {eps} is not a successor")
+    picks = {eps: star.val(w) for eps, w in d.w_eps.items()}
     for (alpha, k) in c.w_alpha:
         if alpha not in d.u:
             diagnostics.append(f"slot owner {alpha} missing")
             continue
-        if k not in star.val(d.w_eps[U.eps_of[alpha]]):
+        if k not in picks[U.eps_of[alpha]]:
             continue  # selector dropped k; slot is no longer demanded
         if (alpha, k) not in d.w_alpha or not profile.slot_param(n, k).in_succ(
             d.w_alpha[(alpha, k)], c.w_alpha[(alpha, k)]
@@ -382,10 +383,12 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
         cols, sizes = _trunk_space(n, d.u, profile)
         if all(sizes):
             keep = [j for j, i in enumerate(cols) if i in c.u]
-            allowed = set(_level_rows(c, tuple(cols[j] for j in keep), profile))
-            if not {tuple(row[j] for j in keep) for row in _level_rows(d, cols, profile)} <= allowed:
-                first = Possibility(n, d.u, cols, (0,) * len(sizes))
-                diagnostics.append(f"restriction axiom fails at {first}")
+            if keep:  # one itemgetter shape on both sides: a bare value for one column
+                rows_c = _level_rows(c, tuple(cols[j] for j in keep), profile)
+                allowed = set(map(itemgetter(*range(len(keep))), rows_c))
+                if not set(map(itemgetter(*keep), _level_rows(d, cols, profile))) <= allowed:
+                    first = Possibility(n, d.u, cols, (0,) * len(sizes))
+                    diagnostics.append(f"restriction axiom fails at {first}")
     return not diagnostics, diagnostics
 
 
@@ -396,7 +399,11 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
 
 def ml_halve(c: MlCreature, n: int, profile) -> MlCreature:
     """Same creature with half the remaining norm headroom burned into d."""
-    z = ml_nor_z(c, profile)
+    return _halved(c, ml_nor_z(c, profile))
+
+
+def _halved(c: MlCreature, z: LogReal) -> MlCreature:
+    """ml_halve(c) given z = ml_nor_z(c)."""
     if z <= lr_from_rational(1):
         raise ZeroNorm("halving needs positive norm")
     out = c.copy()
@@ -408,7 +415,8 @@ def ml_unhalve(dcr: MlCreature, c: MlCreature, n: int, profile) -> MlCreature:
     """Reset the halving component of a positive-norm successor of
     ml_halve(c) back to c's level; the result is a successor of c losing at
     most 1/maxposs(n) of c's norm."""
-    half = ml_halve(c, n, profile)
+    z = ml_nor_z(c, profile)
+    half = _halved(c, z)
     ok, diag = ml_successor_check(dcr, half, n, profile)
     if not ok:
         raise PreconditionFailed(f"not a successor of the half: {diag}")
@@ -419,7 +427,7 @@ def ml_unhalve(dcr: MlCreature, c: MlCreature, n: int, profile) -> MlCreature:
     ok, diag = ml_successor_check(out, c, n, profile)
     if not ok:
         raise PreconditionFailed(f"unhalved creature fails replay: {diag}")
-    if not _norm_drop_ok(ml_nor_z(c, profile), ml_nor_z(out, profile), 1):
+    if not _norm_drop_ok(z, ml_nor_z(out, profile), 1):
         raise NormTooSmall("unhalving lost more than 1/maxposs of norm")
     return out
 
@@ -609,7 +617,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     rows = _level_rows(out, tuple(sorted(c.u, key=str)), profile)
     g_prime = {}
     for eta in etas:
-        values = {G(Possibility(n + 1, eta.u, eta.cols, eta.vals + row)) for row in rows}
+        values = {G(tuple.__new__(Possibility, (n + 1, eta.cols, eta.vals + row))) for row in rows}
         if len(values) != 1:
             raise NotNice(f"homogenization replay failed at {eta}")
         g_prime[eta] = values.pop()

@@ -14,6 +14,7 @@ import tempfile
 from fractions import Fraction
 
 from .errors import UsageError
+from .logreal import as_fraction
 from .atomic.base import id_from_json, id_to_json
 from .atomic import (
     HalvingPairFamily,
@@ -53,9 +54,9 @@ def write_json(path, obj) -> None:
 
 def parse_rational(text) -> Fraction:
     """Parse a rational literal: '3', '3/2', '1.5', or 'log2(8)' for an
-    integer power-of-two logarithm."""
+    integer power-of-two logarithm.  A bool is refused (as_fraction)."""
     if isinstance(text, (int, Fraction)):
-        return Fraction(text)
+        return as_fraction(text)
     s = str(text).strip()
     if s.startswith("log2(") and s.endswith(")"):
         try:

@@ -735,6 +735,11 @@ def _pin_docs():
             {"param": {"kind": "reservoir"}, "w": id_to_json(tops[1])}]}),
         "{dis}": ("dis.json", {"param": LADDER_SPEC, "w1": id_to_json(tops[0]),
                                "w2": id_to_json(tops[0])}),
+        # a JSON true where a rational belongs
+        "{bool_d}": ("bool_d.json", dict(creature_to_json(wide.creatures[1]), d={"q": True})),
+        "{bool_floor}": ("bool_floor.json", dict(wide.to_json(), floors=[[1, True]])),
+        "{bool_ladder}": ("bool_ladder.json",
+                          {"kind": "ladder", "base_size": 1, "norms_by_size": {"1": True}}),
     }
 
 
@@ -781,6 +786,9 @@ CLI_OUTPUT_PINS = [
     ("cond leq --profile {wide_profile} --in {wide} --against {sep}", 1, "845ca2e5a50c500e"),
     ("cond leq --profile {cut_profile} --in {above} --against {below}", 1, "f6d9fb3cb8a1d126"),
     ("cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1", 0, "36d799dc9022b78d"),
+    ("ml norm --profile {wide_profile} --in {bool_d}", 2, "e3b0c44298fc1c14"),
+    ("cond poss --profile {wide_profile} --in {bool_floor}", 2, "e3b0c44298fc1c14"),
+    ("atomic verify --in {bool_ladder} --property axioms", 2, "e3b0c44298fc1c14"),
 ]
 
 
@@ -791,6 +799,20 @@ def test_cli_output_bytes_are_pinned(files, capsys, command, code, digest):
     assert run([inputs.get(a, a) for a in command.split()]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("command", [
+    "ml norm --profile {wide_profile} --in {bool_d}",
+    "cond poss --profile {wide_profile} --in {bool_floor}",
+    "atomic verify --in {bool_ladder} --property axioms",
+])
+def test_a_bool_in_a_document_is_not_read_as_a_rational(files, capsys, command):
+    """A creature's d, a fragment's norm floor and a ladder norm that are
+    JSON true are refused (exit 2), not read as 1."""
+    write, tmp = files
+    inputs = _pin_inputs(write)
+    assert run([inputs.get(a, a) for a in command.split()]) == 2
+    assert "usage error: not a rational: True" in capsys.readouterr().err
 
 
 # malformed fields of ml, cond and demo input documents: exit 2, never a traceback

@@ -11,6 +11,7 @@ from creaturelab.logreal import (
     _factorize,
     _is_prime,
     _log2_bracket,
+    as_fraction,
     lr_cmp_pow2,
     lr_compare,
     lr_from_rational,
@@ -18,6 +19,7 @@ from creaturelab.logreal import (
     lr_log2_int,
     lr_zero,
 )
+from creaturelab.serialize import parse_rational
 
 F = Fraction
 
@@ -329,3 +331,57 @@ def test_integer_cmp_pow2_with_a_huge_exponent_forms_no_power():
         assert lr_cmp_pow2(z, F(10**15)) == -1
         assert lr_cmp_pow2(z, F(-10**15)) == 1
     assert time.perf_counter() - start < 1.0
+
+
+# canonical arithmetic: + and - merge the sorted log tuples directly; the
+# reference goes through LogReal.make, the validating entry point
+
+coeffs = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-3, 4)])
+
+
+@st.composite
+def logreals(draw):
+    """LogReals by make: about a third rational, key 2 folded into q."""
+    q = draw(st.fractions(min_value=-8, max_value=8, max_denominator=8))
+    if draw(st.integers(0, 2)) == 0:
+        return LogReal.make(q)
+    return LogReal.make(q, {p: draw(coeffs) for p in draw(st.sets(st.sampled_from([2, 3, 5, 7])))})
+
+
+def _reference(a, b, sign):
+    logs = dict(a.logs)
+    for p, c in b.logs:
+        logs[p] = logs.get(p, F(0)) + sign * c
+    return LogReal.make(a.q + sign * b.q, logs)
+
+
+def _canonical(x):
+    keys = [p for p, _ in x.logs]
+    return (type(x.q) is F and keys == sorted(set(keys)) and 2 not in keys
+            and all(type(c) is F and c != 0 for _, c in x.logs))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(logreals(), logreals(), st.booleans())
+def test_canonical_sum_and_difference_equal_the_make_reference(a, b, cancel):
+    if cancel:  # b's log part cancels a's exactly
+        b = LogReal.make(b.q, {p: -c for p, c in a.logs})
+    for got, want in ((a + b, _reference(a, b, 1)), (a - b, _reference(a, b, -1)),
+                      (b - a, _reference(b, a, -1)), (a - a, lr_zero()),
+                      (3 - a, _reference(lr_from_rational(3), a, -1)),
+                      (a + F(1, 3), _reference(a, lr_from_rational(F(1, 3)), 1))):
+        assert (got.q, got.logs) == (want.q, want.logs) and _canonical(got)
+    diff = _reference(a, b, -1)
+    want = (diff.q > 0) - (diff.q < 0) if diff.is_rational() else diff.sign()
+    assert lr_compare(a, b) == want == -lr_compare(b, a)
+
+
+def test_bools_are_not_rationals():
+    for bad in (True, False):
+        with pytest.raises(UsageError):
+            as_fraction(bad)
+        with pytest.raises(UsageError):
+            parse_rational(bad)
+        with pytest.raises(UsageError):
+            lr_log2_int(bad)
+    assert as_fraction(1) == parse_rational(1) == 1 and lr_log2_int(1).is_zero()

@@ -20,7 +20,8 @@ from creaturelab.errors import (
     UsageError,
     ZeroNorm,
 )
-from creaturelab.logreal import lr_from_rational, lr_log2_int
+from creaturelab import mlcore
+from creaturelab.logreal import LogReal, lr_compare, lr_from_rational, lr_log2_int
 from creaturelab.mlcore import (
     IndexUniverse,
     MlCreature,
@@ -276,6 +277,42 @@ def test_nor_z_formula():
     assert ml_norm_positive(cs, prof)
 
 
+def _nor_z_reference(c, prof):
+    """z by the component walk in str order and LogReal.make's dict merge:
+    the least atomic norm, minus log2|u|, minus d."""
+    comps = [(prof.star_param(c.n), w) for _, w in sorted(c.w_eps.items(), key=str)]
+    comps += [(prof.slot_param(c.n, k), w) for (_, k), w in sorted(c.w_alpha.items(), key=str)]
+    best = None
+    for p, w in comps:
+        if best is None or lr_compare(p.nor(w), best) < 0:
+            best = p.nor(w)
+    size, logs = lr_log2_int(len(c.u)), dict(best.logs)
+    for x in (size, c.d):
+        for p, a in x.logs:
+            logs[p] = logs.get(p, Fraction(0)) - a
+    return LogReal.make(best.q - size.q - c.d.q, logs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_nor_z_matches_the_component_walk(data):
+    prof = profile(height=data.draw(st.sampled_from([4, 6, 9])), kstar=3)
+    u = prof.universe.closure(data.draw(st.sets(st.sampled_from(UNI["mu"] + UNI["alpha"]),
+                                                min_size=1)))
+    c = _draw_creature(data, prof, 1, u)
+    for _ in range(data.draw(st.integers(0, 2))):  # a halved d is log2|u| / 2 and more
+        if ml_nor_z(c, prof) > lr_from_rational(1):
+            c = ml_halve(c, 1, prof)
+    assert ml_nor_z(c, prof) == _nor_z_reference(c, prof)
+
+
+def test_nor_z_of_a_halved_creature_with_a_log_term():
+    prof = profile(height=9, kstar=3)
+    c = ml_halve(top_creature(prof, 1, {"e0", "a0", "e1"}), 1, prof)
+    assert c.d.logs == ((3, Fraction(-1, 2)),)  # d = (9 - log2(3)) / 2
+    assert ml_nor_z(c, prof) == _nor_z_reference(c, prof) == c.d
+
+
 def test_norm_cmp_refuses_irrational_thresholds():
     prof = profile(height=9)
     c = top_creature(prof, 1, {"e0"})  # z = 9, so nor = log2(9) / 2 = log2(3)
@@ -329,6 +366,15 @@ def test_unhalve_restores_the_component():
     assert ok
     # lost at most 1/maxposs of norm: 2 * z_after >= z_before
     assert ml_nor_z(out, prof).scale(2) >= ml_nor_z(c, prof)
+
+
+def test_unhalve_reads_each_creature_s_least_norm_once(monkeypatch):
+    prof = profile(height=9)
+    c = top_creature(prof, 1, {"e0", "a0"})
+    dcr, seen, minnor = ml_halve(c, 1, prof), [], mlcore.ml_minnor
+    monkeypatch.setattr(mlcore, "ml_minnor", lambda x, p: seen.append(x) or minnor(x, p))
+    out = ml_unhalve(dcr, c, 1, prof)
+    assert [id(x) for x in seen] == [id(c), id(dcr), id(out)]
 
 
 def test_unhalve_preconditions():
