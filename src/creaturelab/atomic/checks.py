@@ -1,8 +1,8 @@
 """Property checkers for atomic creature parameters.
 
 Every checker returns a PropertyCertificate whose verdict is backed by an
-explicit witness or counterexample; nothing is sampled.  Four evaluation
-modes exist for bigness:
+explicit witness or counterexample; nothing is sampled.  Bigness is decided
+in one of four evaluation modes:
 
 - "exhaustive": the exact value of the partition game over every partition
   of the value set into at most B blocks, by dynamic programming over bit
@@ -27,8 +27,15 @@ modes exist for bigness:
   single-class check looks up w's own class.  A hook verdict of True is
   exact; False is conservative (the hook may not see a cleverer witness).
 
+`check_bigness` resolves the requested mode once, at entry, and the
+hereditary check runs in the same mode: "auto" becomes the family's hook
+if it has one, else "analytic" on size-monotone norms, else "exhaustive";
+an explicit "analytic" on other norms raises ModeUnsound, and an unknown
+mode UsageError.
+
 The partition games and the hereditary check are memoized on the parameter
-instance, so a memo lives and dies with its parameter.
+instance, so a memo lives and dies with its parameter.  The hereditary memo
+is keyed by the creature asked about, B, x and the resolved mode.
 """
 
 from __future__ import annotations
@@ -39,6 +46,12 @@ from ..errors import CapacityExceeded, ModeUnsound, UsageError
 from ..logreal import lr
 from .base import AtomicParameter
 from .certificates import PropertyCertificate
+
+
+def _cert(p, kind, params, verdict, mode, witness=None, counterexample=None):
+    """A certificate of one check on p."""
+    return PropertyCertificate(kind, params, verdict, witness, counterexample,
+                               p.param_hash(), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +84,9 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
     def note(axiom, *ids):
         report.append({"axiom": axiom, "ids": ids})
 
-    if p.explicit:
-        mode = "exhaustive"
-    elif p.symmetric:
-        mode = "class-reps"
-    else:
+    if not (p.explicit or p.symmetric):
         raise UsageError(f"{p.name}: no sound validation strategy (intensional, asymmetric)")
+    mode = _walk_mode(p)
     tops = list(p.class_reps())
 
     for w in tops:
@@ -109,14 +119,8 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
                 if not p.in_succ(u, w):
                     note("transitive", u, v, w)
 
-    return PropertyCertificate(
-        kind="valid",
-        params={"axioms": list(_AXIOMS)},
-        verdict=not report,
-        counterexample=report or None,
-        param_hash=p.param_hash(),
-        mode=mode,
-    )
+    return _cert(p, "valid", {"axioms": list(_AXIOMS)}, not report, mode,
+                 counterexample=report or None)
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +132,39 @@ def validate_atomic(p: AtomicParameter) -> PropertyCertificate:
 _EXHAUSTIVE_LIMIT = 16
 
 
-def _strong_block(p, w, partition, floor):
-    """A block of the partition on which w has a successor above floor."""
-    for block in partition:
-        v = p.best_successor_within(w, frozenset(block))
-        if v is not None and p.nor(v) >= floor:
-            return block, v
-    return None
-
-
 def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False) -> PropertyCertificate:
     """Is w (B, x)-big for p: does every partition of val(w) into at most B
     blocks admit a successor, inside one block, of norm at least nor(w) - x?
 
     With hereditary=True the same is demanded of every successor of w whose
-    norm is at least 1 (one representative per successor class).
+    norm is at least 1 (one representative per successor class), in the
+    same resolved mode.
     """
     if B < 1:
         raise UsageError("B must be positive")
+    if mode not in ("auto", "analytic", "exhaustive"):
+        raise UsageError(f"unknown bigness mode {mode!r}")
+    if mode == "auto":
+        mode = ("hook" if hasattr(p, "hereditary_bigness_classes")
+                else "analytic" if p.size_monotone_all_subsets else "exhaustive")
+    elif mode == "analytic" and not p.size_monotone_all_subsets:
+        raise ModeUnsound(f"{p.name}: analytic bigness needs size-monotone norms")
     x = lr(x)
+    if not hereditary:
+        return _big_one(p, w, B, x, mode)
+    memo = vars(p).setdefault("_hereditary_memo", {})
+    key = (w, B, x, mode)
+    if key not in memo:
+        memo[key] = _big_hereditary(p, w, B, x, mode)
+    return memo[key]
 
-    if hereditary:
-        return _check_hereditary(p, w, B, x, mode)
 
-    hook = getattr(p, "hereditary_bigness_classes", None)
-    if mode == "auto" and hook is not None:
+def _big_one(p, w, B, x, mode):
+    """w's own bigness in a resolved mode: the hook's entry for w's class,
+    the balanced partition, or the partition game."""
+    if mode == "hook":
         key = p.class_key(w)
-        for ck, class_nor, witness_nor in hook(w, B, x):
+        for ck, class_nor, witness_nor in p.hereditary_bigness_classes(w, B, x):
             if ck == key:
                 ok = witness_nor >= class_nor - x
                 return _big_cert(p, w, B, x, ok, "hook",
@@ -164,21 +174,16 @@ def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False)
         # is refused here, not decided another way
         raise ModeUnsound(f"{p.name}: hook does not cover class {key}")
 
-    if mode == "analytic" or (mode == "auto" and p.size_monotone_all_subsets):
-        if not p.size_monotone_all_subsets:
-            raise ModeUnsound(f"{p.name}: analytic bigness needs size-monotone norms")
+    if mode == "analytic":
         n = p.val_size(w)
         block = -(-n // B)  # adversary's optimum: balanced blocks
         witness_nor = p.norm_of_size(block)
         ok = witness_nor >= p.nor(w) - x
-        return _big_cert(
-            p, w, B, x, ok, "analytic",
-            witness={"block_size": block, "witness_norm": witness_nor} if ok else None,
-            counterexample=None if ok else {"balanced_block_size": block, "best_norm": witness_nor},
-        )
+        return _big_cert(p, w, B, x, ok, "analytic",
+                         witness={"block_size": block, "witness_norm": witness_nor} if ok else None,
+                         counterexample=None if ok else {"balanced_block_size": block,
+                                                         "best_norm": witness_nor})
 
-    if mode not in ("auto", "exhaustive"):
-        raise UsageError(f"unknown bigness mode {mode!r}")
     if p.val_size(w) > _EXHAUSTIVE_LIMIT:
         raise CapacityExceeded(f"{p.name}: value set too large for exhaustive bigness")
     floor = p.nor(w) - x
@@ -187,6 +192,32 @@ def check_bigness(p, w, B: int, x, mode: str = "auto", hereditary: bool = False)
     return _big_cert(p, w, B, x, ok, _walk_mode(p),
                      witness={"witness_norm": minimax} if ok else None,
                      counterexample=None if ok else worst_partition)
+
+
+def _big_hereditary(p, w, B, x, mode):
+    """Bigness of every successor class of w with norm at least 1, in a
+    resolved mode, stopping at the first class that fails.  The hook yields
+    those classes itself; the other modes walk `succ_class_reps` and decide
+    each class by `_big_one`."""
+    if mode == "hook":
+        for ck, class_nor, witness_nor in p.hereditary_bigness_classes(w, B, x):
+            if witness_nor < class_nor - x:
+                return _big_cert(p, w, B, x, False, "hook-hereditary",
+                                 counterexample={"class": ck, "witness_norm": witness_nor})
+        return _big_cert(p, w, B, x, True, "hook-hereditary")
+
+    one = lr(1)
+    seen = set()
+    for v in p.succ_class_reps(w):
+        key = p.class_key(v)
+        if key in seen or p.nor(v) < one:
+            continue
+        seen.add(key)
+        sub = _big_one(p, v, B, x, mode)
+        if not sub.verdict:
+            return _big_cert(p, w, B, x, False, f"{sub.mode}-hereditary",
+                             counterexample={"creature": v, "inner": sub.counterexample})
+    return _big_cert(p, w, B, x, True, "hereditary")
 
 
 def _walk_mode(p) -> str:
@@ -314,47 +345,7 @@ def _adversary_minimax(p, w, B, points):
 
 
 def _big_cert(p, w, B, x, verdict, mode, witness=None, counterexample=None):
-    return PropertyCertificate(
-        kind="bigness",
-        params={"w": w, "B": B, "x": x},
-        verdict=verdict,
-        witness=witness,
-        counterexample=counterexample,
-        param_hash=p.param_hash(),
-        mode=mode,
-    )
-
-
-def _check_hereditary(p, w, B, x, mode):
-    """Memoized on p itself, so the memo lives and dies with the parameter."""
-    memo = vars(p).setdefault("_hereditary_memo", {})
-    key = (p.class_key(w), B, x, mode)
-    if key not in memo:
-        memo[key] = _check_hereditary_uncached(p, w, B, x, mode)
-    return memo[key]
-
-
-def _check_hereditary_uncached(p, w, B, x, mode):
-    hook = getattr(p, "hereditary_bigness_classes", None)
-    if hook is not None:
-        for ck, class_nor, witness_nor in hook(w, B, x):
-            if witness_nor < class_nor - x:
-                return _big_cert(p, w, B, x, False, "hook-hereditary",
-                                 counterexample={"class": ck, "witness_norm": witness_nor})
-        return _big_cert(p, w, B, x, True, "hook-hereditary")
-
-    one = lr(1)
-    seen = set()
-    for v in p.succ_class_reps(w):
-        key = p.class_key(v)
-        if key in seen or p.nor(v) < one:
-            continue
-        seen.add(key)
-        sub = check_bigness(p, v, B, x, mode=mode, hereditary=False)
-        if not sub.verdict:
-            return _big_cert(p, w, B, x, False, f"{sub.mode}-hereditary",
-                             counterexample={"creature": v, "inner": sub.counterexample})
-    return _big_cert(p, w, B, x, True, "hereditary")
+    return _cert(p, "bigness", {"w": w, "B": B, "x": x}, verdict, mode, witness, counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +404,9 @@ def check_halving(p, w, x) -> PropertyCertificate:
             continue
         bad = _bad_successor(p, w, h, floor)
         if bad is None:
-            return PropertyCertificate(
-                kind="halving", params={"w": w, "x": x}, verdict=True,
-                witness={"half": h}, param_hash=p.param_hash(), mode=mode,
-            )
+            return _cert(p, "halving", {"w": w, "x": x}, True, mode, witness={"half": h})
         failures.append((h, bad))
-    return PropertyCertificate(
-        kind="halving", params={"w": w, "x": x}, verdict=False,
-        counterexample=failures, param_hash=p.param_hash(), mode=mode,
-    )
+    return _cert(p, "halving", {"w": w, "x": x}, False, mode, counterexample=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +420,21 @@ def check_decisive(p, w, K: int, m: int, x, mode: str = "auto") -> PropertyCerti
     hereditarily (2^(K^m), x)-big?"""
     x = lr(x)
     floor = p.nor(w) - x
+    params = {"w": w, "K": K, "m": m, "x": x}
 
     v_minus = p.small_successor(w, x)
     if v_minus is None or p.val_size(v_minus) > K or p.nor(v_minus) < floor:
-        return PropertyCertificate(
-            kind="decisive", params={"w": w, "K": K, "m": m, "x": x}, verdict=False,
-            counterexample={"missing": "small", "found": v_minus},
-            param_hash=p.param_hash(), mode="search",
-        )
+        return _cert(p, "decisive", params, False, "search",
+                     counterexample={"missing": "small", "found": v_minus})
 
     B = 2 ** (K ** m)
     v_plus = p.big_successor(w, x)
     big = check_bigness(p, v_plus, B, x, mode=mode, hereditary=True)
     if not (p.in_succ(v_plus, w) and p.nor(v_plus) >= floor and big.verdict):
-        return PropertyCertificate(
-            kind="decisive", params={"w": w, "K": K, "m": m, "x": x}, verdict=False,
-            counterexample={"missing": "big", "found": v_plus, "inner": big.counterexample},
-            param_hash=p.param_hash(), mode=big.mode,
-        )
-
-    return PropertyCertificate(
-        kind="decisive", params={"w": w, "K": K, "m": m, "x": x}, verdict=True,
-        witness={"small": v_minus, "big": v_plus},
-        param_hash=p.param_hash(), mode=big.mode,
-    )
+        return _cert(p, "decisive", params, False, big.mode,
+                     counterexample={"missing": "big", "found": v_plus,
+                                     "inner": big.counterexample})
+    return _cert(p, "decisive", params, True, big.mode, witness={"small": v_minus, "big": v_plus})
 
 
 def check_nice(p, M: int, m_max) -> PropertyCertificate:
@@ -504,10 +480,8 @@ def check_nice(p, M: int, m_max) -> PropertyCertificate:
 
 
 def _nice_cert(p, M, m_max, verdict, counterexample):
-    return PropertyCertificate(
-        kind="nice", params={"M": M, "m_max": m_max}, verdict=verdict,
-        counterexample=counterexample, param_hash=p.param_hash(), mode="class-reps",
-    )
+    return _cert(p, "nice", {"M": M, "m_max": m_max}, verdict, "class-reps",
+                 counterexample=counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +524,10 @@ def replay_certificate(p, cert: PropertyCertificate) -> bool:
             mode = _REPLAY_MODE.get(cert.mode.replace("-hereditary", ""), "auto")
             return check_bigness(p, w, B, x, mode=mode, hereditary=hereditary).verdict
         if cert.mode in ("exhaustive", "class-reps") and cert.counterexample is not None:
-            blocks = cert.counterexample
-            return (_is_partition(p.val(w), blocks, B)
-                    and _strong_block(p, w, blocks, p.nor(w) - x) is None)
+            # no block of the recorded partition holds a successor above the floor
+            blocks, floor = cert.counterexample, p.nor(w) - x
+            return (_is_partition(p.val(w), blocks, B) and all(
+                v is None or v < floor for v in (_best_norm(p, w, b) for b in blocks)))
         return not check_bigness(p, w, B, x, hereditary=hereditary).verdict
 
     if cert.kind == "halving":

@@ -521,6 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (atomic write); default stdout")
         return p
 
+    def add_doc(parent, name, func, **kw):
+        """A command that reads a profile and a document."""
+        p = add(parent, name, func, **kw)
+        p.add_argument("--profile", required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        return p
+
     p = add(sub, "params", _cmd_params, help="compute and validate a parameter row")
     p.add_argument("--level", type=int, required=True)
 
@@ -567,77 +574,62 @@ def build_parser() -> argparse.ArgumentParser:
     ml = sub.add_parser("ml", help="multi-level creature transforms")
     ml_sub = ml.add_subparsers(dest="ml_command", required=True)
 
-    def ml_cmd(name, func, **kw):
-        p = add(ml_sub, name, func, **kw)
-        p.add_argument("--profile", required=True)
-        p.add_argument("--in", dest="infile", required=True)
-        return p
-
-    p = ml_cmd("check", _cmd_ml_check, help="validate a creature, optionally as a successor")
+    p = add_doc(ml_sub, "check", _cmd_ml_check,
+                help="validate a creature, optionally as a successor")
     p.add_argument("--against", help="candidate parent creature")
     p.add_argument("--enumerate", action="store_true",
                    help="also replay the enumerated successor condition")
-    p = ml_cmd("norm", _cmd_ml_norm, help="report the exact norm input z")
+    p = add_doc(ml_sub, "norm", _cmd_ml_norm, help="report the exact norm input z")
     p.add_argument("--threshold", help="exit 1 unless nor exceeds this rational")
-    ml_cmd("halve", _cmd_ml_halve, help="apply the halving transform")
-    p = ml_cmd("merge", _cmd_ml_merge, help="merge two same-type creatures")
+    add_doc(ml_sub, "halve", _cmd_ml_halve, help="apply the halving transform")
+    p = add_doc(ml_sub, "merge", _cmd_ml_merge, help="merge two same-type creatures")
     p.add_argument("--in2", dest="infile2", required=True)
     p.add_argument("--enum", help="comma list enumerating the first support")
     p.add_argument("--enum2", help="comma list enumerating the second support")
-    p = ml_cmd("enlarge", _cmd_ml_enlarge, help="extend the support by one index")
+    p = add_doc(ml_sub, "enlarge", _cmd_ml_enlarge, help="extend the support by one index")
     p.add_argument("--index", required=True)
-    p = ml_cmd("homogenize", _cmd_ml_homogenize,
-               help="shrink until a seeded labelling factors through the trunk")
+    p = add_doc(ml_sub, "homogenize", _cmd_ml_homogenize,
+                help="shrink until a seeded labelling factors through the trunk")
     p.add_argument("--range", dest="range_size", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
     co = sub.add_parser("cond", help="finite fragment operations")
     co_sub = co.add_subparsers(dest="cond_command", required=True)
 
-    def co_cmd(name, func, **kw):
-        p = add(co_sub, name, func, **kw)
-        p.add_argument("--profile", required=True)
-        p.add_argument("--in", dest="infile", required=True)
-        return p
-
-    p = co_cmd("poss", _cmd_cond_poss, help="enumerate branches up to a height")
+    p = add_doc(co_sub, "poss", _cmd_cond_poss, help="enumerate branches up to a height")
     p.add_argument("--n", type=int)
     p.add_argument("--method", default="inductive", choices=["inductive", "local"])
-    p = co_cmd("leq", _cmd_cond_leq, help="check the extension relation")
+    p = add_doc(co_sub, "leq", _cmd_cond_leq, help="check the extension relation")
     p.add_argument("--against", required=True, help="the weaker fragment")
-    co_cmd("separate", _cmd_cond_separate,
-           help="make same-level selector creatures pairwise value-disjoint")
-    p = co_cmd("rapid-read", _cmd_cond_rapid_read,
-               help="shorten a name's decision modulus level by level")
+    add_doc(co_sub, "separate", _cmd_cond_separate,
+            help="make same-level selector creatures pairwise value-disjoint")
+    p = add_doc(co_sub, "rapid-read", _cmd_cond_rapid_read,
+                help="shorten a name's decision modulus level by level")
     p.add_argument("--name", required=True)
     p.add_argument("--M", type=int, required=True)
-    p = co_cmd("halve-step", _cmd_cond_halve_step,
-               help="case split over base branches, halving undecided ones")
+    p = add_doc(co_sub, "halve-step", _cmd_cond_halve_step,
+                help="case split over base branches, halving undecided ones")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--floor", default="1")
     p.add_argument("--oracle", default="never", choices=["never", "accept"])
-    p = co_cmd("cover", _cmd_cond_cover,
-               help="tabulate the small per-branch value sets of a name")
+    p = add_doc(co_sub, "cover", _cmd_cond_cover,
+                help="tabulate the small per-branch value sets of a name")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--name", required=True)
-    p = co_cmd("evade", _cmd_cond_evade,
-               help="shrink one level so a fresh index avoids a cover table")
+    p = add_doc(co_sub, "evade", _cmd_cond_evade,
+                help="shrink one level so a fresh index avoids a cover table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--beta", required=True)
 
     de = sub.add_parser("demo", help="worked examples on fragments")
     de_sub = de.add_subparsers(dest="demo_command", required=True)
-    p = add(de_sub, "generic-sample", _cmd_demo_generic_sample,
-            help="print one seeded random branch of a fragment")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p = add_doc(de_sub, "generic-sample", _cmd_demo_generic_sample,
+                help="print one seeded random branch of a fragment")
     p.add_argument("--seed", type=int, default=0)
-    p = add(de_sub, "distinguish", _cmd_demo_distinguish,
-            help="find a branch giving two indices different values")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p = add_doc(de_sub, "distinguish", _cmd_demo_distinguish,
+                help="find a branch giving two indices different values")
     p.add_argument("--i", required=True)
     p.add_argument("--j", required=True)
 

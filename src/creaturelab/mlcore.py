@@ -317,8 +317,7 @@ def ml_norm_cmp(c: MlCreature, n: int, profile, threshold) -> int:
     An irrational threshold raises Indeterminate: lr_cmp_pow2 takes
     rational exponents only.
     """
-    if n != c.n:
-        raise DomainMismatch("level mismatch")
+    _at_level(n, c)
     t = lr(threshold)
     z = ml_nor_z(c, profile)
     if z <= lr_from_rational(1):
@@ -326,6 +325,13 @@ def ml_norm_cmp(c: MlCreature, n: int, profile, threshold) -> int:
     if t.is_rational():
         return lr_cmp_pow2(z, profile.maxposs(n) * t.q)
     raise Indeterminate("irrational norm thresholds are not supported exactly")
+
+
+def _at_level(n, *creatures):
+    """Refuse an operation at level n on a creature of another level."""
+    for c in creatures:
+        if c.n != n:
+            raise DomainMismatch(f"level mismatch: a level-{c.n} creature at level {n}")
 
 
 def _norm_drop_ok(z_before: LogReal, z_after: LogReal, k: int) -> bool:
@@ -399,6 +405,7 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
 
 def ml_halve(c: MlCreature, n: int, profile) -> MlCreature:
     """Same creature with half the remaining norm headroom burned into d."""
+    _at_level(n, c)
     return _halved(c, ml_nor_z(c, profile))
 
 
@@ -415,6 +422,7 @@ def ml_unhalve(dcr: MlCreature, c: MlCreature, n: int, profile) -> MlCreature:
     """Reset the halving component of a positive-norm successor of
     ml_halve(c) back to c's level; the result is a successor of c losing at
     most 1/maxposs(n) of c's norm."""
+    _at_level(n, dcr, c)
     z = ml_nor_z(c, profile)
     half = _halved(c, z)
     ok, diag = ml_successor_check(dcr, half, n, profile)
@@ -458,6 +466,7 @@ def ml_local_type(c: MlCreature, enumeration, profile) -> tuple:
 def ml_merge(c1: MlCreature, c2: MlCreature, enum1, enum2, n: int, profile) -> MlCreature:
     """Union of two creatures of the same local type on overlapping or
     disjoint supports."""
+    _at_level(n, c1, c2)
     t1 = ml_local_type(c1, enum1, profile)
     t2 = ml_local_type(c2, enum2, profile)
     if t1 != t2:
@@ -493,6 +502,7 @@ def ml_merge(c1: MlCreature, c2: MlCreature, enum1, enum2, n: int, profile) -> M
 def ml_enlarge(c: MlCreature, new_index, n: int, profile) -> MlCreature:
     """Grow the support by one index (plus its selector when eps-closure
     demands it), filling the new positions with maximal-norm creatures."""
+    _at_level(n, c)
     if new_index in c.u:
         return c
     U = profile.universe
@@ -575,6 +585,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     selector creatures, with the trunks as a fixed leading coordinate.
     Loss is bounded by one full norm unit, checked exactly on z.
     """
+    _at_level(n, c)
     if range_size < 1:
         raise UsageError("range_size must be positive")
     etas = poss_enumerate(n, c.u, profile)

@@ -251,6 +251,7 @@ class ToyProfile:
             [plateau_family(r.height, s, name=f"slot-{n}-{k}") for k, s in enumerate(r.slot_sizes)]
             for n, r in enumerate(levels)
         ]
+        self._fmax = [max(r.slot_sizes) for r in levels]
 
     @property
     def height(self) -> int:
@@ -266,7 +267,8 @@ class ToyProfile:
         return self._row(n).kstar
 
     def fmax(self, n):
-        return max(self._row(n).slot_sizes)
+        self._row(n)  # refuses a missing level
+        return self._fmax[n]
 
     def maxposs(self, n):
         return self._row(n).maxposs
@@ -281,17 +283,22 @@ class ToyProfile:
         return self._row(n).bmin
 
     def slot_size(self, n, k):
-        row = self._row(n)
-        if type(k) is not int or not 0 <= k < row.kstar:
-            raise UsageError(f"selector value {k!r} out of range at level {n}")
-        return row.slot_sizes[k]
+        self.slot_param(n, k)  # refuses a missing level or selector value
+        return self._levels[n].slot_sizes[k]
+
+    # the two hottest lookups check in their own frame and call _row only
+    # to refuse a missing level
 
     def star_param(self, n):
-        self._row(n)  # refuses a missing level
+        if type(n) is not int or not 0 <= n < len(self._levels):
+            self._row(n)
         return self._stars[n]
 
     def slot_param(self, n, k):
-        self.slot_size(n, k)  # refuses a missing level or selector value
+        if type(n) is not int or not 0 <= n < len(self._levels):
+            self._row(n)
+        if type(k) is not int or not 0 <= k < self._levels[n].kstar:
+            raise UsageError(f"selector value {k!r} out of range at level {n}")
         return self._slots[n][k]
 
     def describe(self):

@@ -27,7 +27,7 @@ from creaturelab.atomic import (
     validate_atomic,
 )
 from creaturelab.atomic import checks
-from creaturelab.errors import ModeUnsound, SizeInfeasible, UsageError
+from creaturelab.errors import CapacityExceeded, ModeUnsound, SizeInfeasible, UsageError
 from creaturelab.logreal import lr_from_rational, lr_log2_fraction
 
 LR = lr_from_rational
@@ -203,6 +203,45 @@ def test_hereditary_bigness_on_reservoir():
     # a tighter budget than the rung spacing fails
     cert = check_bigness(r, r.top(), 8, Fraction(3, 32), hereditary=True)
     assert not cert.verdict
+
+
+def test_hereditary_bigness_runs_in_the_requested_mode():
+    # the reservoir's norms are not size-monotone, and its free top holds
+    # more than 16 points: both explicit modes refuse, as the single check does
+    r = ReservoirFamily()
+    for hereditary in (False, True):
+        with pytest.raises(ModeUnsound):
+            check_bigness(r, r.top(), 4, Fraction(1, 4), mode="analytic", hereditary=hereditary)
+        with pytest.raises(CapacityExceeded):
+            check_bigness(r, r.top(), 4, Fraction(1, 4), mode="exhaustive",
+                          hereditary=hereditary)
+    assert check_bigness(r, r.top(), 4, Fraction(1, 4), hereditary=True).mode == "hook-hereditary"
+    # an explicit exhaustive request walks the successors in that mode
+    p = subset_log_family(6)
+    cert = check_bigness(p, p.top(), 4, Fraction(1, 4), mode="exhaustive", hereditary=True)
+    assert cert.mode == "class-reps-hereditary"
+    assert check_bigness(p, p.top(), 4, Fraction(1, 4), hereditary=True).mode \
+        == "analytic-hereditary"
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_an_unknown_bigness_mode_is_refused(hereditary):
+    for p, w in ((subset_log_family(2), (0,)), (ReservoirFamily(), ReservoirFamily().top())):
+        with pytest.raises(UsageError, match="unknown bigness mode 'bogus'"):
+            check_bigness(p, w, 2, 1, mode="bogus", hereditary=hereditary)
+
+
+def test_hereditary_certificates_name_the_creature_asked_about():
+    p = subset_log_family(8)
+    first = check_bigness(p, (0, 1, 2, 3, 4, 5), 4, Fraction(1, 4), hereditary=True)
+    w = (2, 3, 4, 5, 6, 7)  # the same class as the first creature
+    cert = check_bigness(p, w, 4, Fraction(1, 4), hereditary=True)
+    assert first.params["w"] == (0, 1, 2, 3, 4, 5)
+    assert cert.params["w"] == w and not cert.verdict
+    assert p.in_succ(cert.counterexample["creature"], w)
+    assert replay_certificate(p, cert)
+    # a repeated query is still a memo hit
+    assert check_bigness(p, w, 4, Fraction(1, 4), hereditary=True) is cert
 
 
 _SYMMETRIC_FAMILIES = {
@@ -468,6 +507,31 @@ def test_decisive_fails_when_small_side_is_too_weak():
     cert = check_decisive(p, tuple(range(8)), 1, 1, Fraction(1, 2))
     assert not cert.verdict
     assert cert.counterexample["missing"] == "small"
+
+
+def _ref_small_successor(p, w, x):
+    """The first successor, in succ_ids order, of least value-set size
+    among those of norm above nor(w) - x."""
+    floor = p.nor(w) - LR(x)
+    strong = [v for v in p.succ_ids(w) if p.nor(v) > floor]
+    return min(strong, key=p.val_size, default=None)
+
+
+@pytest.mark.parametrize("make", [lambda: HalvingPairFamily(4),
+                                  lambda: _explicit_table(subset_log_family(4)),
+                                  lambda: _explicit_table(HalvingPairFamily(3))])
+def test_default_small_successor_matches_the_reference(make):
+    p = make()
+    for w in p.ids():
+        for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)):
+            assert p.small_successor(w, LR(x)) == _ref_small_successor(p, w, x), (w, x)
+        K = p.val_size(w)
+        cert = check_decisive(p, w, K, 1, Fraction(1))
+        small = _ref_small_successor(p, w, Fraction(1))
+        if cert.verdict:
+            assert cert.witness["small"] == small
+        elif cert.counterexample["missing"] == "small":
+            assert cert.counterexample["found"] == small
 
 
 def test_check_nice_accepts_constructions():

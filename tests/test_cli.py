@@ -189,6 +189,44 @@ def test_reservoir_exhaustive_bigness_is_refused_as_infeasible(files, capsys):
     assert err.startswith("infeasible: CapacityExceeded: reservoir")
 
 
+@pytest.mark.parametrize("mode, code, err", [
+    ("analytic", 1, "property failure: ModeUnsound: reservoir"),
+    ("exhaustive", 3, "infeasible: CapacityExceeded: reservoir"),
+])
+def test_hereditary_bigness_keeps_the_requested_mode(files, capsys, mode, code, err):
+    # the same refusal with and without --hereditary
+    write, tmp = files
+    res = write("res.json", {"kind": "reservoir"})
+    argv = ["atomic", "verify", "--in", res, "--property", "big", "--B", "4", "--x", "1/4",
+            "--mode", mode]
+    for extra in ([], ["--hereditary"]):
+        assert run(argv + extra) == code
+        out, got = capsys.readouterr()
+        assert out == "" and got.startswith(err)
+
+
+def test_atomic_verify_decisive(files, capsys):
+    write, tmp = files
+    pairs = write("pairs.json", {"kind": "halving-pairs", "base_size": 4})
+    argv = ["atomic", "verify", "--in", pairs, "--property", "decisive"]
+    assert run(argv + ["--K", "2", "--m", "1", "--x", "3/2"], tmp / "yes.json") == 0
+    cert = PropertyCertificate.from_json(read_json(tmp / "yes.json")["certificate"])
+    assert cert.kind == "decisive" and cert.verdict and cert.mode == "hereditary"
+    assert cert.params["K"] == 2 and cert.params["m"] == 1
+    # K = 1 admits no small successor of norm above nor(w) - 1/4
+    assert run(argv + ["--K", "1", "--m", "1", "--x", "1/4"], tmp / "no.json") == 1
+    cert = PropertyCertificate.from_json(read_json(tmp / "no.json")["certificate"])
+    assert not cert.verdict and cert.counterexample["missing"] == "small"
+    pair = atomic_param_from_json({"kind": "halving-pairs", "base_size": 4})
+    assert replay_certificate(pair, cert)
+    capsys.readouterr()
+    for missing in (["--K", "2"], ["--m", "1"], []):
+        assert run(argv + missing) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("usage error: --K and --m are required for the "
+                                     "decisiveness check\n")
+
+
 def test_exhaustive_bigness_on_sixteen_points_is_quick(files):
     # the size-class walk decides the 16-point subset ladder without the
     # 3^16 bit-mask game

@@ -508,6 +508,55 @@ def test_halving_step_inconsistent_oracle():
         halving_step(p, 1, 2, bad_oracle, prof)
 
 
+def _low_support_fragment():
+    """Height 3 over the wide universe: e0 and a0 at levels 1 and 2, so the
+    domain leaves e1 and a1 free to enter.  Level 2 has 4 possibilities, so
+    maxposs is 5, and the plateau height keeps every norm above 2."""
+    lvl = {"kstar": 2, "slot_sizes": 2, "height": 2000,
+           "maxposs": 5, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    prof = make_toy_profile({"universe": WIDE_UNI, "levels": [lvl] * 3})
+    u = frozenset({"e0", "a0"})
+    creatures = {n: MlCreature(n, u, {"e0": prof.star_param(n).top()},
+                               {("a0", k): prof.slot_param(n, k).top() for k in range(2)})
+                 for n in (1, 2)}
+    return prof, FiniteCondition(1, 3, {(0, "e0"): 0, (0, "a0"): 0}, creatures)
+
+
+def _grow(c, prof):
+    """c with e1 and a1 added at their top creatures."""
+    star = prof.star_param(c.n)
+    c.u = c.u | {"e1", "a1"}
+    c.w_eps["e1"] = star.top()
+    c.w_alpha.update({("a1", k): prof.slot_param(c.n, k).top() for k in range(2)})
+
+
+def _singleton_selector(c, prof):
+    star = prof.star_param(c.n)
+    c.w_eps["e0"] = star.best_successor_within(c.w_eps["e0"], frozenset({0}))
+
+
+@pytest.mark.parametrize("change, level, message", [
+    (_grow, 2, "witness must keep the fragment's shape"),  # the domain grows
+    (_grow, 1, "witness changes the support at level 1"),
+    (_singleton_selector, 1, "witness norm below 1 at level 1"),
+])
+def test_halving_step_refuses_an_oracle_witness_that_passes_the_order_replay(
+        change, level, message):
+    prof, p = _low_support_fragment()
+
+    def oracle(cand):
+        w = cand.copy()
+        change(w.creatures[level], prof)
+        assert cond_leq(w, cand, prof) == (True, [])
+        return w
+
+    with pytest.raises(OracleInconsistent, match=message):
+        halving_step(p, 1, 2, oracle, prof)
+    # the same fragment with a silent oracle halves
+    _, log = halving_step(p, 1, 2, lambda cand: None, prof)
+    assert [case for case, _ in log] == ["half"]
+
+
 # cover and evade
 
 
@@ -532,6 +581,17 @@ def test_cover_step_constant_name_gives_singletons():
     r = NameTable({1: 2}, {1: {nu: 3 for nu in cond_poss(p, 2, prof)}}, {1: 4})
     _, Y = cover_step(p, 1, r, "e0", prof)
     assert all(vals == [3] for vals in Y["table"].values())
+
+
+def test_cover_step_refuses_a_table_entry_at_the_gmin_bound():
+    small = make_toy_profile({"universe": WIDE_UNI, "levels": [dict(WIDE_LVL, gmin=2)] * 2})
+    p = cond_separate_support(wide_fragment(small), small)
+    r = seeded_name(p, small, [1], 4)
+    with pytest.raises(CapacityExceeded, match=r"cover table holds \d+ values at .*, bound 2"):
+        cover_step(p, 1, r, "e0", small)
+    # a constant name leaves one value per entry, below the bound
+    r = NameTable({1: 2}, {1: {nu: 3 for nu in cond_poss(p, 2, small)}}, {1: 4})
+    assert all(vals == [3] for vals in cover_step(p, 1, r, "e0", small)[1]["table"].values())
 
 
 def test_cover_step_requires_separation():

@@ -662,6 +662,34 @@ def test_enlarge_capacity():
         ml_enlarge(top_creature(prof, 1, {"e0"}), "zz", 1, prof)
 
 
+# the level of a transform
+
+
+def test_transforms_refuse_a_level_other_than_the_creature_s():
+    lvl = {"kstar": 2, "slot_sizes": 3, "height": 9,
+           "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    prof = make_toy_profile({"universe": UNI, "levels": [lvl] * 3})
+    c = top_creature(prof, 1, {"e0", "a0"})
+    half, enum = ml_halve(c, 1, prof), sorted(c.u, key=str)
+    for n in (0, 2):
+        for call in (lambda: ml_halve(c, n, prof),
+                     lambda: ml_enlarge(c, "e1", n, prof),
+                     lambda: ml_merge(c, c, enum, enum, n, prof),
+                     lambda: ml_unhalve(half, c, n, prof),
+                     lambda: ml_homogenize(c, n, prof, lambda nu: 0, 1),
+                     lambda: ml_norm_cmp(c, n, prof, 1)):
+            with pytest.raises(DomainMismatch, match="level mismatch"):
+                call()
+    # every creature a transform reads must sit at the level asked
+    upper = top_creature(prof, 2, {"e0", "a0"})
+    with pytest.raises(DomainMismatch, match="level mismatch"):
+        ml_merge(c, upper, enum, enum, 1, prof)
+    with pytest.raises(DomainMismatch, match="level mismatch"):
+        ml_unhalve(ml_halve(upper, 2, prof), c, 1, prof)
+    assert ml_successor_check(c, c, 0, prof) == (False, ["level mismatch"])
+    assert ml_successor_check(upper, c, 1, prof) == (False, ["level mismatch"])
+
+
 # homogenize
 
 

@@ -148,6 +148,27 @@ def test_toy_profile_hands_out_one_family_per_slot():
         prof.slot_param(2, 0)
 
 
+@pytest.mark.parametrize("lookup, args, message", [
+    ("star_param", (2,), "profile has no level 2"),
+    ("star_param", (-1,), "profile has no level -1"),
+    ("star_param", (True,), "profile has no level True"),
+    ("fmax", (2,), "profile has no level 2"),
+    ("slot_param", (2, 0), "profile has no level 2"),
+    ("slot_param", (False, 0), "profile has no level False"),
+    ("slot_param", (2, 9), "profile has no level 2"),  # the level is checked first
+    ("slot_param", (0, 2), "selector value 2 out of range at level 0"),
+    ("slot_param", (1, -1), "selector value -1 out of range at level 1"),
+    ("slot_param", (1, True), "selector value True out of range at level 1"),
+    ("slot_size", (1, 3), "selector value 3 out of range at level 1"),
+    ("slot_size", (3, 0), "profile has no level 3"),
+])
+def test_toy_profile_lookups_refuse_with_their_messages(lookup, args, message):
+    prof = make_toy_profile(TOY_SPEC)
+    with pytest.raises(UsageError) as info:
+        getattr(prof, lookup)(*args)
+    assert str(info.value) == message
+
+
 def test_toy_report_is_explicit_about_relaxations():
     prof = make_toy_profile(TOY_SPEC)
     by_item = {(e["level"], e["item"]): e for e in prof.report}
