@@ -7,7 +7,7 @@ infeasibility (the requested object cannot exist at the requested size).
 All outputs are deterministic; randomized generation is seeded and the
 seed is recorded in the output.
 
-Each process runs one command, so each handler (and each loader it calls)
+Each process runs one command, so each handler (and each loader it runs)
 imports the layers it uses: an `atomic` command never loads mlcore,
 conditions, params or tower, and an `ml` or `params` command never loads
 conditions.
@@ -57,24 +57,19 @@ def _load(path, decode):
         raise UsageError(f"malformed document {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_profile(args):
-    from .params import make_toy_profile
-
-    return _load(args.profile, make_toy_profile)
-
-
-def _load_creature(path):
+def _load_creature(path, profile):
+    """The creature read from path, unchecked against the profile: `ml check`
+    reads its --in this way, since there a creature outside the profile is
+    the verdict, not a usage error."""
     return _load(path, creature_from_json)
 
 
 def _load_member(path, profile):
     """The creature read from path, if the profile has it; else a UsageError
-    naming the file.  `ml check` loads its --in with _load_creature instead,
-    since there a creature outside the profile is the verdict, not a usage
-    error; its --against parent is loaded here."""
+    naming the file."""
     from .mlcore import ml_validate
 
-    c = _load_creature(path)
+    c = _load_creature(path, profile)
     try:
         ml_validate(c, profile)
     except DomainMismatch as exc:
@@ -302,11 +297,9 @@ def _creature_result(c, profile, extra=None):
     return out
 
 
-def _cmd_ml_check(args):
+def _cmd_ml_check(args, profile, c):
     from .mlcore import ml_successor_check, ml_validate
 
-    profile = _load_profile(args)
-    c = _load_creature(args.infile)
     ml_validate(c, profile)
     if args.against:
         parent = _load_member(args.against, profile)
@@ -316,11 +309,9 @@ def _cmd_ml_check(args):
     return 0, {"valid": True}
 
 
-def _cmd_ml_norm(args):
+def _cmd_ml_norm(args, profile, c):
     from .mlcore import ml_norm_cmp
 
-    profile = _load_profile(args)
-    c = _load_member(args.infile, profile)
     result = _creature_result(c, profile)
     if args.threshold is not None:
         t = parse_rational(args.threshold)
@@ -331,20 +322,16 @@ def _cmd_ml_norm(args):
     return 0, result
 
 
-def _cmd_ml_halve(args):
+def _cmd_ml_halve(args, profile, c):
     from .mlcore import ml_halve
 
-    profile = _load_profile(args)
-    c = _load_member(args.infile, profile)
     out = ml_halve(c, c.n, profile)
     return 0, _creature_result(out, profile)
 
 
-def _cmd_ml_merge(args):
+def _cmd_ml_merge(args, profile, c1):
     from .mlcore import ml_merge
 
-    profile = _load_profile(args)
-    c1 = _load_member(args.infile, profile)
     c2 = _load_member(args.infile2, profile)
     enum1 = args.enum.split(',') if args.enum else sorted(c1.u, key=str)
     enum2 = args.enum2.split(',') if args.enum2 else sorted(c2.u, key=str)
@@ -352,20 +339,15 @@ def _cmd_ml_merge(args):
     return 0, _creature_result(out, profile)
 
 
-def _cmd_ml_enlarge(args):
+def _cmd_ml_enlarge(args, profile, c):
     from .mlcore import ml_enlarge
 
-    profile = _load_profile(args)
-    c = _load_member(args.infile, profile)
     out = ml_enlarge(c, args.index, c.n, profile)
     return 0, _creature_result(out, profile, {"added": sorted(out.u - c.u, key=str)})
 
 
-def _cmd_ml_homogenize(args):
+def _cmd_ml_homogenize(args, profile, c):
     from .mlcore import ml_homogenize
-
-    profile = _load_profile(args)
-    c = _load_member(args.infile, profile)
 
     def G(nu):
         return _seeded_int(args.seed, nu.values) % args.range_size
@@ -383,51 +365,40 @@ def _cmd_ml_homogenize(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cond_poss(args):
+def _cmd_cond_poss(args, profile, p):
     from .conditions import cond_poss
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     n = args.n if args.n is not None else p.height
     branches = cond_poss(p, n, profile, method=args.method)
     return 0, {"n": n, "count": len(branches),
                "branches": [nu.to_json() for nu in branches]}
 
 
-def _cmd_cond_leq(args):
+def _cmd_cond_leq(args, profile, q):
     from .conditions import cond_leq
 
-    profile = _load_profile(args)
-    q = _load_fragment(args.infile, profile)
     p = _load_fragment(args.against, profile)
     ok, diag = cond_leq(q, p, profile)
     return (0 if ok else 1), {"extends": ok, "diagnostics": diag}
 
 
-def _cmd_cond_separate(args):
+def _cmd_cond_separate(args, profile, p):
     from .conditions import cond_separate_support
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     q = cond_separate_support(p, profile)
     return 0, {"fragment": q.to_json()}
 
 
-def _cmd_cond_rapid_read(args):
+def _cmd_cond_rapid_read(args, profile, p):
     from .conditions import rapid_read
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     r = _load_name(args.name, p, profile)
     q = rapid_read(p, args.M, r, profile)
     return 0, {"M": args.M, "fragment": q.to_json()}
 
 
-def _cmd_cond_halve_step(args):
+def _cmd_cond_halve_step(args, profile, p):
     from .conditions import halving_step
-
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
 
     if args.oracle == "never":
         oracle = lambda cand: None
@@ -441,22 +412,18 @@ def _cmd_cond_halve_step(args):
                "cases": [[kind, nu.to_json()] for kind, nu in case_log]}
 
 
-def _cmd_cond_cover(args):
+def _cmd_cond_cover(args, profile, p):
     from .conditions import cover_step
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     r = _load_name(args.name, p, profile)
     q_n, Y = cover_step(p, args.n, r, args.eps, profile)
     return 0, {"level": Y["level"], "indices": Y["indices"],
                "table": {json.dumps(list(k)): v for k, v in Y["table"].items()}}
 
 
-def _cmd_cond_evade(args):
+def _cmd_cond_evade(args, profile, p):
     from .conditions import evade_step
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     Y = _load_cover(args.cover, p)
     c = evade_step(p, args.n, Y, args.beta, profile)
     return 0, {"creature": creature_to_json(c)}
@@ -467,11 +434,9 @@ def _cmd_cond_evade(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_demo_generic_sample(args):
+def _cmd_demo_generic_sample(args, profile, p):
     from .conditions import cond_poss
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     branches = cond_poss(p, p.height, profile)
     rng = random.Random(args.seed)
     nu = branches[rng.randrange(len(branches))]
@@ -479,11 +444,9 @@ def _cmd_demo_generic_sample(args):
                "branch": nu.to_json()}
 
 
-def _cmd_demo_distinguish(args):
+def _cmd_demo_distinguish(args, profile, p):
     from .conditions import cond_poss
 
-    profile = _load_profile(args)
-    p = _load_fragment(args.infile, profile)
     i, j = args.i, args.j
     for idx in (i, j):
         if idx not in p.dom:
@@ -521,9 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (atomic write); default stdout")
         return p
 
-    def add_doc(parent, name, func, **kw):
-        """A command that reads a profile and a document."""
-        p = add(parent, name, func, **kw)
+    def add_doc(parent, name, func, load, **kw):
+        """A command that reads a profile and a document: func(args, profile,
+        doc) gets both, doc read from --in by load(path, profile)."""
+        def run(args):
+            from .params import make_toy_profile
+
+            profile = _load(args.profile, make_toy_profile)
+            return func(args, profile, load(args.infile, profile))
+
+        p = add(parent, name, run, **kw)
         p.add_argument("--profile", required=True)
         p.add_argument("--in", dest="infile", required=True)
         return p
@@ -574,21 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
     ml = sub.add_parser("ml", help="multi-level creature transforms")
     ml_sub = ml.add_subparsers(dest="ml_command", required=True)
 
-    p = add_doc(ml_sub, "check", _cmd_ml_check,
+    p = add_doc(ml_sub, "check", _cmd_ml_check, _load_creature,
                 help="validate a creature, optionally as a successor")
     p.add_argument("--against", help="candidate parent creature")
     p.add_argument("--enumerate", action="store_true",
                    help="also replay the enumerated successor condition")
-    p = add_doc(ml_sub, "norm", _cmd_ml_norm, help="report the exact norm input z")
+    p = add_doc(ml_sub, "norm", _cmd_ml_norm, _load_member, help="report the exact norm input z")
     p.add_argument("--threshold", help="exit 1 unless nor exceeds this rational")
-    add_doc(ml_sub, "halve", _cmd_ml_halve, help="apply the halving transform")
-    p = add_doc(ml_sub, "merge", _cmd_ml_merge, help="merge two same-type creatures")
+    add_doc(ml_sub, "halve", _cmd_ml_halve, _load_member, help="apply the halving transform")
+    p = add_doc(ml_sub, "merge", _cmd_ml_merge, _load_member, help="merge two same-type creatures")
     p.add_argument("--in2", dest="infile2", required=True)
     p.add_argument("--enum", help="comma list enumerating the first support")
     p.add_argument("--enum2", help="comma list enumerating the second support")
-    p = add_doc(ml_sub, "enlarge", _cmd_ml_enlarge, help="extend the support by one index")
+    p = add_doc(ml_sub, "enlarge", _cmd_ml_enlarge, _load_member,
+                help="extend the support by one index")
     p.add_argument("--index", required=True)
-    p = add_doc(ml_sub, "homogenize", _cmd_ml_homogenize,
+    p = add_doc(ml_sub, "homogenize", _cmd_ml_homogenize, _load_member,
                 help="shrink until a seeded labelling factors through the trunk")
     p.add_argument("--range", dest="range_size", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -596,28 +567,29 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("cond", help="finite fragment operations")
     co_sub = co.add_subparsers(dest="cond_command", required=True)
 
-    p = add_doc(co_sub, "poss", _cmd_cond_poss, help="enumerate branches up to a height")
+    p = add_doc(co_sub, "poss", _cmd_cond_poss, _load_fragment,
+                help="enumerate branches up to a height")
     p.add_argument("--n", type=int)
     p.add_argument("--method", default="inductive", choices=["inductive", "local"])
-    p = add_doc(co_sub, "leq", _cmd_cond_leq, help="check the extension relation")
+    p = add_doc(co_sub, "leq", _cmd_cond_leq, _load_fragment, help="check the extension relation")
     p.add_argument("--against", required=True, help="the weaker fragment")
-    add_doc(co_sub, "separate", _cmd_cond_separate,
+    add_doc(co_sub, "separate", _cmd_cond_separate, _load_fragment,
             help="make same-level selector creatures pairwise value-disjoint")
-    p = add_doc(co_sub, "rapid-read", _cmd_cond_rapid_read,
+    p = add_doc(co_sub, "rapid-read", _cmd_cond_rapid_read, _load_fragment,
                 help="shorten a name's decision modulus level by level")
     p.add_argument("--name", required=True)
     p.add_argument("--M", type=int, required=True)
-    p = add_doc(co_sub, "halve-step", _cmd_cond_halve_step,
+    p = add_doc(co_sub, "halve-step", _cmd_cond_halve_step, _load_fragment,
                 help="case split over base branches, halving undecided ones")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--floor", default="1")
     p.add_argument("--oracle", default="never", choices=["never", "accept"])
-    p = add_doc(co_sub, "cover", _cmd_cond_cover,
+    p = add_doc(co_sub, "cover", _cmd_cond_cover, _load_fragment,
                 help="tabulate the small per-branch value sets of a name")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--name", required=True)
-    p = add_doc(co_sub, "evade", _cmd_cond_evade,
+    p = add_doc(co_sub, "evade", _cmd_cond_evade, _load_fragment,
                 help="shrink one level so a fresh index avoids a cover table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cover", required=True)
@@ -625,10 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     de = sub.add_parser("demo", help="worked examples on fragments")
     de_sub = de.add_subparsers(dest="demo_command", required=True)
-    p = add_doc(de_sub, "generic-sample", _cmd_demo_generic_sample,
+    p = add_doc(de_sub, "generic-sample", _cmd_demo_generic_sample, _load_fragment,
                 help="print one seeded random branch of a fragment")
     p.add_argument("--seed", type=int, default=0)
-    p = add_doc(de_sub, "distinguish", _cmd_demo_distinguish,
+    p = add_doc(de_sub, "distinguish", _cmd_demo_distinguish, _load_fragment,
                 help="find a branch giving two indices different values")
     p.add_argument("--i", required=True)
     p.add_argument("--j", required=True)

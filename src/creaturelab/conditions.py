@@ -593,7 +593,10 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
     key_of = _block_key(block, tuple(sorted(p.supp(n + 1), key=str)), n)
     table = {}
     for nu in cond_poss(p, n + 1, profile):  # at modulus n + 1, nu is name_value's key
-        v = r.values[n][nu] if r.modulus[n] == n + 1 else name_value(r, n, nu, p, profile)
+        try:
+            v = r.values[n][nu] if r.modulus[n] == n + 1 else name_value(r, n, nu, p, profile)
+        except KeyError as exc:
+            raise DomainMismatch(f"the name table has no level-{n} value at {nu}") from exc
         table.setdefault(key_of(nu.vals), set()).add(v)
     g = profile.gmin(n)
     for key, vals in table.items():
@@ -615,6 +618,8 @@ def evade_step(p: FiniteCondition, n: int, Y: dict, beta, profile) -> MlCreature
     U = profile.universe
     if n not in p.levels or Y.get("level") != n:
         raise UsageError("Y must cover the requested level")
+    if not {"indices", "table"} <= Y.keys():
+        raise UsageError("Y must hold the cover's indices and table")
     block = Y["indices"]
     if beta in block:
         raise DependsOnBeta(f"the cover table reads {beta!r}'s slot")

@@ -59,6 +59,9 @@ class IndexUniverse:
             raise UsageError("eps_of must be total on the alpha part")
         if not set(self.eps_of.values()) <= self.mu_part:
             raise UsageError("eps_of must land in the mu part")
+        indices = self.mu_part | self.alpha_part
+        if len(set(map(str, indices))) != len(indices):
+            raise UsageError("indices must have distinct str forms: columns are sorted by str")
 
     def __contains__(self, i):
         return i in self.mu_part or i in self.alpha_part
@@ -257,7 +260,8 @@ def ml_validate(c: MlCreature, profile) -> None:
 def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     """c's one-level rows over cols: selector values vary slowest, then the
     slot columns in cols order, the last fastest.  A column outside c's
-    support takes its value from fill's (column, value) pairs."""
+    support takes its value from fill's (column, value) pairs.  More rows
+    than ENUM_CAP are refused before any is built."""
     U = profile.universe
     star = profile.star_param(c.n)
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
@@ -266,6 +270,14 @@ def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     slots = {i: {k: sorted(profile.slot_param(c.n, k).val(c.w_alpha[i, k]))
                  for k in picks[U.eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
     eps_of, rows = U.eps_of, []
+    # a selector value's rows: the product of its bound slots' value counts
+    width = {e: dict.fromkeys(ks, 1) for e, ks in picks.items()}
+    for i, by_k in slots.items():
+        for k, vals in by_k.items():
+            width[eps_of[i]][k] *= len(vals)
+    count = math.prod(sum(w.values()) for w in width.values())
+    if count > ENUM_CAP:
+        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
     for ks in itertools.product(*picks.values()):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
         rows += itertools.product(*[slots[i][pick[eps_of[i]]] if i in slots else (pick[i],)

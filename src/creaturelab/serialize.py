@@ -1,9 +1,10 @@
 """JSON input/output for the command line.
 
-Readers turn JSON documents into live objects (atomic parameters, creatures,
-fragments, name tables, profiles); the writer is atomic: it writes to a
-temporary file in the target directory and renames it into place, so a
-crashed run never leaves a partial output behind.
+Readers turn JSON documents into atomic parameters and level creatures only
+(fragments and name tables are read in `conditions`, profiles by
+`params.make_toy_profile`); the writer is atomic: it writes to a temporary
+file in the target directory and renames it into place, so a crashed run
+never leaves a partial output behind.
 """
 
 from __future__ import annotations

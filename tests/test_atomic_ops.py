@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creaturelab.atomic import (
+    ExplicitAtomicParameter,
     ReservoirFamily,
     SubsetLadderFamily,
     decisive_order,
@@ -98,6 +99,30 @@ def test_disjoint_successors_shapes():
     v1, v2 = disjoint_successors(p, (0, 1, 2, 3), (3,), 1)
     assert p.val(v1).isdisjoint(p.val(v2))
     assert v2 == (3,)
+
+
+def test_disjoint_successors_falls_back_to_the_probe_and_re_shrinks_it():
+    # W1 = {0, 1, 2} and W2 = {2}, x = 2.  The probe (the one successor of
+    # two points above nor(W1) - 1) is P = {1, 2}; the best successor inside
+    # the points outside W2 is S1 = {1}, too weak, so v1 falls back to P.
+    # P still shares 2 and W2 has nothing outside it, so P is shrunk around
+    # 2 to S1, which keeps nor(W1) - x.
+    q = lr_from_rational
+    vals = {"W1": {0, 1, 2}, "P": {1, 2}, "A": {0, 1}, "S0": {0}, "S1": {1}, "W2": {2}}
+    nors = {"W1": q(4), "P": q(Fraction(7, 2)), "A": q(2), "S0": q(1),
+            "S1": q(Fraction(5, 2)), "W2": q(4)}
+    succs = {"W1": set(vals) - {"W2"}, "P": {"P", "S1"}, "A": {"A", "S0", "S1"},
+             "S0": {"S0"}, "S1": {"S1"}, "W2": {"W2"}}
+    calls = []
+
+    class Spy(ExplicitAtomicParameter):
+        def best_successor_within(self, w, allowed):
+            calls.append((w, set(allowed)))
+            return super().best_successor_within(w, allowed)
+
+    p = Spy("fallbacks", {0, 1, 2}, vals, nors, succs)
+    assert disjoint_successors(p, "W1", "W2", 2) == ("S1", "W2")
+    assert calls == [("W1", {0, 1}), ("W2", {2}), ("P", {1})]
 
 
 def test_disjoint_successors_refuses_impossible_budgets():

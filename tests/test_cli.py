@@ -129,6 +129,17 @@ def test_params_level_zero(files):
                for e in doc["report"])
 
 
+def test_params_level_one_validates_against_the_row_below(files):
+    # without a given previous row, params_validate builds level 0 itself
+    write, tmp = files
+    out = tmp / "row1.json"
+    assert run(["params", "--level", "1"], out) == 0
+    doc = read_json(out)
+    assert doc["row"]["n"] == 1
+    assert all(e["verdict"] in ("holds", "constructor-dependent")
+               for e in doc["report"])
+
+
 def test_params_cache_roundtrip(files):
     # no row cache any more: two reruns recompute the same bytes
     write, tmp = files
@@ -157,6 +168,15 @@ def test_atomic_verify_axioms_and_exit_codes(files):
     assert not cert.verdict and cert.counterexample is not None
     assert replay_certificate(atomic_param_from_json({"kind": "subset-log",
                                                       "base_size": 8}), cert)
+
+
+def test_atomic_verify_reads_a_two_point_document(files):
+    write, tmp = files
+    doc = write("two.json", {"kind": "two-point", "m_max": "1/2"})
+    out = tmp / "two_axioms.json"
+    assert run(["atomic", "verify", "--in", doc, "--property", "axioms"], out) == 0
+    cert = read_json(out)["certificate"]
+    assert cert["kind"] == "valid" and cert["verdict"] is True
 
 
 def test_atomic_verify_usage_errors(files):
@@ -456,6 +476,15 @@ def test_ml_check_norm_halve(wide_files):
                 "--against", cre], tmp / "s.json") == 0
 
 
+def test_ml_norm_without_a_threshold_reports_z_only(wide_files):
+    write, tmp, prof, frag, cre = wide_files
+    out = tmp / "z.json"
+    assert run(["ml", "norm", "--profile", prof, "--in", cre], out) == 0
+    doc = read_json(out)
+    assert set(doc) == {"creature", "z_approx"}
+    assert doc["creature"] == read_json(cre)
+
+
 def test_ml_check_reports_an_ill_typed_star_id_as_a_verdict(wide_files, capsys):
     write, tmp, prof, frag, cre = wide_files
     doc = read_json(cre)
@@ -587,6 +616,23 @@ def test_cond_separate_halve_cover_evade(files):
                 "--n", "1", "--cover", str(cover), "--beta", "a0"]) == 1
 
 
+def test_cond_halve_step_with_an_accepting_oracle_decides_every_branch(files):
+    # the oracle returns each candidate itself, so every trunk branch is
+    # decided and the fragment comes back unchanged
+    write, tmp = files
+    prof = write("wide_profile.json",
+                 {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]})
+    wp = wide_profile()
+    p = wide_fragment(wp)
+    frag = write("wide_frag.json", p.to_json())
+    out = tmp / "hs_accept.json"
+    assert run(["cond", "halve-step", "--profile", prof, "--in", frag,
+                "--M", "1", "--oracle", "accept"], out) == 0
+    doc = read_json(out)
+    assert doc["fragment"] == read_json(frag)
+    assert doc["cases"] == [["dec", nu.to_json()] for nu in cond_poss(p, 1, wp)]
+
+
 def _broken_fragments(doc):
     """The wide fragment with trunk cell (0, "a0") removed, and with e0's
     star id replaced by one no ladder creature has."""
@@ -621,6 +667,22 @@ def test_cond_commands_refuse_fragments_outside_the_profile(files, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and paths["{bad}"] in err
     assert "holds no fragment of the profile" in err
+
+
+def test_a_universe_whose_indices_share_a_str_is_refused(files, capsys):
+    # 1 and "1" would tie in the str column order
+    write, tmp = files
+    lvl = {"kstar": 2, "slot_sizes": 2, "height": 4,
+           "maxposs": 8, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    prof = write("tie_profile.json", {"universe": {"mu": [1, "1"], "alpha": [], "eps_of": {}},
+                                      "levels": [lvl, lvl]})
+    frag = write("tie_frag.json", {
+        "trnklg": 1, "height": 2, "trunk": [[0, 1, 0], [0, "1", 1]],
+        "creatures": {"1": {"u": [1, "1"], "w_eps": [[1, [0, 1]], ["1", [0]]],
+                            "w_alpha": [], "d": {"q": "0"}}}})
+    assert run(["cond", "poss", "--profile", prof, "--in", frag]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: indices must have distinct str forms: columns are sorted by str\n")
 
 
 def test_cond_modulus_too_deep_is_exit_three(chain_files):
@@ -661,6 +723,22 @@ def test_demo_distinguish(files):
     assert doc["value_i"] != doc["value_j"]
     assert run(["demo", "distinguish", "--profile", prof, "--in", frag,
                 "--i", "e0", "--j", "missing"]) == 2
+
+
+def test_demo_distinguish_fails_when_every_branch_agrees(files, capsys):
+    # e0 and e1 both keep only the value 0, at the trunk and at level 1
+    write, tmp = files
+    prof = write("wide_profile.json",
+                 {"universe": WIDE_UNI, "levels": [WIDE_LVL, WIDE_LVL]})
+    frag = write("same_frag.json", {
+        "trnklg": 1, "height": 2, "trunk": [[0, "e0", 0], [0, "e1", 0]],
+        "creatures": {"1": {"u": ["e0", "e1"], "w_eps": [["e0", [0]], ["e1", [0]]],
+                            "w_alpha": [], "d": {"q": "0"}}}})
+    assert run(["demo", "distinguish", "--profile", prof, "--in", frag,
+                "--i", "e0", "--j", "e1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "i": "e0", "j": "e1",
+        "failure": "every branch agrees on the two indices at every level"}
 
 
 # malformed documents of every kind: exit 2 with the file named

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creaturelab import conditions
+from creaturelab import conditions, mlcore
 from creaturelab.atomic import SubsetLadderFamily
 from creaturelab.conditions import (
     FiniteCondition,
@@ -40,8 +40,18 @@ from creaturelab.errors import (
     OracleInconsistent,
     UsageError,
 )
-from creaturelab.mlcore import MlCreature, Possibility, _level_rows, ml_norm_cmp, ml_val
+from creaturelab.mlcore import (
+    MlCreature,
+    Possibility,
+    _level_rows,
+    ml_homogenize,
+    ml_norm_cmp,
+    ml_successor_check,
+    ml_val,
+)
 from creaturelab.params import make_toy_profile
+
+from test_mlcore import top_creature
 
 # chain profile: one selector index, growing selector ranges, used for the
 # poss calculus and rapid reading
@@ -707,6 +717,60 @@ def test_poss_with_a_rowless_level_is_empty(monkeypatch):
     rows = conditions._level_rows
     monkeypatch.setattr(conditions, "_level_rows", lambda c, *args: [] if c.n == 2 else rows(c, *args))
     assert cond_poss(grow_fragment(), 4, prof) == []
+
+
+def test_cover_step_refuses_a_name_table_without_a_branch_value():
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    r = seeded_name(p, prof, [1], 4)
+    del r.values[1][cond_poss(p, 2, prof)[0]]
+    with pytest.raises(DomainMismatch, match="no level-1 value at"):
+        cover_step(p, 1, r, "e0", prof)
+    # the same through name_value, for a value decided below height 2
+    r = NameTable({1: 1}, {1: {}}, {1: 4})
+    with pytest.raises(DomainMismatch, match="no level-1 value at"):
+        cover_step(p, 1, r, "e0", prof)
+
+
+@pytest.mark.parametrize("field", ["indices", "table"])
+def test_evade_step_refuses_a_cover_without_its_fields(field):
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    Y = {"level": 1, "indices": ["e0", "a0"], "table": {}}
+    del Y[field]
+    with pytest.raises(UsageError, match="indices and table"):
+        evade_step(p, 1, Y, "a1", prof)
+
+
+def _level_row_walks():
+    """(creature, call) for each entry point that walks one level's rows: the
+    separated wide fragment's level 1, and a level-0 creature, whose single
+    trunk keeps the trunk enumeration under any cap."""
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    c = top_creature(prof, 0, p.creatures[1].u)
+    eta = cond_poss(p, 0, prof)[0].restrict_indices(c.u)
+    Y = {"level": 1, "indices": ["e0", "a0"], "table": {}}
+    return prof, {
+        "cond_poss": (p.creatures[1], lambda: cond_poss(p, 2, prof)),
+        "evade_step": (p.creatures[1], lambda: evade_step(p, 1, Y, "a1", prof)),
+        "ml_val": (c, lambda: ml_val(c, eta, prof)),
+        "ml_successor_check": (c, lambda: ml_successor_check(c, c, 0, prof, enumerate_axiom=True)),
+        "ml_homogenize": (c, lambda: ml_homogenize(c, 0, prof, lambda nu: 0, 1)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["cond_poss", "evade_step", "ml_val",
+                                   "ml_successor_check", "ml_homogenize"])
+def test_level_rows_over_the_cap_are_refused(monkeypatch, entry):
+    prof, walks = _level_row_walks()
+    c, call = walks[entry]
+    count = len(_level_rows(c, tuple(sorted(c.u, key=str)), prof))
+    monkeypatch.setattr(mlcore, "ENUM_CAP", count)
+    call()
+    monkeypatch.setattr(mlcore, "ENUM_CAP", count - 1)
+    with pytest.raises(CapacityExceeded, match=f"^{count} level-{c.n} rows exceed"):
+        call()
 
 
 def test_evade_step_empty_table_is_identity():

@@ -84,6 +84,17 @@ def test_universe_shape_errors():
         IndexUniverse(["e0"], ["a0"], {"a0": "a0"})
 
 
+def test_universe_refuses_indices_that_share_a_str():
+    # columns are sorted by str, so a tie would leave their order to set
+    # iteration, which for strings varies with PYTHONHASHSEED
+    with pytest.raises(UsageError, match="distinct str"):
+        IndexUniverse([1, "1"], [], {})
+    with pytest.raises(UsageError, match="distinct str"):
+        make_toy_profile({"universe": {"mu": [1], "alpha": ["1"], "eps_of": {"1": 1}},
+                          "levels": [{"kstar": 2, "slot_sizes": 2, "height": 4, "maxposs": 2,
+                                      "maxsupp": 16, "gmin": 32, "bmin": 8}]})
+
+
 # possibilities
 
 
