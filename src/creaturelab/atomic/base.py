@@ -217,41 +217,3 @@ class ExplicitAtomicParameter(AtomicParameter):
             },
         }
         return json.dumps(body, sort_keys=True)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """Creatures as a list in ids() order, successors by list index, so
-        a round trip keeps the order that top() and the scans follow."""
-        ids = self.ids()
-        index = {w: i for i, w in enumerate(ids)}
-        return {
-            "name": self.name,
-            "base": sorted(self._base),
-            "creatures": [
-                {
-                    "id": id_to_json(w),
-                    "val": sorted(self._vals[w]),
-                    "nor": self._nors[w].to_json(),
-                    "succ": sorted(index[v] for v in self._succs[w]),
-                }
-                for w in ids
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "ExplicitAtomicParameter":
-        raw = obj["creatures"]
-        ids = [id_from_json(c["id"]) for c in raw]
-        vals = {w: frozenset(c["val"]) for w, c in zip(ids, raw)}
-        nors = {w: LogReal.from_json(c["nor"]) for w, c in zip(ids, raw)}
-        succs = {w: frozenset(ids[i] for i in c["succ"]) for w, c in zip(ids, raw)}
-        return ExplicitAtomicParameter(obj.get("name", "atomic"), obj["base"], vals, nors, succs)
-
-    def mutated(self, **changes) -> "ExplicitAtomicParameter":
-        """Copy with creature tables replaced; for violation-injection tests."""
-        vals = changes.get("vals", self._vals)
-        nors = changes.get("nors", self._nors)
-        succs = changes.get("succs", self._succs)
-        return ExplicitAtomicParameter(self.name + "*", self._base, vals, nors, succs)
-

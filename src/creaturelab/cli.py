@@ -94,7 +94,7 @@ def _load_name(path, p, profile):
     """The name table read from path, checked against the fragment p: its
     levels, decision heights, bounds and values are ints, and name_validate
     accepts it; anything else is a UsageError naming the file.  A decision
-    height past the fragment is ModulusTooDeep (exit 3), as rapid_read has it."""
+    height past the fragment stays name_validate's ModulusTooDeep (exit 3)."""
     from .conditions import NameTable, name_validate
 
     def decode(doc):
@@ -106,9 +106,6 @@ def _load_name(path, p, profile):
         return r
 
     r = _load(path, decode)
-    for n, h in r.modulus.items():
-        if h > p.height:
-            raise ModulusTooDeep(f"h({n}) = {h} exceeds the fragment height")
     try:
         name_validate(r, p, profile)
     except DomainMismatch as exc:
@@ -136,6 +133,14 @@ def _parse_id(text):
         return id_from_json(json.loads(text))
     except json.JSONDecodeError:
         return text
+
+
+def _index(profile, text):
+    """The universe index whose str is text, so an int index can be named
+    (the universe keeps str forms distinct); text that names no index
+    passes through to the command's own refusal."""
+    U = profile.universe
+    return next((i for i in U.mu_part | U.alpha_part if str(i) == text), text)
 
 
 def _creature_of(p, w, path):
@@ -193,12 +198,10 @@ def _cmd_atomic_verify(args):
                 raise UsageError("--K and --m are required for the decisiveness check")
             cert = atomic.check_decisive(p, w, args.K, args.m,
                                          parse_rational(args.x), mode=args.mode)
-        elif prop == "nice":
+        else:  # "nice", the last of --property's choices
             if args.M is None:
                 raise UsageError("--M is required for the niceness check")
             cert = atomic.check_nice(p, args.M, parse_rational(args.m_max))
-        else:
-            raise UsageError(f"unknown property: {prop!r}")
     return (0 if cert.verdict else 1), {"certificate": cert.to_json()}
 
 
@@ -342,7 +345,7 @@ def _cmd_ml_merge(args, profile, c1):
 def _cmd_ml_enlarge(args, profile, c):
     from .mlcore import ml_enlarge
 
-    out = ml_enlarge(c, args.index, c.n, profile)
+    out = ml_enlarge(c, _index(profile, args.index), c.n, profile)
     return 0, _creature_result(out, profile, {"added": sorted(out.u - c.u, key=str)})
 
 
@@ -400,12 +403,7 @@ def _cmd_cond_rapid_read(args, profile, p):
 def _cmd_cond_halve_step(args, profile, p):
     from .conditions import halving_step
 
-    if args.oracle == "never":
-        oracle = lambda cand: None
-    elif args.oracle == "accept":
-        oracle = lambda cand: cand
-    else:
-        raise UsageError(f"unknown oracle policy: {args.oracle!r}")
+    oracle = {"never": lambda cand: None, "accept": lambda cand: cand}[args.oracle]
     q, case_log = halving_step(p, args.M, parse_rational(args.floor),
                                oracle, profile)
     return 0, {"fragment": q.to_json(),
@@ -416,7 +414,7 @@ def _cmd_cond_cover(args, profile, p):
     from .conditions import cover_step
 
     r = _load_name(args.name, p, profile)
-    q_n, Y = cover_step(p, args.n, r, args.eps, profile)
+    q_n, Y = cover_step(p, args.n, r, _index(profile, args.eps), profile)
     return 0, {"level": Y["level"], "indices": Y["indices"],
                "table": {json.dumps(list(k)): v for k, v in Y["table"].items()}}
 
@@ -425,7 +423,7 @@ def _cmd_cond_evade(args, profile, p):
     from .conditions import evade_step
 
     Y = _load_cover(args.cover, p)
-    c = evade_step(p, args.n, Y, args.beta, profile)
+    c = evade_step(p, args.n, Y, _index(profile, args.beta), profile)
     return 0, {"creature": creature_to_json(c)}
 
 
@@ -447,7 +445,7 @@ def _cmd_demo_generic_sample(args, profile, p):
 def _cmd_demo_distinguish(args, profile, p):
     from .conditions import cond_poss
 
-    i, j = args.i, args.j
+    i, j = _index(profile, args.i), _index(profile, args.j)
     for idx in (i, j):
         if idx not in p.dom:
             raise UsageError(f"index {idx!r} is not in the fragment's domain")

@@ -49,7 +49,6 @@ from .mlcore import (
     _prune_orphan_slots,
     ml_halve,
     ml_homogenize,
-    ml_nor_z,
     ml_norm_cmp,
     ml_successor_check,
     ml_validate,
@@ -107,12 +106,6 @@ class FiniteCondition(Record):
             if i in self.creatures[n].u:
                 return n
         raise DomainMismatch(f"{i!r} is not in the fragment's domain")
-
-    def trunk_possibility(self) -> Possibility:
-        """The trunk as a height-trnklg possibility over the base support."""
-        u = self.supp(self.trnklg)
-        cells = {(m, i): self.trunk[(m, i)] for i in u for m in range(self.trnklg)}
-        return Possibility.make(self.trnklg, u, cells)
 
     def to_json(self):
         return {
@@ -217,7 +210,7 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
                 raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
-    return [tuple.__new__(Possibility, (n, cols, v)) for v in vals]
+    return [Possibility((n, cols, v)) for v in vals]
 
 
 def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
@@ -413,6 +406,11 @@ class NameTable(Record):
 
 
 def name_validate(r: NameTable, p: FiniteCondition, profile) -> None:
+    """Raise on a table that is no name over p; silent when r is one.  A
+    decision height past the fragment is ModulusTooDeep, checked first."""
+    for n, h in r.modulus.items():
+        if h > p.height:
+            raise ModulusTooDeep(f"h({n}) = {h} exceeds the fragment height")
     if not set(r.modulus) == set(r.values) == set(r.bound):
         raise DomainMismatch("modulus, values and bound must share their levels")
     hs = [r.modulus[n] for n in r.levels()]
@@ -486,9 +484,6 @@ def rapid_read(p: FiniteCondition, M: int, r: NameTable, profile) -> FiniteCondi
     levels <= n are decided by the height-n possibility."""
     if not p.trnklg <= M < p.height:
         raise UsageError("cut M outside the fragment")
-    for n in r.levels():
-        if r.modulus[n] > p.height:
-            raise ModulusTooDeep(f"h({n}) = {r.modulus[n]} exceeds the fragment height")
     name_validate(r, p, profile)
     q = p
     for n in sorted(r.levels(), reverse=True):

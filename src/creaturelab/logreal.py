@@ -161,17 +161,9 @@ class LogReal(Frozen):
         other = lr(other)
         return LogReal(self.q + other.q, _merge_logs(self.logs, other.logs, 1))
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.q, tuple((p, -c) for p, c in self.logs))
-
     def __sub__(self, other: "LogReal") -> "LogReal":
         other = lr(other)
         return LogReal(self.q - other.q, _merge_logs(self.logs, other.logs, -1))
-
-    def __rsub__(self, other) -> "LogReal":
-        return lr(other) - self
 
     def scale(self, r) -> "LogReal":
         """Multiply by a rational scalar."""
@@ -180,18 +172,10 @@ class LogReal(Frozen):
             return lr_zero()
         return LogReal(self.q * r, tuple((p, c * r) for p, c in self.logs))
 
-    def __mul__(self, r) -> "LogReal":
-        return self.scale(r)
-
-    __rmul__ = __mul__
-
     # -- predicates ---------------------------------------------------------
 
     def is_rational(self) -> bool:
         return not self.logs
-
-    def is_zero(self) -> bool:
-        return self.q == 0 and not self.logs
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or 1."""

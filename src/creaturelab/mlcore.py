@@ -82,17 +82,13 @@ class IndexUniverse:
 class Possibility(tuple):
     """Trunk of height n: a value for every cell (m < n, i in u).  cols is u
     sorted by str, and cell (m, cols[j]) holds vals[m * len(cols) + j].  A
-    possibility is the tuple (n, cols, vals), so construction, == and hash
-    are the tuple's; u is derived from cols.  Only make and from_json check
-    their input; derived possibilities share cols with their source."""
+    possibility is the tuple (n, cols, vals), built as
+    Possibility((n, cols, vals)); construction, ==, hash, pickling and
+    copying are the tuple's, and u is derived from cols.  Only make and
+    from_json check their input; derived possibilities share cols with
+    their source."""
 
     __slots__ = ()
-
-    def __new__(cls, n: int, u: frozenset, cols: tuple, vals: tuple):
-        return tuple.__new__(cls, (n, cols, vals))
-
-    def __getnewargs__(self):
-        return self.n, self.u, self.cols, self.vals
 
     n = property(itemgetter(0))
     cols = property(itemgetter(1))
@@ -111,7 +107,7 @@ class Possibility(tuple):
         cols = tuple(sorted(u, key=str))
         if assignment.keys() != {(m, i) for m in range(n) for i in cols}:
             raise DomainMismatch("assignment must cover exactly n x u")
-        return Possibility(n, u, cols, tuple(assignment[(m, i)] for m in range(n) for i in cols))
+        return Possibility((n, cols, tuple(assignment[(m, i)] for m in range(n) for i in cols)))
 
     @property
     def values(self) -> tuple:
@@ -133,13 +129,13 @@ class Possibility(tuple):
         n, cols, vals = self
         if level.keys() != self.u:
             raise DomainMismatch("extension must cover exactly u")
-        return tuple.__new__(Possibility, (n + 1, cols, vals + tuple(map(level.__getitem__, cols))))
+        return Possibility((n + 1, cols, vals + tuple(map(level.__getitem__, cols))))
 
     def restrict_height(self, m) -> "Possibility":
         n, cols, vals = self
         if not 0 <= m <= n:
             raise DomainMismatch(f"cannot restrict height {n} to {m}")
-        return tuple.__new__(Possibility, (m, cols, vals[: m * len(cols)]))
+        return Possibility((m, cols, vals[: m * len(cols)]))
 
     def restrict_indices(self, u2) -> "Possibility":
         n, cols, vals = self
@@ -149,7 +145,7 @@ class Possibility(tuple):
         if not u2 <= u:
             raise DomainMismatch("can only restrict to a subset of u")
         keep = [j for j, i in enumerate(cols) if i in u2]
-        return tuple.__new__(Possibility, (n, tuple(cols[j] for j in keep), tuple(
+        return Possibility((n, tuple(cols[j] for j in keep), tuple(
             vals[m * len(cols) + j] for m in range(n) for j in keep)))
 
     def to_json(self):
@@ -186,7 +182,7 @@ def poss_enumerate(n, u, profile) -> list:
     """All trunks of height n over u, smallest-cell-first product order."""
     u = frozenset(u)
     cols, sizes = _trunk_space(n, u, profile)
-    return [tuple.__new__(Possibility, (n, cols, vals))
+    return [Possibility((n, cols, vals))
             for vals in itertools.product(*map(range, sizes))]
 
 
@@ -293,7 +289,7 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
         raise DomainMismatch("trunk height or domain does not fit the creature")
     eta = eta.restrict_indices(c.u)
     n, cols, vals = eta
-    return [tuple.__new__(Possibility, (n + 1, cols, vals + row))
+    return [Possibility((n + 1, cols, vals + row))
             for row in _level_rows(c, cols, profile)]
 
 
@@ -405,7 +401,7 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
                 rows_c = _level_rows(c, tuple(cols[j] for j in keep), profile)
                 allowed = set(map(itemgetter(*range(len(keep))), rows_c))
                 if not set(map(itemgetter(*keep), _level_rows(d, cols, profile))) <= allowed:
-                    first = Possibility(n, d.u, cols, (0,) * len(sizes))
+                    first = Possibility((n, cols, (0,) * len(sizes)))
                     diagnostics.append(f"restriction axiom fails at {first}")
     return not diagnostics, diagnostics
 
@@ -640,7 +636,7 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     rows = _level_rows(out, tuple(sorted(c.u, key=str)), profile)
     g_prime = {}
     for eta in etas:
-        values = {G(tuple.__new__(Possibility, (n + 1, eta.cols, eta.vals + row))) for row in rows}
+        values = {G(Possibility((n + 1, eta.cols, eta.vals + row))) for row in rows}
         if len(values) != 1:
             raise NotNice(f"homogenization replay failed at {eta}")
         g_prime[eta] = values.pop()

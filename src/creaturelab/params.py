@@ -17,8 +17,6 @@ capacities from the profile explicitly and fail loudly.
 
 from __future__ import annotations
 
-import json
-
 from .atomic import plateau_family
 from .atomic.base import LADDER_LIMIT
 from .atomic.niceness import make_nice
@@ -56,16 +54,6 @@ class ParamRow(Record):
             "f_list": [v.to_json() for v in self.f_list],
             "g_list": [v.to_json() for v in self.g_list],
         }
-
-    @staticmethod
-    def from_json(obj) -> "ParamRow":
-        return ParamRow(
-            obj["n"],
-            {k: TowerNat.from_json(v) for k, v in obj["fields"].items()},
-            dict(obj["provenance"]),
-            [TowerNat.from_json(v) for v in obj["f_list"]],
-            [TowerNat.from_json(v) for v in obj["g_list"]],
-        )
 
 
 def _minimal_above(*bounds):
@@ -300,27 +288,6 @@ class ToyProfile:
         if type(k) is not int or not 0 <= k < self._levels[n].kstar:
             raise UsageError(f"selector value {k!r} out of range at level {n}")
         return self._slots[n][k]
-
-    def describe(self):
-        return json.dumps(
-            {
-                "levels": [
-                    {
-                        "kstar": r.kstar,
-                        "slots": r.slot_sizes,
-                        "height": str(r.height),
-                        "maxposs": r.maxposs,
-                        "maxsupp": r.maxsupp,
-                        "gmin": r.gmin,
-                        "bmin": r.bmin,
-                    }
-                    for r in self._levels
-                ],
-                "mu": sorted(self.universe.mu_part, key=str),
-                "alpha": sorted(self.universe.alpha_part, key=str),
-            },
-            sort_keys=True,
-        )
 
 
 _RELAX_CONSUMERS = {

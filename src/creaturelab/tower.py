@@ -65,15 +65,6 @@ class TowerNat(Frozen):
     def __hash__(self):
         return hash((self.op, self.args, self.n, self.name))
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
     # -- exact evaluation -----------------------------------------------------
 
     def bits_upper(self):
@@ -192,22 +183,6 @@ class TowerNat(Frozen):
         if self.op == "ref":
             return {"ref": self.name}
         return {"op": self.op, "args": [a.to_json() for a in self.args]}
-
-    @staticmethod
-    def from_json(obj, env: Optional[dict] = None) -> "TowerNat":
-        if isinstance(obj, int):
-            return lit(obj)
-        if not isinstance(obj, dict):
-            raise UsageError(f"not a TowerNat payload: {obj!r}")
-        if "lit" in obj:
-            return lit(int(obj["lit"]))
-        if "ref" in obj:
-            return TowerNat("ref", name=obj["ref"], env=env)
-        args = tuple(TowerNat.from_json(a, env) for a in obj["args"])
-        op = obj["op"]
-        if op not in ("add", "mul", "pow"):
-            raise UsageError(f"unknown op {op!r}")
-        return TowerNat(op, args)
 
     def __repr__(self) -> str:
         if self.op == "lit":

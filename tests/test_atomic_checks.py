@@ -129,7 +129,8 @@ def test_validate_catches_injected_violations():
     # creature, whose norm bump would be invisible, is the last id and
     # falls outside the slice
     for change in mutations[:20]:
-        cert = validate_atomic(p0.mutated(**change))
+        tables = {"vals": vals, "nors": nors, "succs": succs, **change}
+        cert = validate_atomic(ExplicitAtomicParameter("toy*", base.base(), **tables))
         assert not cert.verdict, change
 
 
@@ -662,33 +663,6 @@ def test_halving_pair_base_size_is_bounded():
         HalvingPairFamily(17)
     with pytest.raises(UsageError):
         HalvingPairFamily(0)
-
-
-def test_explicit_table_roundtrips_nested_ids():
-    import json
-
-    from creaturelab.atomic.base import ExplicitAtomicParameter
-
-    p = _explicit_table(HalvingPairFamily(2))
-    doc = p.to_json()
-    again = ExplicitAtomicParameter.from_json(json.loads(json.dumps(doc)))
-    assert again.to_json() == doc
-    assert again.param_hash() == p.param_hash()
-    assert again.max_norm() == p.max_norm()
-
-
-def test_explicit_table_roundtrip_keeps_the_id_order():
-    import json
-
-    from creaturelab.atomic.base import ExplicitAtomicParameter
-
-    for fam in (HalvingPairFamily(2), subset_log_family(4)):
-        p = _explicit_table(fam)
-        # sort_keys as the command line writes documents
-        again = ExplicitAtomicParameter.from_json(json.loads(json.dumps(p.to_json(), sort_keys=True)))
-        assert again.ids() == p.ids()
-        assert again.top() == p.top()
-    assert _explicit_table(HalvingPairFamily(2)).top() == ((0,), 0)
 
 
 def test_hereditary_memo_dies_with_its_parameter():

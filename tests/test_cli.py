@@ -1061,6 +1061,36 @@ def test_profile_numbers_are_typed_and_bounded(tmp_path, level, field, value, co
     assert out.returncode == code and out.stderr.startswith(prefix), out.stderr[-300:]
 
 
+def _int_named(doc):
+    """doc with the mu indices e0 and e1 renamed to the ints 0 and 1."""
+    if isinstance(doc, dict):
+        return {k: _int_named(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_int_named(x) for x in doc]
+    return {"e0": 0, "e1": 1}.get(doc, doc) if isinstance(doc, str) else doc
+
+
+def _int_inputs(write):
+    """The pinned commands' documents with e0 and e1 renamed to 0 and 1."""
+    return {key: write(name, _int_named(doc)) for key, (name, doc) in _pin_docs().items()}
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("demo distinguish --profile {wide_profile} --in {wide} --i 0 --j 1", 0, ""),
+    ("ml enlarge --profile {ml_profile} --in {small} --index 1", 0, ""),
+    ("cond cover --profile {wide_profile} --in {sep} --n 1 --eps 0 --name {wide_name}", 0, ""),
+    # text that names no index reaches the command unchanged
+    ("demo distinguish --profile {wide_profile} --in {wide} --i 0 --j e1", 2,
+     "index 'e1' is not in the fragment's domain"),
+])
+def test_an_option_names_an_int_index_by_its_str(files, capsys, command, code, err):
+    """Each index option resolves through the universe, so an int index is
+    named by its str."""
+    inputs = _int_inputs(files[0])
+    assert run([inputs.get(a, a) for a in command.split()]) == code
+    assert err in capsys.readouterr().err
+
+
 def test_a_name_table_past_the_fragment_stays_modulus_too_deep(tmp_path):
     """The cover loader checks decision heights before the table's keys."""
     code, err = _run_mutated(tmp_path, _COVER, "{wide_name}", ("modulus", 0, 1), 9)

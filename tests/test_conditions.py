@@ -99,6 +99,12 @@ def chain_fragment(prof):
     )
 
 
+def trunk_possibility(p):
+    """p's trunk as a height-trnklg possibility over the base support."""
+    u = p.supp(p.trnklg)
+    return Possibility.make(p.trnklg, u, {(m, i): p.trunk[m, i] for i in u for m in range(p.trnklg)})
+
+
 def wide_fragment(prof):
     u = frozenset({"e0", "e1", "a0", "a1"})
     star = prof.star_param(1)
@@ -219,7 +225,7 @@ def test_poss_counts_and_base_case():
     p = chain_fragment(prof)
     assert [len(cond_poss(p, n, prof)) for n in (1, 2, 3)] == [1, 2, 32]
     base = cond_poss(p, 1, prof)
-    assert base == [p.trunk_possibility()]
+    assert base == [trunk_possibility(p)]
     assert len(cond_poss(p, 0, prof)) == 1  # below the cut: trunk restriction
 
 
@@ -287,7 +293,7 @@ def test_leq_reflexive_and_conjunction():
 def test_conjunction_at_the_cut_is_identity_shaped():
     prof = chain_profile()
     p = chain_fragment(prof)
-    q = cond_and(p, p.trunk_possibility(), 1, p.supp(1), prof)
+    q = cond_and(p, trunk_possibility(p), 1, p.supp(1), prof)
     assert q.trunk == p.trunk and q.trnklg == p.trnklg
 
 
@@ -465,6 +471,15 @@ def test_rapid_read_modulus_too_deep():
     r = NameTable({3: 4}, {3: {}}, {3: 2})
     with pytest.raises((ModulusTooDeep, DomainMismatch)):
         rapid_read(p, 1, r, prof)
+
+
+def test_name_validate_refuses_a_decision_height_past_the_fragment():
+    # checked before the table's keys, which would ask cond_poss for a
+    # height outside the fragment
+    prof = wide_profile()
+    p = wide_fragment(prof)
+    with pytest.raises(ModulusTooDeep, match=r"h\(1\) = 3 exceeds the fragment height"):
+        name_validate(NameTable({1: 3}, {1: {}}, {1: 2}), p, prof)
 
 
 # halving step
@@ -822,8 +837,8 @@ def _ref_poss(p, n, prof):
     then grows to the next level's support, the new cells read from the
     trunk."""
     if n <= p.trnklg:
-        return [p.trunk_possibility().restrict_height(n)]
-    out = [p.trunk_possibility()]
+        return [trunk_possibility(p).restrict_height(n)]
+    out = [trunk_possibility(p)]
     for m in range(p.trnklg, n):
         u = p.supp(m + 1)
         out = [Possibility.make(m + 1, u, {**nu.as_dict(), **{

@@ -8,7 +8,6 @@ import pytest
 from creaturelab.atomic import plateau_family
 from creaturelab.errors import SizeInfeasible, UsageError
 from creaturelab.params import (
-    ParamRow,
     make_toy_profile,
     params_exact,
     params_validate,
@@ -82,13 +81,6 @@ def test_validate_catches_a_doctored_row():
     row.fields["maxsupp"] = lit(4)
     verdicts = {e["item"]: e["verdict"] for e in params_validate(row)}
     assert verdicts["maxsupp-formula"] == "relaxed"
-
-
-def test_row_json_roundtrip():
-    for n in (0, 1):
-        row = params_exact(n)
-        back = ParamRow.from_json(json.loads(json.dumps(row.to_json())))
-        assert back.to_json() == row.to_json()
 
 
 def test_resolve_nice_size_small_regimes():
@@ -212,12 +204,6 @@ def test_toy_profile_shape_errors():
         make_toy_profile(spec)
     with pytest.raises(UsageError):
         make_toy_profile({"levels": []})
-
-
-def test_describe_is_deterministic():
-    a = make_toy_profile(TOY_SPEC).describe()
-    b = make_toy_profile(json.loads(json.dumps(TOY_SPEC))).describe()
-    assert a == b and "kstar" in a
 
 
 def _report_digest(spec):

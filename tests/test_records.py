@@ -55,10 +55,10 @@ def test_tower_nat():
 def test_possibility():
     nu = Possibility.make(1, {"e0", "a0"}, {(0, "e0"): 1, (0, "a0"): 0})
     assert repr(nu) == "Possibility(n=1, cols=('a0', 'e0'), vals=(0, 1))"
-    same = Possibility(n=1, u=frozenset({"x"}), cols=("a0", "e0"), vals=(0, 1))
-    # u stays out of repr, == and hash
+    same = Possibility((1, ("a0", "e0"), (0, 1)))
+    # == and hash are the tuple's
     assert nu == same and hash(nu) == hash(same) == hash((1, ("a0", "e0"), (0, 1)))
-    assert nu != Possibility(1, nu.u, nu.cols, (1, 1))
+    assert nu != Possibility((1, nu.cols, (1, 1)))
     _frozen(nu, "vals")
 
 
