@@ -336,9 +336,11 @@ def _cmd_ml_merge(args, profile, c1):
     from .mlcore import ml_merge
 
     c2 = _load_member(args.infile2, profile)
-    enum1 = args.enum.split(',') if args.enum else sorted(c1.u, key=str)
-    enum2 = args.enum2.split(',') if args.enum2 else sorted(c2.u, key=str)
-    out = ml_merge(c1, c2, enum1, enum2, c1.n, profile)
+
+    def listed(text, c):  # each comma item names an index as --index does
+        return [_index(profile, t) for t in text.split(',')] if text else sorted(c.u, key=str)
+
+    out = ml_merge(c1, c2, listed(args.enum, c1), listed(args.enum2, c2), c1.n, profile)
     return 0, _creature_result(out, profile)
 
 

@@ -2,12 +2,15 @@
 
 A LogReal is a rational plus a finite rational combination of base-2 logarithms
 of primes.  The family {1} u {log2 p : p prime} is linearly independent over Q,
-so equality is decidable symbolically from the canonical form.  Order, and
-every other question about the real value, goes through one integer
-enclosure: `_log2_bracket` gives integers lo <= 2**bits * log2(n) <= hi, and
-the answer is read off once the enclosure is tight enough, doubling `bits`
-until it is.  That loop terminates because a nonzero element is nonzero as a
-real number; past _MAX_PREC bits it refuses with Indeterminate.
+so equality is decidable symbolically from the canonical form.  Order is one
+integer comparison: with D the least common denominator, D*x = Q + sum
+a_p*log2(p) = log2(2**Q * prod p**a_p), so the sign of x is the order of two
+products of prime powers, which differ by unique factorization.  Past
+_POWER_BITS bits of powers, and for `approx`, `lr_cmp_pow2` and the tower
+bounds, the answer is read off integer enclosures instead: `_log2_bracket`
+gives integers lo <= 2**bits * log2(n) <= hi, with `bits` doubled until the
+enclosure is tight enough.  That loop terminates because a nonzero element is
+nonzero as a real number; past _MAX_PREC bits it refuses with Indeterminate.
 """
 
 from __future__ import annotations
@@ -31,9 +34,14 @@ __all__ = [
     "lr_cmp_pow2",
 ]
 
-# bits of the first enclosure and of the last one tried before Indeterminate
+# bits of the first enclosure and of the last one tried before Indeterminate;
+# a sign reaches them only past _POWER_BITS
 _START_PREC = 32
 _MAX_PREC = 1 << 16
+# the largest sum of bit lengths for which a sign forms the prime powers
+# themselves: a two-prime comparison there costs about as much as the first
+# 32-bit enclosure
+_POWER_BITS = 1 << 14
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, 2015); at or above it primality is refused.
@@ -182,21 +190,22 @@ class LogReal(Frozen):
         if not self.logs:
             n = self.q.numerator
             return (n > 0) - (n < 0)
-        return _interval_sign(self)
+        _, q, terms = _integer_form(self)
+        return _form_sign(q, terms)
 
     # -- comparisons (total order) -------------------------------------------
 
     def __lt__(self, other) -> bool:
-        return lr_compare(self, lr(other)) < 0
+        return lr_compare(self, other) < 0
 
     def __le__(self, other) -> bool:
-        return lr_compare(self, lr(other)) <= 0
+        return lr_compare(self, other) <= 0
 
     def __gt__(self, other) -> bool:
-        return lr_compare(self, lr(other)) > 0
+        return lr_compare(self, other) > 0
 
     def __ge__(self, other) -> bool:
-        return lr_compare(self, lr(other)) >= 0
+        return lr_compare(self, other) >= 0
 
     # -- serialization ------------------------------------------------------
 
@@ -222,7 +231,9 @@ class LogReal(Frozen):
     def approx(self) -> float:
         """The float nearest the value: the one both ends of an enclosure
         round to (int / int division rounds correctly)."""
-        for lo, hi, scale, _ in _enclosures(self):
+        den, q, terms = _integer_form(self)
+        for lo, hi, bits in _enclosures(q, terms):
+            scale = den << bits
             if lo / scale == hi / scale:
                 return lo / scale
         raise Indeterminate(f"float of {self!r} undecided at precision {_MAX_PREC}")
@@ -300,13 +311,17 @@ def _log2_range(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
     return a, b
 
 
-def _enclosures(x: LogReal):
-    """(lo, hi, scale, bits) with integers lo <= scale * x <= hi, for
-    scale = den * 2**bits, den the least common denominator of x, and bits
-    doubling from _START_PREC to _MAX_PREC."""
+def _integer_form(x: LogReal) -> tuple[int, int, list]:
+    """(den, q, terms) with den * x = q + sum a * log2(p) over terms (p, a):
+    den the least common denominator of x, q and each a integers."""
     den = math.lcm(x.q.denominator, *(c.denominator for _, c in x.logs))
     q = x.q.numerator * (den // x.q.denominator)
-    terms = [(p, c.numerator * (den // c.denominator)) for p, c in x.logs]
+    return den, q, [(p, c.numerator * (den // c.denominator)) for p, c in x.logs]
+
+
+def _enclosures(q: int, terms):
+    """(lo, hi, bits) with integers lo <= 2**bits * (q + sum a * log2(p)) <= hi
+    over terms (p, a), for bits doubling from _START_PREC to _MAX_PREC."""
     bits = _START_PREC
     while bits <= _MAX_PREC:
         lo = hi = q << bits
@@ -314,27 +329,69 @@ def _enclosures(x: LogReal):
             plo, phi = _log2_bracket(p, bits)
             lo += a * (plo if a > 0 else phi)
             hi += a * (phi if a > 0 else plo)
-        yield lo, hi, den << bits, bits
+        yield lo, hi, bits
         bits *= 2
 
 
-def _interval_sign(x: LogReal) -> int:
-    """Sign of a provably nonzero LogReal from its enclosures."""
-    for lo, hi, _, _ in _enclosures(x):
+def _interval_sign(q: int, terms) -> int:
+    """Sign of a provably nonzero q + sum a * log2(p) from its enclosures."""
+    for lo, hi, _ in _enclosures(q, terms):
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-    raise Indeterminate(f"sign of {x!r} undecided at precision {_MAX_PREC}")
+    form = " + ".join([str(q)] + [f"{a}*log2({p})" for p, a in terms])
+    raise Indeterminate(f"sign of {form} undecided at precision {_MAX_PREC}")
+
+
+def _form_sign(q: int, terms) -> int:
+    """Sign of q + sum a * log2(p) over terms (p, a) with q and each a
+    integers and the p odd primes, a nonzero form unless terms is empty.
+
+    The form is log2(2**q * prod p**a), so its sign is the order of
+    N = 2**max(q, 0) * prod_{a > 0} p**a against M = 2**max(-q, 0) *
+    prod_{a < 0} p**-a, and N == M only for the zero form (unique
+    factorization).  The powers are formed while their bit lengths sum to at
+    most _POWER_BITS; past that the enclosures decide, so a huge coefficient
+    costs no huge power.
+    """
+    if abs(q) + sum(abs(a) * p.bit_length() for p, a in terms) > _POWER_BITS:
+        return _interval_sign(q, terms)
+    num = den = 1
+    for p, a in terms:
+        if a > 0:
+            num *= p**a
+        else:
+            den *= p**-a
+    if q > 0:
+        num <<= q
+    else:
+        den <<= -q
+    return (num > den) - (num < den)
 
 
 def lr_compare(a: LogReal, b: LogReal) -> int:
-    """Total order: -1, 0, 1.  Equality is decided symbolically."""
+    """Total order: -1, 0, 1.  Equality is decided symbolically.
+
+    With a log present, a - b is read as one integer form over the least
+    common denominator of both, built from the numerators and denominators
+    directly; if its logs cancel, its rational part decides."""
     a, b = lr(a), lr(b)
+    aq, bq = a.q, b.q
     if not a.logs and not b.logs:
-        x, y = a.q.numerator * b.q.denominator, b.q.numerator * a.q.denominator
+        x, y = aq.numerator * bq.denominator, bq.numerator * aq.denominator
         return (x > y) - (x < y)
-    return (a - b).sign()
+    den = math.lcm(aq.denominator, bq.denominator, *(c.denominator for _, c in a.logs),
+                   *(c.denominator for _, c in b.logs))
+    terms = {p: c.numerator * (den // c.denominator) for p, c in a.logs}
+    for p, c in b.logs:
+        t = terms.pop(p, 0) - c.numerator * (den // c.denominator)
+        if t:
+            terms[p] = t
+    q = aq.numerator * (den // aq.denominator) - bq.numerator * (den // bq.denominator)
+    if not terms:
+        return (q > 0) - (q < 0)
+    return _form_sign(q, terms.items())
 
 
 def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
@@ -363,7 +420,9 @@ def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
             return 1 if e < k else -1
         num, den = (num, den << k) if k >= 0 else (num << -k, den)
         return (num > den) - (num < den)
-    for lo, hi, scale, bits in _enclosures(z):
+    den, q, terms = _integer_form(z)
+    for lo, hi, bits in _enclosures(q, terms):
+        scale = den << bits
         if lo > 0:
             a, b = _log2_range(Fraction(lo, scale), Fraction(hi, scale), bits)
             if a * e.denominator > e.numerator << bits:

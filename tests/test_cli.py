@@ -1091,6 +1091,28 @@ def test_an_option_names_an_int_index_by_its_str(files, capsys, command, code, e
     assert err in capsys.readouterr().err
 
 
+_INT_LEVEL = {"kstar": 2, "slot_sizes": 2, "height": 4, "maxposs": 8, "maxsupp": 16,
+              "gmin": 32, "bmin": 8}
+
+
+@pytest.mark.parametrize("enum, error", [
+    # both lists name the support, so merge gets past them to its norm check
+    ("0,1", "NormTooSmall"),
+    ("1,0", "NormTooSmall"),
+    ("0", "DomainMismatch: enumeration must list the support exactly once"),
+])
+def test_ml_merge_enumerations_name_int_indices_by_their_str(files, capsys, enum, error):
+    write, tmp = files
+    prof = write("int_profile.json", {"universe": {"mu": [0, 1], "alpha": [], "eps_of": {}},
+                                      "levels": [_INT_LEVEL, _INT_LEVEL]})
+    cre = write("int_creature.json", {"n": 1, "u": [0, 1], "w_eps": [[0, [0, 1]], [1, [0, 1]]],
+                                      "w_alpha": [], "d": {"q": "0"}})
+    argv = ["ml", "merge", "--profile", prof, "--in", cre, "--in2", cre]
+    assert run(argv + ["--enum", enum, "--enum2", enum]) == 1
+    assert error in capsys.readouterr().err
+    assert run(argv) == 1 and "NormTooSmall" in capsys.readouterr().err
+
+
 def test_a_name_table_past_the_fragment_stays_modulus_too_deep(tmp_path):
     """The cover loader checks decision heights before the table's keys."""
     code, err = _run_mutated(tmp_path, _COVER, "{wide_name}", ("modulus", 0, 1), 9)

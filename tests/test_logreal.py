@@ -5,10 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from creaturelab import logreal
 from creaturelab.errors import CapacityExceeded, UsageError
 from creaturelab.logreal import (
+    _POWER_BITS,
     LogReal,
     _factorize,
+    _form_sign,
+    _interval_sign,
     _is_prime,
     _log2_bracket,
     as_fraction,
@@ -139,27 +143,29 @@ def test_rational_compare_agrees_with_fraction_order_and_sign(a, b):
 
 
 def test_compare_takes_sign_exactly_when_a_log_is_present(monkeypatch):
-    signs = []
-    sign = LogReal.sign
+    forms = []
+    form_sign = logreal._form_sign
 
-    def counting_sign(self):
-        signs.append(self)
-        return sign(self)
+    def counting_form_sign(q, terms):
+        forms.append((q, dict(terms)))
+        return form_sign(q, terms)
 
-    monkeypatch.setattr(LogReal, "sign", counting_sign)
+    monkeypatch.setattr(logreal, "_form_sign", counting_form_sign)
     assert lr_compare(lr_from_rational(F(3, 2)), lr_from_rational(F(-7, 4))) == 1
-    assert signs == []
+    assert forms == []
     log3, log5 = lr_log2_int(3), lr_log2_int(5)
+    # a - b over the least common denominator, as the integer form signed
     cases = [
-        (lr_from_rational(F(8, 5)), log3, 1),  # 3^5 = 243 < 256 = 2^8
-        (log3, lr_from_rational(F(19, 12)), 1),  # 3^12 = 531441 > 2^19
-        (log3, log5, -1),
-        (log3.scale(2), lr_log2_int(9), 0),
+        (lr_from_rational(F(8, 5)), log3, 1, [(8, {3: -5})]),  # 3^5 = 243 < 256 = 2^8
+        (log3, lr_from_rational(F(19, 12)), 1, [(-19, {3: 12})]),  # 3^12 = 531441 > 2^19
+        (log3, log5, -1, [(0, {3: 1, 5: -1})]),
+        # the logs cancel: the rational part decides, no form is signed
+        (log3.scale(2), lr_log2_int(9), 0, []),
     ]
-    for a, b, want in cases:
-        signs.clear()
+    for a, b, want, signed in cases:
+        forms.clear()
         assert lr_compare(a, b) == want
-        assert signs == [a - b]
+        assert forms == signed
 
 
 @given(ints)
@@ -259,6 +265,55 @@ def test_sign_agrees_with_the_exact_integer_comparison(q, a3, a5, a7, den):
     coeffs = {3: a3, 5: a5, 7: a7}
     x = LogReal.make(F(q, den), {p: F(a, den) for p, a in coeffs.items()})
     assert x.sign() == _exact_sign(q, coeffs)
+
+
+@given(st.integers(min_value=-200, max_value=200),
+       st.dictionaries(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-40, 40).filter(bool),
+                       min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_power_and_enclosure_signs_agree_with_the_exact_comparison(q, coeffs):
+    terms = sorted(coeffs.items())
+    want = _exact_sign(q, coeffs)
+    assert _form_sign(q, terms) == _interval_sign(q, terms) == want
+
+
+def _counting_interval_sign(monkeypatch):
+    calls = []
+
+    def counting(q, terms):
+        calls.append(q)
+        return _interval_sign(q, terms)
+
+    monkeypatch.setattr(logreal, "_interval_sign", counting)
+    return calls
+
+
+def test_forms_at_and_just_above_the_power_bound_agree(monkeypatch):
+    # 2**7242 < 3**4514 * 5**38 < 2**7243, and 7242 + 4514 * 2 + 38 * 3 bits
+    # is the bound itself
+    terms = [(3, 4514), (5, 38)]
+    neg = [(p, -a) for p, a in terms]
+    assert 7242 + sum(a * p.bit_length() for p, a in terms) == _POWER_BITS
+    calls = _counting_interval_sign(monkeypatch)
+    for q, t, want, fallback in ((-7242, terms, 1, False), (7242, neg, -1, False),
+                                 (-7243, terms, -1, True), (7243, neg, 1, True)):
+        calls.clear()
+        assert _form_sign(q, t) == want == _exact_sign(q, dict(t)) == _interval_sign(q, t)
+        assert calls == ([q] if fallback else [])
+
+
+def test_signs_far_above_the_power_bound_form_no_power(monkeypatch):
+    import time
+
+    calls = _counting_interval_sign(monkeypatch)
+    start = time.perf_counter()
+    # 10**15 * (log2 3 - log2 5) + 1/7 < 0; its powers would hold ~5e15 bits
+    x = LogReal.make(F(1, 7), {3: 10**15, 5: -10**15})
+    assert x.sign() == -1
+    assert lr_compare(LogReal.make(F(1, 7), {3: 10**15}), LogReal.make(0, {5: 10**15})) == -1
+    assert x.scale(-1).sign() == 1
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 3
 
 
 @given(st.fractions(min_value=F(1, 50), max_value=1000, max_denominator=50),
@@ -373,7 +428,8 @@ def test_canonical_sum_and_difference_equal_the_make_reference(a, b, cancel):
         assert (got.q, got.logs) == (want.q, want.logs) and _canonical(got)
     diff = _reference(a, b, -1)
     want = (diff.q > 0) - (diff.q < 0) if diff.is_rational() else diff.sign()
-    assert lr_compare(a, b) == want == -lr_compare(b, a)
+    # compare builds the integer form of a - b itself; sign reads a - b
+    assert lr_compare(a, b) == want == (a - b).sign() == -lr_compare(b, a)
 
 
 def test_bools_are_not_rationals():
