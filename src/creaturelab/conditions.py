@@ -166,8 +166,10 @@ def cond_validate(p: FiniteCondition, profile) -> None:
     for n, floor in p.floors.items():
         if ml_norm_cmp(p.creatures[n], n, profile, floor) <= 0:
             raise NormTooSmall(f"declared norm floor fails at level {n}")
-    for n in p.levels:
-        if len(cond_poss(p, n, profile)) >= profile.maxposs(n):
+    # |poss(p, n)| is the product of the level row counts below n
+    cols = tuple(sorted(p.dom, key=str))
+    for n, levels in zip(p.levels, _poss_levels(p, p.levels, cols, profile)):
+        if math.prod(map(len, levels)) >= profile.maxposs(n):
             raise CapacityExceeded(f"possibility count at level {n} reaches maxposs")
 
 
@@ -188,29 +190,43 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
     unless some level has no rows (then there is no branch to check).
     "local" filters the raw trunk enumeration by the characterization alone.
     """
-    if not 0 <= n <= p.height:
-        raise UsageError(f"height {n} outside [0, {p.height}]")
+    _check_height(p, n)
     if method == "local":
         contains = _poss_test(p, n, profile)
         return [nu for nu in poss_enumerate(n, p.supp(n), profile) if contains(nu)]
     if method != "inductive":
         raise UsageError(f"unknown method {method!r}")
-    u = p.supp(n)
-    cols = tuple(sorted(u, key=str))
-    levels = [[tuple(p.trunk[m, i] for i in cols)] for m in range(min(n, p.trnklg))]
-    for m in range(p.trnklg, n):
-        fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
-        levels.append(_level_rows(p.creatures[m], cols, profile, fill))
-        if math.prod(map(len, levels)) > ENUM_CAP:
-            raise CapacityExceeded("possibility walk exceeds the enumeration cap")
-    for m, rows in enumerate(levels if all(levels) else ()):
-        for j, sel, ok in _level_rules(p, m, cols, profile):
-            seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
-            if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
-                raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
+    cols = tuple(sorted(p.supp(n), key=str))
+    levels, = _poss_levels(p, (n,), cols, profile)
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
     return [Possibility((n, cols, v)) for v in vals]
+
+
+def _check_height(p: FiniteCondition, n) -> None:
+    if not 0 <= n <= p.height:
+        raise UsageError(f"height {n} outside [0, {p.height}]")
+
+
+def _poss_levels(p: FiniteCondition, heights, cols, profile):
+    """Yield, at each height n of heights (increasing), the rows over cols of
+    the levels below n, whose product is poss(p, n) (see cond_poss).  Each
+    level is built once, and checked once every level so far has rows."""
+    levels, checked = [], 0
+    for n in heights:
+        for m in range(len(levels), n):
+            fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
+            levels.append([tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
+                          else _level_rows(p.creatures[m], cols, profile, fill))
+            if math.prod(map(len, levels)) > ENUM_CAP:
+                raise CapacityExceeded("possibility walk exceeds the enumeration cap")
+        for m in range(checked, n) if all(levels) else ():
+            for j, sel, ok in _level_rules(p, m, cols, profile):
+                seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), levels[m]))
+                if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
+                    raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
+            checked = m + 1
+        yield levels
 
 
 def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
@@ -254,6 +270,7 @@ def _poss_test(p: FiniteCondition, n: int, profile):
 
 def cond_poss_contains(p: FiniteCondition, nu: Possibility, profile) -> bool:
     """Is nu in poss(p, nu.n)?  Decided by the local characterization."""
+    _check_height(p, nu.n)
     return _poss_test(p, nu.n, profile)(nu)
 
 

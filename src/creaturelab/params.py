@@ -9,10 +9,10 @@ depend on a constructed regular parameter whose size no enumerable budget
 reaches past level 0).  Every field carries a provenance tag.
 
 Toy profiles replace the towers with small numbers and plateau-norm atomic
-families so the creature transforms run at desk scale.  Each recursion
-inequality is then re-checked and classified as holds or relaxed; a relaxed
-capacity is never silently assumed downstream; the transforms take their
-capacities from the profile explicitly and fail loudly.
+families so the creature transforms run at desk scale.  Their numbers need
+not honor the recursion, so no capacity is assumed from it downstream: the
+transforms take their capacities from the profile explicitly and fail
+loudly.  The recursion itself is checked exactly, by params_validate.
 """
 
 from __future__ import annotations
@@ -220,19 +220,19 @@ class ToyProfile:
     """Desk-scale capacity profile with per-level atomic families.
 
     All atomic families are plateau ladders: full norm `height` on every
-    value set of size two or more.  The constraint report states, per
-    recursion item, whether the toy numbers honor it or relax it; relaxed
-    entries list the operations that must receive capacities explicitly.
+    value set of size two or more.  A plateau family is never regular, and
+    the counts are the caller's, so the profile honors the recursion only
+    where the caller's numbers do; each transform reads the capacity it
+    needs from here and checks against it.
 
     The profile owns its families: each level's star family and each
     (level, slot) family is built once, here, and every call hands out the
     same object, so callers must not mutate them.
     """
 
-    def __init__(self, universe: IndexUniverse, levels: list, report: list):
+    def __init__(self, universe: IndexUniverse, levels: list):
         self.universe = universe
         self._levels = levels
-        self.report = report
         self._stars = [plateau_family(r.height, r.kstar, name=f"star-{n}")
                        for n, r in enumerate(levels)]
         self._slots = [
@@ -290,20 +290,9 @@ class ToyProfile:
         return self._slots[n][k]
 
 
-_RELAX_CONSUMERS = {
-    "maxposs-formula": ["poss_enumerate", "ml_homogenize", "pull_back_labelling"],
-    "maxnor-formula": ["ml_enlarge", "check_nice"],
-    "maxsupp-formula": ["ml_merge", "ml_enlarge"],
-    "Bmin-vs-support": ["cond_separate_support"],
-    "gmin-vs-reading": ["cover_step"],
-    "slot-niceness": ["ml_homogenize", "evade_step"],
-}
-
-
-# Bit budget of the toy report: every count field, and every power the
-# report forms from the fields, stays below 2**_REPORT_BITS, so each margin
-# (at most a product of three such numbers) is formed at once and prints.
-_REPORT_BITS = 1 << 12
+# A count field stays below 2**_COUNT_BITS: desk scale, far past any count a
+# fragment can enumerate, and far below the towers of the recursion.
+_COUNT_BITS = 1 << 12
 _COUNT_DEFAULTS = {"height": 9, "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
 
 
@@ -323,12 +312,12 @@ def _size(n, s):
 
 def _count(n, raw, name):
     """A count field of level n (or its default): an int (not a bool) >= 0
-    within the report's bit budget."""
+    of at most _COUNT_BITS bits."""
     x = raw.get(name, _COUNT_DEFAULTS[name])
     if type(x) is not int or x < 0:
         raise UsageError(f"level {n}: {name} must be a nonnegative integer, got {x!r}")
-    if x.bit_length() > _REPORT_BITS:
-        raise SizeInfeasible(f"level {n}: {name} has more than {_REPORT_BITS} bits; "
+    if x.bit_length() > _COUNT_BITS:
+        raise SizeInfeasible(f"level {n}: {name} has more than {_COUNT_BITS} bits; "
                              "toy profiles stay at desk scale")
     return x
 
@@ -343,8 +332,8 @@ def make_toy_profile(spec: dict) -> ToyProfile:
 
     Every number is an int (bools are refused): kstar and the slot sizes
     positive, the other fields nonnegative.  Requesting true recursion
-    magnitudes (any size past the explicit enumeration limit, or a report
-    item past its bit budget) raises SizeInfeasible.
+    magnitudes (a size past the subset-ladder limit, or a count field of
+    more than _COUNT_BITS bits) raises SizeInfeasible.
     """
     try:
         uni = spec["universe"]
@@ -363,54 +352,7 @@ def make_toy_profile(spec: dict) -> ToyProfile:
             raise UsageError(f"level {n}: need one slot size per selector value")
         levels.append(_LevelSpec(kstar, [_size(n, s) for s in sizes],
                                  **{name: _count(n, raw, name) for name in _COUNT_DEFAULTS}))
-
-    report = _toy_report(levels)
-    return ToyProfile(universe, levels, report)
-
-
-def _power(n, item, base, exp):
-    """base ** exp for base >= 1, refused when its bit-length bound passes
-    the report's budget, before the power is formed."""
-    if base > 1 and exp * base.bit_length() > _REPORT_BITS:
-        raise SizeInfeasible(f"level {n}: the {item} item needs a number past "
-                             f"{_REPORT_BITS} bits; toy profiles stay at desk scale")
-    return base ** exp
-
-
-def _toy_report(levels) -> list:
-    """Classify each recursion item on the toy numbers."""
-    report = []
-    fmax_prev, maxsupp_prev = 1, 1
-    for n, row in enumerate(levels):
-        fmax = max(row.slot_sizes)
-
-        def entry(item, holds, margin):
-            report.append(
-                {
-                    "level": n,
-                    "item": item,
-                    "verdict": "holds" if holds else f"relaxed({margin})",
-                    "requires_explicit_capacity": [] if holds else _RELAX_CONSUMERS.get(item, []),
-                }
-            )
-
-        need = 1 + _power(n, "maxposs-formula", fmax_prev, n * maxsupp_prev)
-        entry("maxposs-formula", row.maxposs >= need, row.maxposs - need)
-        need = 1 + _power(n, "maxnor-formula", 2, n * row.maxposs)
-        # the plateau height stands in for maxnor
-        entry("maxnor-formula", row.height >= need, row.height - need)
-        need = 1 + _power(n, "maxsupp-formula", 2, row.height)
-        entry("maxsupp-formula", row.maxsupp >= need, row.maxsupp - need)
-        need = 2 * row.maxsupp ** 2
-        entry("Bmin-vs-support", row.bmin > need, row.bmin - need - 1)
-        need = (_power(n, "gmin-vs-reading", fmax_prev, n * row.maxsupp) * row.maxposs
-                * _power(n, "gmin-vs-reading", row.kstar, row.maxsupp))
-        entry("gmin-vs-reading", row.gmin > need, row.gmin - need - 1)
-        # a plateau family is never Bmin-regular: its small blocks keep no
-        # norm, so the niceness items are relaxed by construction
-        entry("slot-niceness", False, "plateau")
-        fmax_prev, maxsupp_prev = fmax, row.maxsupp
-    return report
+    return ToyProfile(universe, levels)
 
 
 def resolve_nice_size(M: int, m_max):

@@ -1041,15 +1041,20 @@ def _set_level_field(level, field, value):
 
 
 # (level, field, value, exit code): a profile number that once hung the
-# report, exhausted memory, raised an untyped ValueError or was accepted
+# profile's constraint report, exhausted memory, raised an untyped
+# ValueError or was accepted; the report's bit budget once refused the
+# exit-0 numbers, which the profile only stores and compares
 PROFILE_NUMBERS = [
-    (0, "height", 10**12, 3),
-    (0, "height", 20000, 3),
+    (0, "height", 10**12, 0),
+    (0, "height", 20000, 0),
     (0, "height", True, 2),
-    (1, "maxposs", 10**12, 3),
-    (0, "maxsupp", 10**12, 3),
+    (1, "maxposs", 10**12, 0),
+    (1, "maxposs", 2049, 0),
+    (0, "maxsupp", 10**12, 0),
     (0, "kstar", 10**12, 3),
     (0, "gmin", 1.5, 2),
+    # past the 4,096-bit bound on a count field
+    pytest.param(0, "gmin", 1 << 5000, 3, id="0-gmin-2**5000-3"),
 ]
 
 
@@ -1057,7 +1062,7 @@ PROFILE_NUMBERS = [
 def test_profile_numbers_are_typed_and_bounded(tmp_path, level, field, value, code):
     out = _cli_child(tmp_path, "ml check --profile {wide_profile} --in {creature}",
                      "{wide_profile}", _set_level_field(level, field, value))
-    prefix = "usage error:" if code == 2 else "infeasible: SizeInfeasible: level"
+    prefix = {0: "", 2: "usage error:", 3: "infeasible: SizeInfeasible: level"}[code]
     assert out.returncode == code and out.stderr.startswith(prefix), out.stderr[-300:]
 
 

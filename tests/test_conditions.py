@@ -201,8 +201,29 @@ def test_validate_enforces_the_possibility_cap():
     levels = json.loads(json.dumps(CHAIN_LEVELS))
     levels[2]["maxposs"] = 2  # poss(p, 2) = 2 reaches it
     prof = make_toy_profile({"universe": CHAIN_UNI, "levels": levels})
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded, match="^possibility count at level 2 reaches maxposs$"):
         cond_validate(chain_fragment(prof), prof)
+
+
+def test_validate_refuses_a_walk_past_the_enumeration_cap(monkeypatch):
+    prof = chain_profile()
+    monkeypatch.setattr(conditions, "ENUM_CAP", 1)  # poss(p, 2) has 2 branches
+    with pytest.raises(CapacityExceeded, match="^possibility walk exceeds the enumeration cap$"):
+        cond_validate(chain_fragment(prof), prof)
+
+
+def test_validate_builds_each_level_once(monkeypatch):
+    # the counts |poss(p, n)| come from one walk up the levels, not from
+    # one poss walk per height
+    calls, rows = [], conditions._level_rows
+
+    def counted(c, *args):
+        calls.append(c.n)
+        return rows(c, *args)
+
+    monkeypatch.setattr(conditions, "_level_rows", counted)
+    cond_validate(grow_fragment(), grow_profile())
+    assert calls == [1, 2]
 
 
 def test_validate_checks_declared_floors():
@@ -227,6 +248,15 @@ def test_poss_counts_and_base_case():
     base = cond_poss(p, 1, prof)
     assert base == [trunk_possibility(p)]
     assert len(cond_poss(p, 0, prof)) == 1  # below the cut: trunk restriction
+
+
+def test_poss_and_membership_refuse_a_height_above_the_fragment():
+    prof = chain_profile()
+    p = chain_fragment(prof)
+    nu = Possibility.make(4, {"e"}, {(m, "e"): 0 for m in range(4)})
+    for ask in (lambda: cond_poss(p, 4, prof), lambda: cond_poss_contains(p, nu, prof)):
+        with pytest.raises(UsageError, match=r"^height 4 outside \[0, 3\]$"):
+            ask()
 
 
 def test_poss_inductive_equals_local():
