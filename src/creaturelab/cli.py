@@ -3,7 +3,8 @@ run multi-level creature transforms, and manipulate finite fragments.
 
 Exit codes: 0 verified success, 1 property failure (a counterexample or
 failure record is still written), 2 usage error, 3 capacity or
-infeasibility (the requested object cannot exist at the requested size).
+infeasibility (the requested object cannot exist at the requested size,
+or the command ran out of memory or recursion depth).
 All outputs are deterministic; randomized generation is seeded and the
 seed is recorded in the output.
 
@@ -247,12 +248,9 @@ def _cmd_atomic_homogenize(args):
     from . import atomic
 
     params, ws = _load_product(args)
-    indexes = [{v: j for j, v in enumerate(sorted(p.val(w), key=repr))}
-               for p, w in zip(params, ws)]
 
     def F(point):
-        idx = tuple(indexes[i][v] for i, v in enumerate(point))
-        return _seeded_int(args.seed, idx) % args.range_size
+        return _seeded_int(args.seed, point) % args.range_size
 
     x = parse_rational(args.x) if args.x else None
     new_ws, value, report = atomic.homogenize_product(params, ws, F, args.range_size, x=x)
@@ -525,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-bits", type=int)
 
     p = add(at_sub, "homogenize", _cmd_atomic_homogenize,
-            help="shrink a creature tuple until a seeded function is constant")
+            help="shrink a creature tuple until a seeded colouring of each point is constant")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--range", dest="range_size", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -620,16 +618,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, result = args.func(args)
+        _emit(result, args.out)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (CapacityExceeded, SizeInfeasible, ModulusTooDeep) as exc:
+    except (CapacityExceeded, SizeInfeasible, ModulusTooDeep, MemoryError, RecursionError) as exc:
         sys.stderr.write(f"infeasible: {type(exc).__name__}: {exc}\n")
         return 3
     except CreatureLabError as exc:
         sys.stderr.write(f"property failure: {type(exc).__name__}: {exc}\n")
         return 1
-    _emit(result, args.out)
     return code
 
 

@@ -1,5 +1,6 @@
 """Command line: exit codes, artifact writing, determinism, replayability."""
 
+import ast
 import contextlib
 import copy
 import functools
@@ -405,8 +406,9 @@ def _criterion6_product(write):
     ]})
 
 
-# (seed, first 16 hex digits of sha256 of the output file)
-HOMOGENIZE_CLI_PINS = [(5, "380cc15c640a6ea1"), (2024, "998c16441a6413d9")]
+# (seed, first 16 hex digits of sha256 of the output file); F colours a
+# point by sha256 of repr((seed, point))
+HOMOGENIZE_CLI_PINS = [(5, "77c0b770f6f41753"), (2024, "4c43ec0817b7c972")]
 
 
 @pytest.mark.parametrize("seed, digest", HOMOGENIZE_CLI_PINS)
@@ -416,6 +418,40 @@ def test_atomic_homogenize_output_bytes_are_pinned(files, seed, digest):
     out = tmp / "hom.json"
     assert run(["atomic", "homogenize", "--in", prod, "--seed", str(seed)], out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_atomic_homogenize_builds_no_value_set_it_does_not_colour(files, monkeypatch):
+    """F hashes the point itself, so the command never ranks the reservoir
+    top's 65,536 values; the elimination steps read smaller creatures."""
+    from creaturelab.atomic.families import ReservoirFamily
+
+    sizes = []
+    val = ReservoirFamily.val
+
+    def recording_val(self, w):
+        v = val(self, w)
+        sizes.append(len(v))
+        return v
+
+    monkeypatch.setattr(ReservoirFamily, "val", recording_val)
+    prod = _criterion6_product(files[0])
+    assert run(["atomic", "homogenize", "--in", prod, "--seed", "5"], files[1] / "hom.json") == 0
+    assert sizes and ReservoirFamily.S_SIZE * ReservoirFamily.T_SIZE not in sizes
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+def test_atomic_homogenize_colours_a_point_whatever_the_input(files, seed):
+    """A point's colour does not depend on the creatures --in names, so
+    homogenizing the output tuple again finds the same constant value."""
+    write, tmp = files
+    prod = _criterion6_product(write)
+    assert run(["atomic", "homogenize", "--in", prod, "--seed", str(seed)], tmp / "a.json") == 0
+    first = read_json(tmp / "a.json")
+    coords = read_json(prod)["coordinates"]
+    again = write("again.json", {"coordinates": [
+        dict(c, w=id_to_json(ast.literal_eval(w))) for c, w in zip(coords, first["ws"])]})
+    assert run(["atomic", "homogenize", "--in", again, "--seed", str(seed)], tmp / "b.json") == 0
+    assert read_json(tmp / "b.json")["value"] == first["value"]
 
 
 @pytest.mark.parametrize("w", ["[]", "[7]", '["a"]'])
@@ -1009,10 +1045,10 @@ def test_malformed_fields_are_usage_errors(tmp_path, case):
     assert code == 2 and err.startswith("usage error:"), err
 
 
-def _cli_child(tmp_path, command, target, change):
+def _cli_child(tmp_path, command, target, change, address_space=1 << 30):
     """Run command on the pinned documents, target's document updated by
-    change, in a child limited to 1 GiB of address space and 60 s, so a
-    runaway allocation ends the child, not the machine."""
+    change, in a child limited to address_space bytes (1 GiB by default)
+    and 60 s, so a runaway allocation ends the child, not the machine."""
     argv = []
     for a in command.split():
         if a in _pin_docs_once():
@@ -1023,9 +1059,41 @@ def _cli_child(tmp_path, command, target, change):
         argv.append(a)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-m", "creaturelab.cli"] + argv, env=env,
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
+
+
+def test_running_out_of_memory_is_a_one_line_exit_3(tmp_path):
+    """cond poss --n 2 on a fragment of 2^20 possibilities (1,024 rows per
+    level) lists ENUM_CAP branches, more than 200,000 KB of address space
+    holds: the MemoryError is a refusal (exit 3, one line), not a
+    traceback with exit 1."""
+    a = ["a0", "a1"]
+    lvl = {"kstar": 4, "slot_sizes": 16, "height": 4, "maxposs": 1 << 21, "maxsupp": 16,
+           "gmin": 32, "bmin": 8}
+    c = {"u": ["e0"] + a, "w_eps": [["e0", [0, 1, 2, 3]]],
+         "w_alpha": [[i, k, list(range(16))] for i in a for k in range(4)], "d": {"q": "0"}}
+    prof, frag = tmp_path / "big_profile.json", tmp_path / "big.json"
+    prof.write_text(json.dumps({"universe": {"mu": ["e0"], "alpha": a,
+                                             "eps_of": dict.fromkeys(a, "e0")},
+                                "levels": [lvl] * 3}))
+    frag.write_text(json.dumps({"trnklg": 0, "height": 3, "trunk": [],
+                                "creatures": dict.fromkeys("012", c)}))
+    out = _cli_child(tmp_path, f"cond poss --profile {prof} --in {frag} --n 2", None,
+                     None, address_space=200000 * 1024)
+    assert out.returncode == 3 and out.stdout == "", out.stderr[-300:]
+    assert out.stderr.startswith("infeasible: MemoryError") and out.stderr.count("\n") == 1
+
+
+def test_running_out_of_recursion_depth_is_a_one_line_exit_3(capsys, monkeypatch):
+    def deep(result, out_path):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("creaturelab.cli._emit", deep)
+    assert run(["params", "--level", "0"]) == 3
+    assert capsys.readouterr().err == ("infeasible: RecursionError: "
+                                       "maximum recursion depth exceeded\n")
 
 
 def test_a_huge_fragment_height_is_refused_without_building_its_levels(tmp_path):
