@@ -4,7 +4,9 @@ run multi-level creature transforms, and manipulate finite fragments.
 Exit codes: 0 verified success, 1 property failure (a counterexample or
 failure record is still written), 2 usage error, 3 capacity or
 infeasibility (the requested object cannot exist at the requested size,
-or the command ran out of memory or recursion depth).
+the command ran out of memory or recursion depth, or the question is not
+decided by exact means: `Indeterminate`, or `ModeUnsound` for a mode the
+family does not support).
 All outputs are deterministic; randomized generation is seeded and the
 seed is recorded in the output.
 
@@ -27,6 +29,8 @@ from .errors import (
     CapacityExceeded,
     CreatureLabError,
     DomainMismatch,
+    Indeterminate,
+    ModeUnsound,
     ModulusTooDeep,
     SizeInfeasible,
     UsageError,
@@ -622,7 +626,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (CapacityExceeded, SizeInfeasible, ModulusTooDeep, MemoryError, RecursionError) as exc:
+    except (CapacityExceeded, SizeInfeasible, ModulusTooDeep, Indeterminate, ModeUnsound,
+            MemoryError, RecursionError) as exc:
         sys.stderr.write(f"infeasible: {type(exc).__name__}: {exc}\n")
         return 3
     except CreatureLabError as exc:

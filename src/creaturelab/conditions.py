@@ -45,6 +45,7 @@ from .records import Record
 from .mlcore import (
     MlCreature,
     Possibility,
+    _level_count,
     _level_rows,
     _prune_orphan_slots,
     ml_halve,
@@ -166,11 +167,12 @@ def cond_validate(p: FiniteCondition, profile) -> None:
     for n, floor in p.floors.items():
         if ml_norm_cmp(p.creatures[n], n, profile, floor) <= 0:
             raise NormTooSmall(f"declared norm floor fails at level {n}")
-    # |poss(p, n)| is the product of the level row counts below n
-    cols = tuple(sorted(p.dom, key=str))
-    for n, levels in zip(p.levels, _poss_levels(p, p.levels, cols, profile)):
-        if math.prod(map(len, levels)) >= profile.maxposs(n):
+    # |poss(p, n)| is the product of the row counts of the levels below n
+    count = 1
+    for n in p.levels:
+        if count >= profile.maxposs(n):
             raise CapacityExceeded(f"possibility count at level {n} reaches maxposs")
+        count *= _level_count(p.creatures[n], profile)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
     if method != "inductive":
         raise UsageError(f"unknown method {method!r}")
     cols = tuple(sorted(p.supp(n), key=str))
-    levels, = _poss_levels(p, (n,), cols, profile)
+    levels = _poss_levels(p, n, cols, profile)
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
     return [Possibility((n, cols, v)) for v in vals]
@@ -208,25 +210,23 @@ def _check_height(p: FiniteCondition, n) -> None:
         raise UsageError(f"height {n} outside [0, {p.height}]")
 
 
-def _poss_levels(p: FiniteCondition, heights, cols, profile):
-    """Yield, at each height n of heights (increasing), the rows over cols of
-    the levels below n, whose product is poss(p, n) (see cond_poss).  Each
-    level is built once, and checked once every level so far has rows."""
-    levels, checked = [], 0
-    for n in heights:
-        for m in range(len(levels), n):
-            fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
-            levels.append([tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
-                          else _level_rows(p.creatures[m], cols, profile, fill))
-            if math.prod(map(len, levels)) > ENUM_CAP:
-                raise CapacityExceeded("possibility walk exceeds the enumeration cap")
-        for m in range(checked, n) if all(levels) else ():
-            for j, sel, ok in _level_rules(p, m, cols, profile):
-                seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), levels[m]))
-                if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
-                    raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
-            checked = m + 1
-        yield levels
+def _poss_levels(p: FiniteCondition, n: int, cols, profile) -> list:
+    """The rows over cols of the levels below n, whose product is poss(p, n)
+    (see cond_poss), refused once their product passes ENUM_CAP and checked
+    against their rules once every level has rows."""
+    levels = []
+    for m in range(n):
+        fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
+        levels.append([tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
+                      else _level_rows(p.creatures[m], cols, profile, fill))
+        if math.prod(map(len, levels)) > ENUM_CAP:
+            raise CapacityExceeded("possibility walk exceeds the enumeration cap")
+    for m, rows in enumerate(levels) if all(levels) else ():
+        for j, sel, ok in _level_rules(p, m, cols, profile):
+            seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
+            if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
+                raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
+    return levels
 
 
 def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
@@ -349,12 +349,8 @@ def cond_separate_support(p: FiniteCondition, profile) -> FiniteCondition:
             )
         star = profile.star_param(n)
         x = Fraction(2, profile.bmin(n))
-        for a in range(len(mus)):
-            for b in range(a + 1, len(mus)):
-                v1, v2 = disjoint_successors(
-                    star, c.w_eps[mus[a]], c.w_eps[mus[b]], x
-                )
-                c.w_eps[mus[a]], c.w_eps[mus[b]] = v1, v2
+        for a, b in itertools.combinations(mus, 2):
+            c.w_eps[a], c.w_eps[b] = disjoint_successors(star, c.w_eps[a], c.w_eps[b], x)
         _prune_orphan_slots(c, profile)
         ml_validate(c, profile)
         ok, diag = ml_successor_check(c, p.creatures[n], n, profile)
@@ -373,11 +369,7 @@ def cond_is_separated(p: FiniteCondition, n: int, profile) -> bool:
     star = profile.star_param(n)
     U = profile.universe
     vals = [star.val(c.w_eps[i]) for i in sorted(c.u, key=str) if U.is_mu(i)]
-    return all(
-        vals[a].isdisjoint(vals[b])
-        for a in range(len(vals))
-        for b in range(a + 1, len(vals))
-    )
+    return all(x.isdisjoint(y) for x, y in itertools.combinations(vals, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +589,9 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
         raise UsageError(f"level {n} outside the fragment")
     if not cond_is_separated(p, n, profile):
         raise NotSeparated(f"level {n} selector value sets overlap")
-    if r.modulus.get(n) is None or r.modulus[n] > n + 1:
+    if n not in r.modulus:
+        raise UsageError(f"the name table has no level-{n} entry")
+    if r.modulus[n] > n + 1:
         raise ModulusTooDeep(f"the level-{n} value must be decided at height {n + 1}")
     if ml_norm_cmp(p.creatures[n], n, profile, 2) <= 0:
         raise PreconditionFailed(f"cover needs norm above 2 at level {n}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (
     CapacityExceeded,
@@ -170,18 +170,17 @@ def _trunk_space(n, u: frozenset, profile):
     cols = tuple(sorted(u, key=str))
     U = profile.universe
     sizes = [profile.kstar(m) if U.is_mu(i) else profile.fmax(m) for m in range(n) for i in cols]
-    total = 1
-    for size in sizes:
-        total *= size
-        if total > ENUM_CAP:
-            raise CapacityExceeded(f"{total}+ trunks exceed the enumeration cap")
     return cols, sizes
 
 
 def poss_enumerate(n, u, profile) -> list:
-    """All trunks of height n over u, smallest-cell-first product order."""
+    """All trunks of height n over u, smallest-cell-first product order;
+    more than ENUM_CAP are refused before any is built."""
     u = frozenset(u)
     cols, sizes = _trunk_space(n, u, profile)
+    for total in itertools.accumulate(sizes, mul):
+        if total > ENUM_CAP:
+            raise CapacityExceeded(f"{total}+ trunks exceed the enumeration cap")
     return [Possibility((n, cols, vals))
             for vals in itertools.product(*map(range, sizes))]
 
@@ -253,27 +252,33 @@ def ml_validate(c: MlCreature, profile) -> None:
         raise UsageError("d must be nonnegative")
 
 
+def _level_count(c: MlCreature, profile) -> int:
+    """The number of c's one-level rows, from value counts alone (no row is
+    built): the product over selectors of the sum, over a selector's
+    values, of the product of its bound slots' value counts."""
+    U, star = profile.universe, profile.star_param(c.n)
+    width = {e: dict.fromkeys(star.val(c.w_eps[e]), 1) for e in c.u if U.is_mu(e)}
+    for i in c.u - width.keys():
+        for k in width[U.eps_of[i]]:
+            width[U.eps_of[i]][k] *= profile.slot_param(c.n, k).val_size(c.w_alpha[i, k])
+    return math.prod(sum(w.values()) for w in width.values())
+
+
 def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
-    """c's one-level rows over cols: selector values vary slowest, then the
-    slot columns in cols order, the last fastest.  A column outside c's
-    support takes its value from fill's (column, value) pairs.  More rows
-    than ENUM_CAP are refused before any is built."""
-    U = profile.universe
-    star = profile.star_param(c.n)
+    """c's one-level rows over cols (a superset of c's support): selector
+    values vary slowest, then the slot columns in cols order, the last
+    fastest.  A column outside c's support takes its value from fill's
+    (column, value) pairs.  More than ENUM_CAP rows are refused unbuilt."""
+    count = _level_count(c, profile)
+    if count > ENUM_CAP:
+        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
+    U, star = profile.universe, profile.star_param(c.n)
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
     picks = {e: sorted(star.val(c.w_eps[e])) for e in mus}
     # a slot column's sorted values, by the value its selector picks
     slots = {i: {k: sorted(profile.slot_param(c.n, k).val(c.w_alpha[i, k]))
                  for k in picks[U.eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
     eps_of, rows = U.eps_of, []
-    # a selector value's rows: the product of its bound slots' value counts
-    width = {e: dict.fromkeys(ks, 1) for e, ks in picks.items()}
-    for i, by_k in slots.items():
-        for k, vals in by_k.items():
-            width[eps_of[i]][k] *= len(vals)
-    count = math.prod(sum(w.values()) for w in width.values())
-    if count > ENUM_CAP:
-        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
     for ks in itertools.product(*picks.values()):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
         rows += itertools.product(*[slots[i][pick[eps_of[i]]] if i in slots else (pick[i],)
@@ -364,8 +369,8 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
     trunk followed by one of the creature's one-level rows, which never
     read the trunk, so the property is the same at every trunk (each row of
     d, projected onto c's columns, is a row of c) and one subset test
-    decides it exactly.  The trunk enumeration's refusals stand, no trunk
-    means it holds vacuously, and a failure names the first trunk.
+    decides it exactly.  Only a level of more than ENUM_CAP rows is refused,
+    no trunk means it holds vacuously, and a failure names the first trunk.
 
     Returns (ok, diagnostics).
     """

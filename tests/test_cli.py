@@ -211,7 +211,7 @@ def test_reservoir_exhaustive_bigness_is_refused_as_infeasible(files, capsys):
 
 
 @pytest.mark.parametrize("mode, code, err", [
-    ("analytic", 1, "property failure: ModeUnsound: reservoir"),
+    ("analytic", 3, "infeasible: ModeUnsound: reservoir"),
     ("exhaustive", 3, "infeasible: CapacityExceeded: reservoir"),
 ])
 def test_hereditary_bigness_keeps_the_requested_mode(files, capsys, mode, code, err):
@@ -1064,26 +1064,51 @@ def _cli_child(tmp_path, command, target, change, address_space=1 << 30):
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
 
 
+def _big_fragment(tmp_path, height, maxposs):
+    """Profile and fragment files of height levels of 1,024 rows each (one
+    selector with 4 values binding two 16-value slots)."""
+    a = ["a0", "a1"]
+    lvl = {"kstar": 4, "slot_sizes": 16, "height": 4, "maxposs": maxposs, "maxsupp": 16,
+           "gmin": 32, "bmin": 8}
+    c = {"u": ["e0"] + a, "w_eps": [["e0", [0, 1, 2, 3]]],
+         "w_alpha": [[i, k, list(range(16))] for i in a for k in range(4)], "d": {"q": "0"}}
+    prof, frag = tmp_path / f"big_profile_{height}.json", tmp_path / f"big_{height}.json"
+    prof.write_text(json.dumps({"universe": {"mu": ["e0"], "alpha": a,
+                                             "eps_of": dict.fromkeys(a, "e0")},
+                                "levels": [lvl] * height}))
+    frag.write_text(json.dumps({"trnklg": 0, "height": height, "trunk": [],
+                                "creatures": dict.fromkeys(map(str, range(height)), c)}))
+    return prof, frag
+
+
 def test_running_out_of_memory_is_a_one_line_exit_3(tmp_path):
     """cond poss --n 2 on a fragment of 2^20 possibilities (1,024 rows per
     level) lists ENUM_CAP branches, more than 200,000 KB of address space
     holds: the MemoryError is a refusal (exit 3, one line), not a
     traceback with exit 1."""
-    a = ["a0", "a1"]
-    lvl = {"kstar": 4, "slot_sizes": 16, "height": 4, "maxposs": 1 << 21, "maxsupp": 16,
-           "gmin": 32, "bmin": 8}
-    c = {"u": ["e0"] + a, "w_eps": [["e0", [0, 1, 2, 3]]],
-         "w_alpha": [[i, k, list(range(16))] for i in a for k in range(4)], "d": {"q": "0"}}
-    prof, frag = tmp_path / "big_profile.json", tmp_path / "big.json"
-    prof.write_text(json.dumps({"universe": {"mu": ["e0"], "alpha": a,
-                                             "eps_of": dict.fromkeys(a, "e0")},
-                                "levels": [lvl] * 3}))
-    frag.write_text(json.dumps({"trnklg": 0, "height": 3, "trunk": [],
-                                "creatures": dict.fromkeys("012", c)}))
+    prof, frag = _big_fragment(tmp_path, 3, 1 << 21)
     out = _cli_child(tmp_path, f"cond poss --profile {prof} --in {frag} --n 2", None,
                      None, address_space=200000 * 1024)
     assert out.returncode == 3 and out.stdout == "", out.stderr[-300:]
     assert out.stderr.startswith("infeasible: MemoryError") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("cond poss --n 1", 0, ""),
+    ("cond leq --against {frag}", 0, ""),
+    ("cond poss --n 2", 3, "infeasible: MemoryError"),
+    ("demo distinguish --i e0 --j a0", 3,
+     "infeasible: CapacityExceeded: possibility walk exceeds the enumeration cap\n"),
+])
+def test_a_fragment_past_the_enumeration_cap_loads_within_200_mb(tmp_path, command, code, err):
+    """Four levels of 1,024 rows, 2^30 possibilities at the top: loading
+    counts them and builds no row, so what fits in 200,000 KB answers; the
+    2^20 branches at height 2 do not fit, and the 2^40 at the top pass the
+    enumeration cap."""
+    prof, frag = _big_fragment(tmp_path, 4, 1 << 41)
+    argv = f"{command.format(frag=frag)} --profile {prof} --in {frag}"
+    out = _cli_child(tmp_path, argv, None, None, address_space=200000 * 1024)
+    assert out.returncode == code and out.stderr.startswith(err), out.stderr[-300:]
 
 
 def test_running_out_of_recursion_depth_is_a_one_line_exit_3(capsys, monkeypatch):
@@ -1184,6 +1209,15 @@ def test_ml_merge_enumerations_name_int_indices_by_their_str(files, capsys, enum
     assert run(argv + ["--enum", enum, "--enum2", enum]) == 1
     assert error in capsys.readouterr().err
     assert run(argv) == 1 and "NormTooSmall" in capsys.readouterr().err
+
+
+def test_a_name_table_without_the_level_is_a_usage_error(tmp_path):
+    """cond cover refuses a name table with no entry at its level as a usage
+    error naming the level, not as a decision height past the fragment."""
+    empty = tmp_path / "empty_name.json"
+    empty.write_text(json.dumps({"modulus": [], "values": {}, "bound": []}))
+    code, err = _run_mutated(tmp_path, _COVER.replace("{wide_name}", str(empty)), None, (), None)
+    assert (code, err) == (2, "usage error: the name table has no level-1 entry\n")
 
 
 def test_a_name_table_past_the_fragment_stays_modulus_too_deep(tmp_path):

@@ -43,6 +43,7 @@ from creaturelab.errors import (
 from creaturelab.mlcore import (
     MlCreature,
     Possibility,
+    _level_count,
     _level_rows,
     ml_homogenize,
     ml_norm_cmp,
@@ -205,16 +206,20 @@ def test_validate_enforces_the_possibility_cap():
         cond_validate(chain_fragment(prof), prof)
 
 
-def test_validate_refuses_a_walk_past_the_enumeration_cap(monkeypatch):
+def test_only_poss_refuses_a_walk_past_the_enumeration_cap(monkeypatch):
+    # validation counts the branches and builds none, so only the walk that
+    # builds their product refuses it
     prof = chain_profile()
+    p = chain_fragment(prof)
     monkeypatch.setattr(conditions, "ENUM_CAP", 1)  # poss(p, 2) has 2 branches
+    cond_validate(p, prof)
     with pytest.raises(CapacityExceeded, match="^possibility walk exceeds the enumeration cap$"):
-        cond_validate(chain_fragment(prof), prof)
+        cond_poss(p, 2, prof)
 
 
-def test_validate_builds_each_level_once(monkeypatch):
-    # the counts |poss(p, n)| come from one walk up the levels, not from
-    # one poss walk per height
+def test_validate_builds_no_level_row(monkeypatch):
+    # the counts |poss(p, n)| are products of level row counts, so no row
+    # is built; poss at the top builds each level once
     calls, rows = [], conditions._level_rows
 
     def counted(c, *args):
@@ -222,8 +227,40 @@ def test_validate_builds_each_level_once(monkeypatch):
         return rows(c, *args)
 
     monkeypatch.setattr(conditions, "_level_rows", counted)
-    cond_validate(grow_fragment(), grow_profile())
-    assert calls == [1, 2]
+    p, prof = grow_fragment(), grow_profile()
+    cond_validate(p, prof)
+    assert calls == []
+    cond_poss(p, p.height, prof)
+    assert calls == [1, 2, 3]
+
+
+# four levels of 1,024 rows (one selector with 4 values binding two
+# 16-value slots): 2^30 possibilities at the top, past ENUM_CAP
+TALL_UNI = {"mu": ["e0"], "alpha": ["a0", "a1"], "eps_of": {"a0": "e0", "a1": "e0"}}
+TALL_LVL = {"kstar": 4, "slot_sizes": 16, "height": 4,
+            "maxposs": 1 << 41, "maxsupp": 16, "gmin": 32, "bmin": 8}
+
+
+def tall_fragment(maxposs=1 << 41):
+    prof = make_toy_profile({"universe": TALL_UNI,
+                             "levels": [dict(TALL_LVL, maxposs=maxposs)] * 4})
+    creatures = {n: top_creature(prof, n, {"e0", "a0", "a1"}) for n in range(4)}
+    return FiniteCondition(0, 4, {}, creatures), prof
+
+
+def test_validate_counts_possibilities_past_the_enumeration_cap():
+    p, prof = tall_fragment()
+    assert [_level_count(c, prof) for c in p.creatures.values()] == [1024] * 4
+    cond_validate(p, prof)
+    assert cond_leq(p, p, prof) == (True, [])
+    assert len(cond_poss(p, 1, prof)) == 1024
+    with pytest.raises(CapacityExceeded, match="^possibility walk exceeds the enumeration cap$"):
+        cond_poss(p, 3, prof)
+    # the count is exact past the cap: 2^30 possibilities at level 3
+    cond_validate(*tall_fragment(maxposs=(1 << 30) + 1))
+    p, prof = tall_fragment(maxposs=1 << 30)
+    with pytest.raises(CapacityExceeded, match="^possibility count at level 3 reaches maxposs$"):
+        cond_validate(p, prof)
 
 
 def test_validate_checks_declared_floors():
@@ -998,4 +1035,6 @@ def test_level_rows_keep_the_per_pick_order(data):
         for u in {c.u} | {p.supp(n) for n in range(m, p.height)}:
             cols = tuple(sorted(u, key=str))
             fill = [(i, p.trunk[m, i]) for i in cols if i not in c.u]
-            assert _level_rows(c, cols, prof, fill) == list(_ref_level_rows(c, cols, prof, fill))
+            rows = _level_rows(c, cols, prof, fill)
+            assert rows == list(_ref_level_rows(c, cols, prof, fill))
+            assert _level_count(c, prof) == len(rows)

@@ -568,18 +568,40 @@ def test_successor_check_reports_a_failing_row_at_the_first_trunk():
     assert diag == ["restriction axiom fails at Possibility(n=1, cols=('a0', 'e0'), vals=(0, 0))"]
 
 
-def test_successor_check_keeps_the_enumeration_refusals():
+def test_successor_check_keeps_the_enumeration_refusals(monkeypatch):
     lvl = {"kstar": 16, "slot_sizes": 16, "height": 4,
            "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
     big = make_toy_profile({"universe": UNI, "levels": [lvl] * 7})
     c = top_creature(big, 6, {"e0", "e1", "a0", "a1"})
-    with pytest.raises(CapacityExceeded):
-        ml_successor_check(c, c, 6, big, enumerate_axiom=True)
-    with pytest.raises(CapacityExceeded):
+    # 65,536 rows decide it; the replay's walk over 16^24 trunks is refused
+    assert ml_successor_check(c, c, 6, big, enumerate_axiom=True) == (True, [])
+    with pytest.raises(CapacityExceeded, match="trunks exceed the enumeration cap$"):
         _ref_successor_check(c, c, 6, big)
+    # a level of more rows than the cap is refused before any is built
+    monkeypatch.setattr(mlcore, "ENUM_CAP", 65535)
+    with pytest.raises(CapacityExceeded, match="^65536 level-6 rows exceed the enumeration cap$"):
+        ml_successor_check(c, c, 6, big, enumerate_axiom=True)
     empty = MlCreature(1, frozenset(), {}, {})
     with pytest.raises(UsageError):
         ml_successor_check(empty, empty, 1, profile(), enumerate_axiom=True)
+
+
+def test_successor_check_builds_no_trunk():
+    """A level-1 creature over three selectors and three slots has 64 rows,
+    which decide the restriction property, while its 16^6 height-1 trunks
+    are past the enumeration cap."""
+    uni = {"mu": ["e0", "e1", "e2"], "alpha": ["a0", "a1", "a2"],
+           "eps_of": {"a0": "e0", "a1": "e1", "a2": "e2"}}
+    lvl = {"kstar": 16, "slot_sizes": 16, "height": 4,
+           "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
+    prof = make_toy_profile({"universe": uni,
+                             "levels": [lvl, dict(lvl, kstar=2, slot_sizes=2)]})
+    c = top_creature(prof, 1, set(uni["mu"] + uni["alpha"]))
+    assert mlcore._level_count(c, prof) == 64
+    assert ml_successor_check(c, c, 1, prof) == (True, [])
+    assert ml_successor_check(c, c, 1, prof, enumerate_axiom=True) == (True, [])
+    with pytest.raises(CapacityExceeded, match="^16777216\\+ trunks exceed the enumeration cap$"):
+        poss_enumerate(1, c.u, prof)
 
 
 def test_successor_check_holds_vacuously_without_trunks():
