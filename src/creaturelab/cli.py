@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -51,15 +52,23 @@ def _seeded_int(seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _load(path, decode):
-    """Read the JSON document at path and decode it.  A document of the
-    wrong shape is a UsageError naming the file; only the decoder is
-    guarded, so faults in the transforms still surface."""
+def _load(path, decode, check=None, what=""):
+    """Read the JSON document at path, decode it and run check on it.  A
+    document of the wrong shape (a possibility that misses a cell is a
+    DomainMismatch), or one that check refuses as a DomainMismatch (it
+    holds no `what`), is a UsageError naming the file; only the decoder
+    and check are guarded, so faults in the transforms still surface."""
     doc = read_json(path)
     try:
-        return decode(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        obj = decode(doc)
+    except (KeyError, TypeError, ValueError, AttributeError, DomainMismatch) as exc:
         raise UsageError(f"malformed document {path}: {type(exc).__name__}: {exc}") from exc
+    try:
+        if check:
+            check(obj)
+    except DomainMismatch as exc:
+        raise UsageError(f"{path} holds no {what}: {exc}") from exc
+    return obj
 
 
 def _load_creature(path, profile):
@@ -70,36 +79,27 @@ def _load_creature(path, profile):
 
 
 def _load_member(path, profile):
-    """The creature read from path, if the profile has it; else a UsageError
-    naming the file."""
+    """The creature read from path, if the profile has it."""
     from .mlcore import ml_validate
 
-    c = _load_creature(path, profile)
-    try:
-        ml_validate(c, profile)
-    except DomainMismatch as exc:
-        raise UsageError(f"{path} holds no creature of the profile: {exc}") from exc
-    return c
+    return _load(path, creature_from_json, lambda c: ml_validate(c, profile),
+                 "creature of the profile")
 
 
 def _load_fragment(path, profile):
     """The fragment read from path, if cond_validate accepts it over the
-    profile; a shape mismatch is a UsageError naming the file."""
+    profile."""
     from .conditions import FiniteCondition, cond_validate
 
-    p = _load(path, FiniteCondition.from_json)
-    try:
-        cond_validate(p, profile)
-    except DomainMismatch as exc:
-        raise UsageError(f"{path} holds no fragment of the profile: {exc}") from exc
-    return p
+    return _load(path, FiniteCondition.from_json, lambda p: cond_validate(p, profile),
+                 "fragment of the profile")
 
 
 def _load_name(path, p, profile):
     """The name table read from path, checked against the fragment p: its
     levels, decision heights, bounds and values are ints, and name_validate
-    accepts it; anything else is a UsageError naming the file.  A decision
-    height past the fragment stays name_validate's ModulusTooDeep (exit 3)."""
+    accepts it.  A decision height past the fragment stays name_validate's
+    ModulusTooDeep (exit 3)."""
     from .conditions import NameTable, name_validate
 
     def decode(doc):
@@ -110,12 +110,8 @@ def _load_name(path, p, profile):
             raise TypeError("levels, heights, bounds and values must be integers")
         return r
 
-    r = _load(path, decode)
-    try:
-        name_validate(r, p, profile)
-    except DomainMismatch as exc:
-        raise UsageError(f"{path} holds no name table of the fragment: {exc}") from exc
-    return r
+    return _load(path, decode, lambda r: name_validate(r, p, profile),
+                 "name table of the fragment")
 
 
 def _load_cover(path, p) -> dict:
@@ -437,31 +433,51 @@ def _cmd_cond_evade(args, profile, p):
 
 
 def _cmd_demo_generic_sample(args, profile, p):
-    from .conditions import cond_poss
+    """The seeded branch of the top branches, the product of the level rows
+    in cond_poss order, read off the rows without building the product."""
+    from .conditions import _poss_levels
+    from .mlcore import Possibility
 
-    branches = cond_poss(p, p.height, profile)
-    rng = random.Random(args.seed)
-    nu = branches[rng.randrange(len(branches))]
-    return 0, {"seed": args.seed, "count": len(branches),
-               "branch": nu.to_json()}
+    cols = tuple(sorted(p.dom, key=str))
+    levels = _poss_levels(p, p.height, cols, profile)
+    count = math.prod(map(len, levels))
+    k = random.Random(args.seed).randrange(count)
+    rows = []
+    for level in reversed(levels):  # k in mixed radix, the last level fastest
+        k, r = divmod(k, len(level))
+        rows.append(level[r])
+    nu = Possibility((p.height, cols, sum(reversed(rows), ())))
+    return 0, {"seed": args.seed, "count": count, "branch": nu.to_json()}
 
 
 def _cmd_demo_distinguish(args, profile, p):
-    from .conditions import cond_poss
+    """The first branch in cond_poss order on which i and j differ: the
+    first row of every level, unless no first row differs; then the last
+    level with a differing row takes its first one, since every differing
+    branch leaves the first rows at or below that level, and the later it
+    leaves them the earlier it comes."""
+    from .conditions import _poss_levels
+    from .mlcore import Possibility
 
     i, j = _index(profile, args.i), _index(profile, args.j)
     for idx in (i, j):
         if idx not in p.dom:
             raise UsageError(f"index {idx!r} is not in the fragment's domain")
-    for nu in cond_poss(p, p.height, profile):
-        for n in range(nu.n):
-            a, b = nu.get(n, i), nu.get(n, j)
-            if a != b:
-                return 0, {"level": n, "i": i, "j": j,
-                           "value_i": a, "value_j": b,
-                           "branch": nu.to_json()}
-    return 1, {"i": i, "j": j,
-               "failure": "every branch agrees on the two indices at every level"}
+    cols = tuple(sorted(p.dom, key=str))
+    levels = _poss_levels(p, p.height, cols, profile)
+    a, b = cols.index(i), cols.index(j)
+    split = [next((row for row in rows if row[a] != row[b]), None) for rows in levels]
+    if not all(levels) or not any(split):
+        return 1, {"i": i, "j": j,
+                   "failure": "every branch agrees on the two indices at every level"}
+    rows = [level[0] for level in levels]
+    if all(row[a] == row[b] for row in rows):
+        last = max(m for m, row in enumerate(split) if row)
+        rows[last] = split[last]
+    n = next(m for m, row in enumerate(rows) if row[a] != row[b])
+    nu = Possibility((p.height, cols, sum(rows, ())))
+    return 0, {"level": n, "i": i, "j": j, "value_i": rows[n][a], "value_j": rows[n][b],
+               "branch": nu.to_json()}
 
 
 # ---------------------------------------------------------------------------

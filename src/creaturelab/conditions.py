@@ -200,6 +200,8 @@ def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
         raise UsageError(f"unknown method {method!r}")
     cols = tuple(sorted(p.supp(n), key=str))
     levels = _poss_levels(p, n, cols, profile)
+    if math.prod(map(len, levels)) > ENUM_CAP:
+        raise CapacityExceeded("possibility walk exceeds the enumeration cap")
     vals = [sum(rows, ()) for rows in itertools.product(*levels)]
     del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
     return [Possibility((n, cols, v)) for v in vals]
@@ -212,15 +214,13 @@ def _check_height(p: FiniteCondition, n) -> None:
 
 def _poss_levels(p: FiniteCondition, n: int, cols, profile) -> list:
     """The rows over cols of the levels below n, whose product is poss(p, n)
-    (see cond_poss), refused once their product passes ENUM_CAP and checked
-    against their rules once every level has rows."""
+    (see cond_poss), checked against their rules once every level has rows;
+    _level_rows caps each level's rows, and the caller caps their product."""
     levels = []
     for m in range(n):
         fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
         levels.append([tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
                       else _level_rows(p.creatures[m], cols, profile, fill))
-        if math.prod(map(len, levels)) > ENUM_CAP:
-            raise CapacityExceeded("possibility walk exceeds the enumeration cap")
     for m, rows in enumerate(levels) if all(levels) else ():
         for j, sel, ok in _level_rules(p, m, cols, profile):
             seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))

@@ -36,6 +36,8 @@ _MAX_BITS = 1 << 20
 _MAX_LOG_DEPTH = 6
 # Fraction bits of every log2 bracket.
 _LOG_BITS = 64
+# Longer literals print by bit length: Python's int -> str stops at 4,300 digits.
+_REPR_BITS = 4096
 
 
 class TowerNat(Frozen):
@@ -126,7 +128,8 @@ class TowerNat(Frozen):
         The ends are exact ints or Fractions; -inf / inf mark a side that is
         not bounded, as when a log would be taken of a value below 1.
         """
-        v = self.eval_exact()
+        # a literal bounds itself from its own integer, past the bit budget too
+        v = self.n if self.op == "lit" else self.eval_exact()
         if v is not None:
             lo = hi = v
             for _ in range(k):
@@ -144,8 +147,6 @@ class TowerNat(Frozen):
         """Structural (lo, hi) for the k-fold log2, k >= 1, value too big."""
         if self.op == "ref":
             return self._deref().log_bounds(k)
-        if self.op == "lit":
-            return self.log_bounds(k)  # lit is always exact
         if self.op in ("add", "mul"):
             bs = [x.log_bounds(k) for x in self.args]
             if self.op == "mul" and k == 1:
@@ -186,7 +187,8 @@ class TowerNat(Frozen):
 
     def __repr__(self) -> str:
         if self.op == "lit":
-            return str(self.n)
+            bits = self.n.bit_length()
+            return str(self.n) if bits <= _REPR_BITS else f"<{bits}-bit literal>"
         if self.op == "ref":
             return f"@{self.name}"
         sym = {"add": " + ", "mul": " * ", "pow": " ** "}[self.op]

@@ -1,5 +1,6 @@
 """Command line: exit codes, artifact writing, determinism, replayability."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -9,6 +10,7 @@ import io
 import json
 import operator
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -19,16 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creaturelab.atomic import PropertyCertificate, replay_certificate, toy_witness_pair
+from creaturelab import cli
 from creaturelab.cli import main
 from creaturelab.conditions import (
     FiniteCondition,
     NameTable,
     cond_leq,
     cond_poss,
+    cond_poss_contains,
     cond_separate_support,
     cover_step,
 )
-from creaturelab.mlcore import MlCreature
+from creaturelab.mlcore import MlCreature, Possibility
 from creaturelab.params import make_toy_profile
 from creaturelab.serialize import (
     atomic_param_from_json,
@@ -47,6 +51,8 @@ from test_conditions import (
     GROW_LVL,
     WIDE_LVL,
     WIDE_UNI,
+    _SEED_PROFILE,
+    _draw_fragment,
     above_cut_pair,
     chain_fragment,
     chain_profile,
@@ -777,6 +783,37 @@ def test_demo_distinguish_fails_when_every_branch_agrees(files, capsys):
         "failure": "every branch agrees on the two indices at every level"}
 
 
+def _list_walk_demos(p, prof, seed, i, j):
+    """Both demos' results read off the list of every top branch."""
+    branches = cond_poss(p, p.height, prof)
+    nu = branches[random.Random(seed).randrange(len(branches))]
+    sample = {"seed": seed, "count": len(branches), "branch": nu.to_json()}
+    for nu in branches:
+        for n in range(nu.n):
+            a, b = nu.get(n, i), nu.get(n, j)
+            if a != b:
+                return sample, (0, {"level": n, "i": i, "j": j, "value_i": a, "value_j": b,
+                                    "branch": nu.to_json()})
+    return sample, (1, {"i": i, "j": j,
+                        "failure": "every branch agrees on the two indices at every level"})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_demos_read_the_level_rows_as_the_branch_list_does(data):
+    """The demos pick their branch from the level rows; a walk over the list
+    of every top branch picks the same one."""
+    prof = _SEED_PROFILE
+    p = _draw_fragment(data, prof)
+    seed = data.draw(st.integers(0, 2 ** 32))
+    order = data.draw(st.permutations(sorted(p.dom)))  # i == j only on a one-index domain
+    i, j = order[0], order[-1]
+    sample, dist = _list_walk_demos(p, prof, seed, i, j)
+    args = argparse.Namespace(seed=seed, i=str(i), j=str(j))
+    assert json.dumps(cli._cmd_demo_generic_sample(args, prof, p)) == json.dumps((0, sample))
+    assert json.dumps(cli._cmd_demo_distinguish(args, prof, p)) == json.dumps(dist)
+
+
 # malformed documents of every kind: exit 2 with the file named
 
 
@@ -1033,6 +1070,8 @@ REFUSED_FIELDS = {
     "cover-name-missing-branch": (_COVER, "{wide_name}", ("values", "1", 0), _DROP),
     "rapid-read-modulus-key": (_RAPID, "{chain_name}", ("modulus", 0, 0), "x"),
     "rapid-read-value-dict": (_RAPID, "{chain_name}", ("values", "1", 0, 1), {}),
+    # a possibility key that misses a cell of its height
+    "rapid-read-key-cells": (_RAPID, "{chain_name}", ("values", "1", 0, 0, "values"), []),
     "evade-indices-int": (_EVADE, "{cover}", ("indices",), 5),
     "evade-indices-stray": (_EVADE, "{cover}", ("indices",), ["e0", "zz"]),
     "evade-indices-unhashable": (_EVADE, "{cover}", ("indices",), [["e0"]]),
@@ -1097,18 +1136,23 @@ def test_running_out_of_memory_is_a_one_line_exit_3(tmp_path):
     ("cond poss --n 1", 0, ""),
     ("cond leq --against {frag}", 0, ""),
     ("cond poss --n 2", 3, "infeasible: MemoryError"),
-    ("demo distinguish --i e0 --j a0", 3,
-     "infeasible: CapacityExceeded: possibility walk exceeds the enumeration cap\n"),
+    ("demo distinguish --i e0 --j a0", 0, ""),
+    ("demo generic-sample --seed 7", 0, ""),
 ])
 def test_a_fragment_past_the_enumeration_cap_loads_within_200_mb(tmp_path, command, code, err):
-    """Four levels of 1,024 rows, 2^30 possibilities at the top: loading
-    counts them and builds no row, so what fits in 200,000 KB answers; the
-    2^20 branches at height 2 do not fit, and the 2^40 at the top pass the
-    enumeration cap."""
+    """Four levels of 1,024 rows, 2^40 possibilities at the top: loading
+    counts them and builds no row, and the demos read the level rows
+    without building a branch list, so what fits in 200,000 KB answers;
+    the 2^20 branches at height 2 do not fit."""
     prof, frag = _big_fragment(tmp_path, 4, 1 << 41)
     argv = f"{command.format(frag=frag)} --profile {prof} --in {frag}"
     out = _cli_child(tmp_path, argv, None, None, address_space=200000 * 1024)
     assert out.returncode == code and out.stderr.startswith(err), out.stderr[-300:]
+    if command.startswith("demo"):
+        doc, profile = json.loads(out.stdout), make_toy_profile(read_json(prof))
+        p = FiniteCondition.from_json(read_json(frag))
+        assert cond_poss_contains(p, Possibility.from_json(doc["branch"]), profile)
+        assert doc.get("count", 1 << 40) == 1099511627776
 
 
 def test_running_out_of_recursion_depth_is_a_one_line_exit_3(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,8 +37,10 @@ from creaturelab.errors import (
     DependsOnBeta,
     DomainMismatch,
     ModulusTooDeep,
+    NormTooSmall,
     NotSeparated,
     OracleInconsistent,
+    PreconditionFailed,
     UsageError,
 )
 from creaturelab.mlcore import (
@@ -235,7 +238,7 @@ def test_validate_builds_no_level_row(monkeypatch):
 
 
 # four levels of 1,024 rows (one selector with 4 values binding two
-# 16-value slots): 2^30 possibilities at the top, past ENUM_CAP
+# 16-value slots): 2^40 possibilities at the top, past ENUM_CAP
 TALL_UNI = {"mu": ["e0"], "alpha": ["a0", "a1"], "eps_of": {"a0": "e0", "a1": "e0"}}
 TALL_LVL = {"kstar": 4, "slot_sizes": 16, "height": 4,
             "maxposs": 1 << 41, "maxsupp": 16, "gmin": 32, "bmin": 8}
@@ -1038,3 +1041,125 @@ def test_level_rows_keep_the_per_pick_order(data):
             rows = _level_rows(c, cols, prof, fill)
             assert rows == list(_ref_level_rows(c, cols, prof, fill))
             assert _level_count(c, prof) == len(rows)
+
+
+# input refusals: each raises its own type with its own message
+
+
+def _on_chain(f, *args):
+    prof = chain_profile()
+    return f(chain_fragment(prof), *args, prof)
+
+
+def _on_wide(f, *args):
+    prof = wide_profile()
+    return f(wide_fragment(prof), *args, prof)
+
+
+def _validate_relabelled(p, prof):
+    c = p.creatures[2]
+    p.creatures[2] = MlCreature(1, c.u, c.w_eps, c.w_alpha)
+    cond_validate(p, prof)
+
+
+def _validate_shrinking():
+    p = grow_fragment()
+    p.creatures[3] = MlCreature(3, frozenset({"e0"}), {"e0": (0, 1)}, {})
+    cond_validate(p, grow_profile())
+
+
+def _conjoin(p, n, u, height, prof):
+    eta = Possibility.make(height, {"e"}, {(m, "e"): 0 for m in range(height)})
+    return cond_and(p, eta, n, u, prof)
+
+
+def _name_changed(p, change, prof):
+    r = seeded_name(p, prof, [1, 2], 2)
+    change(r)
+    name_validate(r, p, prof)
+
+
+def _leave_bound(r):
+    r.values[1][next(iter(r.values[1]))] = 2
+
+
+def _separate_on_a_tight_budget():
+    # bmin 2: the one pair of selectors e0, e1 already spends it
+    prof = make_toy_profile({"universe": WIDE_UNI, "levels": [dict(WIDE_LVL, bmin=2)] * 2})
+    return cond_separate_support(wide_fragment(prof), prof)
+
+
+def _cover(level):
+    return {"level": level, "indices": ["e0"], "table": {}}
+
+
+def _evade_below_norm_2():
+    # the growing profile's level 3 norm does not clear 2
+    return evade_step(grow_fragment(), 3, _cover(3), "a1", grow_profile())
+
+
+NO_NAME = NameTable({}, {}, {})
+
+REFUSALS = {
+    "validate-relabelled": (lambda: _on_chain(_validate_relabelled),
+                            DomainMismatch, "creature at level 2 is labelled 1"),
+    "validate-shrinking": (_validate_shrinking,
+                           DomainMismatch, "support must not shrink at level 3"),
+    "poss-method": (lambda: cond_poss(chain_fragment(chain_profile()), 2, chain_profile(), "raw"),
+                    UsageError, "unknown method 'raw'"),
+    "and-cut": (lambda: _on_chain(_conjoin, 0, {"e"}, 0),
+                DomainMismatch, "cut 0 outside [1, 3)"),
+    "and-support": (lambda: _on_chain(_conjoin, 2, set(), 2),
+                    DomainMismatch, "u must sit between the lower support and the domain"),
+    "and-eta": (lambda: _on_chain(_conjoin, 1, {"e"}, 2),
+                DomainMismatch, "eta must be a height-n possibility over u"),
+    "separate-budget": (_separate_on_a_tight_budget, NormTooSmall,
+                        "level 1: 1 selector pairs exhaust the disjointness budget"),
+    "name-decreasing": (lambda: _on_chain(_name_changed, lambda r: r.modulus.update({1: 3, 2: 2})),
+                        DomainMismatch, "the decision modulus must be non-decreasing"),
+    "name-bound": (lambda: _on_chain(_name_changed, _leave_bound),
+                   DomainMismatch, "level 1 values leave the declared bound"),
+    "pull-back-range": (lambda: _on_chain(pull_back_labelling, 0, 2, {}),
+                        UsageError, "need trnklg <= M <= n <= height"),
+    "pull-back-keys": (lambda: _on_chain(pull_back_labelling, 1, 2, {}),
+                       DomainMismatch, "psi must be keyed by poss(p, n) exactly"),
+    "rapid-read-cut": (lambda: _on_chain(rapid_read, 0, NO_NAME),
+                       UsageError, "cut M outside the fragment"),
+    "halving-cut": (lambda: _on_chain(halving_step, 3, 1, None),
+                    UsageError, "cut M outside the fragment"),
+    "halving-floor-below-1": (lambda: _on_chain(halving_step, 1, Fraction(1, 2), None),
+                              UsageError, "the norm floor must be at least 1"),
+    "halving-floor-fails": (lambda: _on_chain(halving_step, 1, 10**6, None),
+                            PreconditionFailed, "norm floor 1000000 fails at level 1"),
+    "selector-block": (lambda: _on_wide(_selector_block, 1, "a0"),
+                       DomainMismatch, "'a0' is not a level-1 selector index"),
+    "cover-level": (lambda: _on_chain(cover_step, 5, NO_NAME, "e"),
+                    UsageError, "level 5 outside the fragment"),
+    "cover-modulus": (lambda: _on_chain(cover_step, 1, NameTable({1: 3}, {1: {}}, {1: 2}), "e"),
+                      ModulusTooDeep, "the level-1 value must be decided at height 2"),
+    "evade-level": (lambda: _on_wide(evade_step, 1, _cover(0), "a1"),
+                    UsageError, "Y must cover the requested level"),
+    "evade-selector": (lambda: _on_wide(evade_step, 1, _cover(1), "e1"),
+                       DomainMismatch, "'e1' is not a level-1 slot index"),
+    "evade-norm": (_evade_below_norm_2,
+                   PreconditionFailed, "evading needs norm above 2 at level 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_inputs_are_refused_by_type_and_message(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_leq_and_decided_at_answer_no():
+    prof = chain_profile()
+    p = chain_fragment(prof)
+    q = cond_and(p, cond_poss(p, 2, prof)[0], 2, {"e"}, prof)
+    assert cond_leq(p, q, prof) == (False, ["trunk length must not decrease"])
+    # a name whose level-1 value differs on the two height-2 branches above
+    # the one height-1 branch
+    r = NameTable({1: 2}, {1: {nu: k for k, nu in enumerate(cond_poss(p, 2, prof))}}, {1: 2})
+    name_validate(r, p, prof)
+    assert not name_decided_at(r, 1, 1, p, prof) and name_decided_at(r, 1, 2, p, prof)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -928,3 +929,42 @@ def test_random_successors_keep_all_invariants():
             back = ml_unhalve(h, d, 1, prof)
             assert back.d == d.d
             assert ml_nor_z(back, prof).scale(2) >= ml_nor_z(d, prof)
+
+
+# input refusals: each raises its own type with its own message
+
+
+def _with_top(u, f, *args, **profile_fields):
+    """f(c, *args, prof) on the top level-1 creature over u."""
+    prof = profile(**profile_fields)
+    return f(top_creature(prof, 1, u), *args, prof)
+
+
+def _validate_with_slot(c, prof):
+    c.w_alpha[("a0", 0)] = (99,)
+    ml_validate(c, prof)
+
+
+def _merge_in_two_orders(c, prof):
+    # the two selectors have one local type in either order, but the two
+    # orders list the shared support differently
+    return ml_merge(c, c, ["e0", "e1"], ["e1", "e0"], 1, prof)
+
+
+REFUSALS = {
+    "validate-maxsupp": (lambda: _with_top({"e0", "e1", "a0", "a1"}, ml_validate, maxsupp=2),
+                         CapacityExceeded, "support 4 exceeds maxsupp 2"),
+    "validate-slot": (lambda: _with_top({"e0", "a0"}, _validate_with_slot),
+                      DomainMismatch, "unknown slot creature at ('a0', 0)"),
+    "val-height": (lambda: _with_top({"e0", "a0"}, ml_val, Possibility.make(0, {"e0", "a0"}, {})),
+                   DomainMismatch, "trunk height or domain does not fit the creature"),
+    "merge-enumerations": (lambda: _with_top({"e0", "e1"}, _merge_in_two_orders),
+                           TypeMismatch, "enumerations must agree on the shared support"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_inputs_are_refused_by_type_and_message(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -39,6 +39,27 @@ def test_compare_beyond_budget():
     assert tower_compare(b, a) == -1
 
 
+def test_a_literal_past_the_bit_budget_is_bounded_from_its_own_integer():
+    # 2^(2^21) has 2^21 + 1 bits, past the budget, so eval_exact gives None;
+    # the literal's log bounds read its own integer
+    big = lit(1 << (1 << 21))
+    assert big.eval_exact() is None
+    assert tower_compare(big, lit(3)) == 1
+    assert tower_compare(lit(3), big) == -1
+    assert tower_compare(big, pow_(2, (1 << 21) - 1)) == 1
+    assert tower_compare(big, pow_(2, (1 << 21) + 1)) == -1
+
+
+def test_a_literal_past_the_digit_limit_prints_by_bit_length():
+    # str of an int stops at 4,300 digits, so the Indeterminate message for
+    # two equal values past the budget names the literal by its bit length
+    big = lit(1 << (1 << 21))
+    assert repr(big) == "<2097153-bit literal>" and repr(lit(1 << 4095)) == str(1 << 4095)
+    message = r"^cannot order <2097153-bit literal> and \(2 \*\* 2097152\)"
+    with pytest.raises(Indeterminate, match=message):
+        tower_compare(big, pow_(2, 1 << 21))
+
+
 def test_compare_towers():
     # 2^(2^(2^10)) vs 3^(3^100): left is a tower of height 3, right of height 2
     a = pow_(2, pow_(2, pow_(2, 10)))
