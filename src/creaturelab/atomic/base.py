@@ -37,6 +37,20 @@ def id_from_json(v):
     return tuple(id_from_json(x) for x in v) if isinstance(v, list) else v
 
 
+def unique_dict(pairs, what="key"):
+    """dict(pairs), refusing a key listed twice (ValueError): a document
+    that repeats a key is malformed, not read last-wins."""
+    pairs = list(pairs)
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ValueError(f"{what} {k!r} is listed twice")
+            seen.add(k)
+    return out
+
+
 class AtomicParameter:
     """Interface shared by explicit tables and intensional families."""
 
@@ -144,10 +158,6 @@ class AtomicParameter:
                 if best is None or sz < best_size:
                     best, best_size = v, sz
         return best
-
-    def big_successor(self, w, x: LogReal):
-        """Successor intended to stay hereditarily big; default w itself."""
-        return w
 
     # -- identity ---------------------------------------------------------------
 

@@ -417,7 +417,8 @@ def check_halving(p, w, x) -> PropertyCertificate:
 def check_decisive(p, w, K: int, m: int, x, mode: str = "auto") -> PropertyCertificate:
     """Is w (K, m, x)-decisive: does it have both a small successor (value
     set of size at most K, norm at least nor(w) - x) and a successor that is
-    hereditarily (2^(K^m), x)-big?"""
+    hereditarily (2^(K^m), x)-big?  The big successor tried is w itself,
+    replayed as a successor of w like the small one."""
     x = lr(x)
     floor = p.nor(w) - x
     params = {"w": w, "K": K, "m": m, "x": x}
@@ -428,13 +429,12 @@ def check_decisive(p, w, K: int, m: int, x, mode: str = "auto") -> PropertyCerti
                      counterexample={"missing": "small", "found": v_minus})
 
     B = 2 ** (K ** m)
-    v_plus = p.big_successor(w, x)
-    big = check_bigness(p, v_plus, B, x, mode=mode, hereditary=True)
-    if not (p.in_succ(v_plus, w) and p.nor(v_plus) >= floor and big.verdict):
+    big = check_bigness(p, w, B, x, mode=mode, hereditary=True)
+    if not (p.in_succ(w, w) and p.nor(w) >= floor and big.verdict):
         return _cert(p, "decisive", params, False, big.mode,
-                     counterexample={"missing": "big", "found": v_plus,
+                     counterexample={"missing": "big", "found": w,
                                      "inner": big.counterexample})
-    return _cert(p, "decisive", params, True, big.mode, witness={"small": v_minus, "big": v_plus})
+    return _cert(p, "decisive", params, True, big.mode, witness={"small": v_minus, "big": w})
 
 
 def check_nice(p, M: int, m_max) -> PropertyCertificate:

@@ -26,8 +26,8 @@ _CHUNK = 256
 
 def decisive_order(params, ws, x):
     """Order the coordinates of a creature tuple by how cheaply each can be
-    made small, then commit the cheapest to its small successor and every
-    other coordinate to a big successor that is hereditarily (2^c, x)-big,
+    made small, then commit the cheapest to its small successor and keep
+    every other coordinate's creature, which must be hereditarily (2^c, x)-big,
     where c is the product of the value-set sizes of the coordinates placed
     before it.
 
@@ -58,7 +58,7 @@ def decisive_order(params, ws, x):
     running = p.val_size(v)
     for i in order[1:]:
         p = params[i]
-        v = p.big_successor(ws[i], x)
+        v = ws[i]
         if not (p.in_succ(v, ws[i]) and p.nor(v) >= p.nor(ws[i]) - x):
             raise NotDecisive(f"{p.name}: big successor fails replay")
         if running > TUPLE_CAP:

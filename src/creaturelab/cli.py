@@ -43,6 +43,7 @@ from .serialize import (
     id_from_json,
     parse_rational,
     read_json,
+    unique_dict,
     write_json,
 )
 
@@ -115,16 +116,28 @@ def _load_name(path, p, profile):
 
 
 def _load_cover(path, p) -> dict:
-    """The cover table read from path: its level is a level of p and its
-    indices are support indices at that level; anything else is a
-    UsageError naming the file."""
+    """The cover table read from path: its level is a level of p, its
+    indices are support indices at that level, each table key lists
+    (index, int) pairs over the indices in order, and each value is a list
+    of ints; anything else is a UsageError naming the file."""
     def decode(doc):
         level, indices = doc["level"], doc["indices"]
         if not (type(level) is int and level in p.levels and isinstance(indices, list)
                 and set(indices) <= p.supp(level)):
             raise ValueError("level and indices must name one level's support indices")
-        return {"level": level, "indices": indices,
-                "table": {id_from_json(json.loads(k)): set(v) for k, v in doc["table"].items()}}
+        def entry(k, v):
+            key = id_from_json(json.loads(k))
+            if not (isinstance(key, tuple)
+                    and all(isinstance(c, tuple) and len(c) == 2 for c in key)
+                    and [i for i, _ in key] == indices
+                    and all(type(x) is int for _, x in key)):
+                raise ValueError(f"table key {k} must list (index, int) pairs over {indices}")
+            if not (isinstance(v, list) and all(type(x) is int for x in v)):
+                raise ValueError(f"table value at {k} must be a list of ints")
+            return key, set(v)
+
+        table = unique_dict((entry(k, v) for k, v in doc["table"].items()), "table key")
+        return {"level": level, "indices": indices, "table": table}
 
     return _load(path, decode)
 

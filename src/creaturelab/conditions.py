@@ -38,7 +38,7 @@ from .errors import (
     PreconditionFailed,
     UsageError,
 )
-from .atomic.base import ENUM_CAP
+from .atomic.base import ENUM_CAP, unique_dict
 from .atomic.ops import disjoint_successors
 from .logreal import as_fraction
 from .records import Record
@@ -123,14 +123,15 @@ class FiniteCondition(Record):
 
     @staticmethod
     def from_json(obj) -> "FiniteCondition":
-        creatures = {int(n): MlCreature.from_json(c, int(n))
-                     for n, c in obj["creatures"].items()}
+        creatures = unique_dict(((int(n), MlCreature.from_json(c, int(n)))
+                                 for n, c in obj["creatures"].items()), "creature level")
         return FiniteCondition(
             obj["trnklg"],
             obj["height"],
-            {(m, i): v for m, i, v in obj["trunk"]},
+            unique_dict((((m, i), v) for m, i, v in obj["trunk"]), "trunk cell"),
             creatures,
-            {n: as_fraction(f) for n, f in obj.get("floors", [])},
+            unique_dict(((n, as_fraction(f)) for n, f in obj.get("floors", [])),
+                        "norm floor level"),
         )
 
 
@@ -405,12 +406,12 @@ class NameTable(Record):
     @staticmethod
     def from_json(obj) -> "NameTable":
         return NameTable(
-            {n: h for n, h in obj["modulus"]},
-            {
-                int(n): {Possibility.from_json(nu): v for nu, v in tbl}
-                for n, tbl in obj["values"].items()
-            },
-            {n: b for n, b in obj["bound"]},
+            unique_dict(((n, h) for n, h in obj["modulus"]), "modulus level"),
+            unique_dict((
+                (int(n), unique_dict(((Possibility.from_json(nu), v) for nu, v in tbl),
+                                     f"level-{n} possibility"))
+                for n, tbl in obj["values"].items()), "values level"),
+            unique_dict(((n, b) for n, b in obj["bound"]), "bound level"),
         )
 
 

@@ -6,8 +6,8 @@ so equality is decidable symbolically from the canonical form.  Order is one
 integer comparison: with D the least common denominator, D*x = Q + sum
 a_p*log2(p) = log2(2**Q * prod p**a_p), so the sign of x is the order of two
 products of prime powers, which differ by unique factorization.  Past
-_POWER_BITS bits of powers, and for `approx`, `lr_cmp_pow2` and the tower
-bounds, the answer is read off integer enclosures instead: `_log2_bracket`
+_POWER_BITS bits of powers, and for `approx` and `lr_cmp_pow2`, the
+answer is read off integer enclosures instead: `_log2_bracket`
 gives integers lo <= 2**bits * log2(n) <= hi, with `bits` doubled until the
 enclosure is tight enough.  That loop terminates because a nonzero element is
 nonzero as a real number; past _MAX_PREC bits it refuses with Indeterminate.

@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
     ZeroNorm,
 )
-from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json
+from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json, unique_dict
 from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
 from .records import Record
 
@@ -158,7 +158,8 @@ class Possibility(tuple):
     @staticmethod
     def from_json(obj) -> "Possibility":
         return Possibility.make(
-            obj["n"], obj["u"], {(m, i): v for m, i, v in obj["values"]}
+            obj["n"], obj["u"],
+            unique_dict((((m, i), v) for m, i, v in obj["values"]), "possibility cell"),
         )
 
 
@@ -219,8 +220,9 @@ class MlCreature(Record):
         return MlCreature(
             obj["n"] if n is None else n,
             frozenset(obj["u"]),
-            {i: id_from_json(w) for i, w in obj["w_eps"]},
-            {(a, k): id_from_json(w) for a, k, w in obj["w_alpha"]},
+            unique_dict(((i, id_from_json(w)) for i, w in obj["w_eps"]), "w_eps index"),
+            unique_dict((((a, k), id_from_json(w)) for a, k, w in obj["w_alpha"]),
+                        "w_alpha slot"),
             LogReal.from_json(obj["d"]),
         )
 

@@ -28,7 +28,7 @@ from .tower import TowerNat, add, lit, mul, pow_, ref, tower_compare
 
 def _sym(name: str) -> TowerNat:
     """Unbound symbolic field; comparisons involving it are refused."""
-    return ref(name, env=None)
+    return ref(name)
 
 # ---------------------------------------------------------------------------
 # exact rows
@@ -146,12 +146,11 @@ def params_exact(n: int) -> ParamRow:
     )
 
 
-def params_validate(row: ParamRow, prev: ParamRow | None = None) -> list:
-    """Re-check every recursion inequality on a row; one report entry per
-    item, with verdict holds / relaxed / constructor-dependent."""
+def params_validate(row: ParamRow) -> list:
+    """Re-check every recursion inequality on a row against row n - 1; one
+    report entry per item, with verdict holds / relaxed / constructor-dependent."""
     n = row.n
-    if prev is None and n > 0:
-        prev = params_exact(n - 1)
+    prev = params_exact(n - 1) if n > 0 else None
     fmax_prev = prev.fields["fmax"] if prev else lit(1)
     maxsupp_prev = prev.fields["maxsupp"] if prev else lit(1)
     f = row.fields

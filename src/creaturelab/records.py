@@ -30,9 +30,7 @@ class Record:
 
 class Frozen(Record):
     """An immutable value: `__init__` sets each field once with
-    `object.__setattr__`, and hash reads the fields == reads.  A subclass
-    that leaves a field out of == overrides `__eq__` and `__hash__`
-    together (and `__repr__`, to leave it out there too)."""
+    `object.__setattr__`, and hash reads the fields == reads."""
 
     __slots__ = ()
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .logreal import as_fraction
-from .atomic.base import id_from_json, id_to_json
+from .atomic.base import id_from_json, id_to_json, unique_dict
 from .atomic import (
     HalvingPairFamily,
     ReservoirFamily,
@@ -28,13 +28,18 @@ from .atomic import (
 )
 
 
+def _object(pairs):
+    """A JSON object; a key it lists twice is refused, not read last-wins."""
+    return unique_dict(pairs, "JSON object key")
+
+
 def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a repeated key, bytes not UTF-8, a 4,300+ digit int
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 

@@ -137,7 +137,7 @@ def test_params_level_zero(files):
 
 
 def test_params_level_one_validates_against_the_row_below(files):
-    # without a given previous row, params_validate builds level 0 itself
+    # params_validate builds the level-0 row itself
     write, tmp = files
     out = tmp / "row1.json"
     assert run(["params", "--level", "1"], out) == 0
@@ -957,6 +957,9 @@ CLI_OUTPUT_PINS = [
     ("demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1", 0, "ab2dcc184096857b"),
     ("demo generic-sample --profile {chain_profile} --in {chain} --seed 7", 0, "0942f3e9fb00d0ed"),
     ("params --level 0", 0, "4dbcc81c9e91c22b"),
+    ("params --level 1", 0, "7d67eb64bfef7a95"),
+    ("params --level 2", 0, "a6434c282714f5c6"),
+    ("params --level 8", 0, "22c378100394f5c0"),
     ("atomic verify --in {toyh} --property axioms", 0, "773f3d0fc52c6e18"),
     ("atomic verify --in {toyh} --property halving --x 3/2", 0, "6e24184f58960eb1"),
     ("atomic verify --in {toya} --property halving --x 1", 1, "0d31be2f37b86d11"),
@@ -1012,12 +1015,15 @@ _DROP = object()  # mutation marker: remove the field instead of setting it
 
 def _mutated(doc, path, value):
     """A deep copy of doc with the field at path (keys and list indices)
-    removed (value _DROP) or set to a fresh copy of value."""
+    removed (value _DROP), replaced by value(field) (value a function), or
+    set to a fresh copy of value."""
     doc = copy.deepcopy(doc)
     *head, last = path
     parent = functools.reduce(operator.getitem, head, doc)
     if value is _DROP:
         del parent[last]
+    elif callable(value):
+        parent[last] = value(parent[last])
     else:
         parent[last] = copy.deepcopy(value)
     return doc
@@ -1049,6 +1055,7 @@ _WIDE_POSS = "cond poss --profile {wide_profile} --in {wide}"
 _COVER = "cond cover --profile {wide_profile} --in {sep} --n 1 --eps e0 --name {wide_name}"
 _RAPID = "cond rapid-read --profile {chain_profile} --in {chain} --name {chain_name} --M 1"
 _EVADE = "cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1"
+_COVER_KEY = '[["e0", 0], ["a0", 0]]'  # the first block key of the pinned cover table
 
 # (command, document, path, value): each once ended in a traceback, or in a
 # verdict where the document should have been refused
@@ -1075,6 +1082,10 @@ REFUSED_FIELDS = {
     "evade-indices-int": (_EVADE, "{cover}", ("indices",), 5),
     "evade-indices-stray": (_EVADE, "{cover}", ("indices",), ["e0", "zz"]),
     "evade-indices-unhashable": (_EVADE, "{cover}", ("indices",), [["e0"]]),
+    # cover table entries that name no block key or no list of ints
+    "evade-table-string": (_EVADE, "{cover}", ("table", _COVER_KEY), "xyz"),
+    "evade-table-key-scalar": (_EVADE, "{cover}", ("table", "5"), [0]),
+    "evade-table-float": (_EVADE, "{cover}", ("table", _COVER_KEY), [1.5]),
 }
 
 
@@ -1082,6 +1093,74 @@ REFUSED_FIELDS = {
 def test_malformed_fields_are_usage_errors(tmp_path, case):
     code, err = _run_mutated(tmp_path, *REFUSED_FIELDS[case])
     assert code == 2 and err.startswith("usage error:"), err
+
+
+def _twice(j, entry=None):
+    """A list with its j-th item listed again, as entry when given."""
+    return lambda items: items + [items[j] if entry is None else entry]
+
+
+def _alias(key, alias):
+    """A JSON object with the value at key also under alias."""
+    return lambda obj: dict(obj, **{alias: obj[key]})
+
+
+# (command, document, path, change): a key listed twice, each once read
+# last-wins with exit 0
+REPEATED_KEYS = {
+    "fragment-trunk-cell": (_WIDE_POSS + " --n 1", "{wide}", ("trunk",),
+                            _twice(0, [0, "a0", 1])),
+    "fragment-creature-level": (_WIDE_POSS, "{wide}", ("creatures",), _alias("1", "01")),
+    "fragment-floor-level": (_WIDE_POSS, "{wide}", ("floors",), [[1, "1"], [1, "1/2"]]),
+    "creature-w-eps": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
+                       ("w_eps",), _twice(0)),
+    "creature-w-alpha": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
+                         ("w_alpha",), _twice(0, ["a0", 0, [0, 1]])),
+    "name-modulus": (_COVER, "{wide_name}", ("modulus",), _twice(0)),
+    "name-bound": (_COVER, "{wide_name}", ("bound",), _twice(0)),
+    "name-values-level": (_COVER, "{wide_name}", ("values",), _alias("1", "01")),
+    "name-possibility": (_COVER, "{wide_name}", ("values", "1"), _twice(0)),
+    "name-possibility-cell": (_COVER, "{wide_name}", ("values", "1", 0, 0, "values"),
+                              _twice(0)),
+    "cover-table-key": (_EVADE, "{cover}", ("table",),
+                        _alias(_COVER_KEY, _COVER_KEY.replace(", ", ","))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_a_key_listed_twice_is_a_usage_error(tmp_path, case):
+    command, target, path, change = REPEATED_KEYS[case]
+    code, err = _run_mutated(tmp_path, command, target, path, change)
+    name = _pin_docs_once()[target][0]
+    assert code == 2 and err.startswith("usage error: malformed document"), err
+    assert name in err and "is listed twice" in err, err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"1" * 5000],
+                         ids=["not-utf8", "int-past-digit-limit"])
+def test_undecodable_json_is_a_usage_error(tmp_path, capsys, content):
+    """Bytes that are not UTF-8, and an int past Python's 4,300-digit str
+    limit, are malformed JSON (exit 2), not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["atomic", "verify", "--in", str(path), "--property", "axioms"]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: malformed JSON in {path}: ")
+
+
+def test_a_json_object_key_listed_twice_is_a_usage_error(tmp_path):
+    """json.load keeps the last of two equal keys; read_json refuses them."""
+    text = json.dumps(_pin_docs_once()["{creature}"][1])
+    path = tmp_path / "creature.json"
+    path.write_text(text.replace('{"n": 1,', '{"n": 1, "n": 2,', 1))
+    with pytest.raises(UsageError, match="^malformed JSON in .*creature.json: "
+                                         "JSON object key 'n' is listed twice$"):
+        read_json(path)
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps(_pin_docs_once()["{wide_profile}"][1]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["ml", "norm", "--profile", str(prof), "--in", str(path)]) == 2
+    assert err.getvalue().startswith(f"usage error: malformed JSON in {path}")
 
 
 def _cli_child(tmp_path, command, target, change, address_space=1 << 30):

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import creaturelab.params as params_module
 from creaturelab.atomic import plateau_family
 from creaturelab.errors import SizeInfeasible, UsageError
+from creaturelab.tower import tower_compare
 from creaturelab.params import (
     make_toy_profile,
     params_exact,
@@ -80,6 +82,22 @@ def test_validate_catches_a_doctored_row():
     row.fields["maxsupp"] = lit(4)
     verdicts = {e["item"]: e["verdict"] for e in params_validate(row)}
     assert verdicts["maxsupp-formula"] == "relaxed"
+
+
+def test_every_row_comparison_is_decided_by_exact_evaluation(monkeypatch):
+    """Building and validating rows 0..30 compares only numbers within the
+    bit budget: no comparison is an identical-tree 0 or a refusal.  This
+    fails the day a row needs more than exact comparison."""
+    calls = []
+
+    def traced(a, b):
+        calls.append(a.eval_exact() is not None and b.eval_exact() is not None)
+        return tower_compare(a, b)
+
+    monkeypatch.setattr(params_module, "tower_compare", traced)
+    for n in range(31):
+        params_validate(params_exact(n))
+    assert calls and all(calls), f"{calls.count(False)} of {len(calls)} calls not exact"
 
 
 def test_resolve_nice_size_small_regimes():

@@ -41,11 +41,12 @@ def test_logreal():
 
 def test_tower_nat():
     x = TowerNat("lit", n=3)
-    assert repr(x) == "3" and repr(add(lit(2), ref("k", None))) == "(2 + @k)"
-    assert x == TowerNat(op="lit", args=(), n=3, name="", env=None)
-    # env stays out of == and hash
-    r1, r2 = ref("k", {"k": lit(1)}), ref("k", None)
+    assert repr(x) == "3" and repr(add(lit(2), ref("k"))) == "(2 + @k)"
+    assert x == TowerNat(op="lit", args=(), n=3, name="")
+    # == and hash read the four fields
+    r1, r2 = ref("k"), TowerNat("ref", name="k")
     assert r1 == r2 and hash(r1) == hash(r2) == hash(("ref", (), 0, "k"))
+    assert r1 != ref("j")
     assert TowerNat("add", (x, x)) != TowerNat("mul", (x, x))
     with pytest.raises(UsageError):
         TowerNat("lit", n=0)
@@ -142,10 +143,9 @@ def test_param_row_and_level_spec():
 
 
 def test_frozen_values_copy_and_pickle():
-    env = {"k": lit(1)}
-    values = [LogReal(Fraction(3, 2), ((3, Fraction(1, 2)),)), ref("k", env), ScaleBudget(4),
-              Possibility.make(1, {"e0"}, {(0, "e0"): 1})]
+    values = [LogReal(Fraction(3, 2), ((3, Fraction(1, 2)),)), add(lit(2), ref("k")),
+              ScaleBudget(4), Possibility.make(1, {"e0"}, {(0, "e0"): 1})]
     for x in values:
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and repr(y) == repr(x)
-    assert copy.copy(values[1]).env is env and copy.copy(values[3]).u == values[3].u
+    assert copy.copy(values[1]).args is values[1].args and copy.copy(values[3]).u == values[3].u
