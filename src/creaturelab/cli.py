@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
 import random
 import sys
 
@@ -446,21 +445,13 @@ def _cmd_cond_evade(args, profile, p):
 
 
 def _cmd_demo_generic_sample(args, profile, p):
-    """The seeded branch of the top branches, the product of the level rows
-    in cond_poss order, read off the rows without building the product."""
-    from .conditions import _poss_levels
-    from .mlcore import Possibility
+    """The seeded branch of the top branches, read off the level rows
+    without building the branch list."""
+    from .conditions import PossSpace
 
-    cols = tuple(sorted(p.dom, key=str))
-    levels = _poss_levels(p, p.height, cols, profile)
-    count = math.prod(map(len, levels))
-    k = random.Random(args.seed).randrange(count)
-    rows = []
-    for level in reversed(levels):  # k in mixed radix, the last level fastest
-        k, r = divmod(k, len(level))
-        rows.append(level[r])
-    nu = Possibility((p.height, cols, sum(reversed(rows), ())))
-    return 0, {"seed": args.seed, "count": count, "branch": nu.to_json()}
+    space = PossSpace(p, p.height, profile)
+    nu = space[random.Random(args.seed).randrange(len(space))]
+    return 0, {"seed": args.seed, "count": len(space), "branch": nu.to_json()}
 
 
 def _cmd_demo_distinguish(args, profile, p):
@@ -469,15 +460,15 @@ def _cmd_demo_distinguish(args, profile, p):
     level with a differing row takes its first one, since every differing
     branch leaves the first rows at or below that level, and the later it
     leaves them the earlier it comes."""
-    from .conditions import _poss_levels
+    from .conditions import PossSpace
     from .mlcore import Possibility
 
     i, j = _index(profile, args.i), _index(profile, args.j)
     for idx in (i, j):
         if idx not in p.dom:
             raise UsageError(f"index {idx!r} is not in the fragment's domain")
-    cols = tuple(sorted(p.dom, key=str))
-    levels = _poss_levels(p, p.height, cols, profile)
+    space = PossSpace(p, p.height, profile)
+    cols, levels = space.cols, space.levels
     a, b = cols.index(i), cols.index(j)
     split = [next((row for row in rows if row[a] != row[b]), None) for rows in levels]
     if not all(levels) or not any(split):

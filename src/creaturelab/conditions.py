@@ -181,55 +181,6 @@ def cond_validate(p: FiniteCondition, profile) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cond_poss(p: FiniteCondition, n: int, profile, method="inductive") -> list:
-    """The possibilities of p at height n, over supp(p, n).
-
-    "inductive" takes the trunk times the product of the level creatures'
-    rows (earlier levels vary slowest, later-entering indices read the
-    trunk) and checks each level's rows once against that level's rules of
-    the local characterization, by projecting them onto a rule's columns.
-    That is the per-branch check, exactly: every rule reads one level, so a
-    branch passes iff each of its rows does, and every row lies on a branch
-    unless some level has no rows (then there is no branch to check).
-    "local" filters the raw trunk enumeration by the characterization alone.
-    """
-    _check_height(p, n)
-    if method == "local":
-        contains = _poss_test(p, n, profile)
-        return [nu for nu in poss_enumerate(n, p.supp(n), profile) if contains(nu)]
-    if method != "inductive":
-        raise UsageError(f"unknown method {method!r}")
-    cols = tuple(sorted(p.supp(n), key=str))
-    levels = _poss_levels(p, n, cols, profile)
-    if math.prod(map(len, levels)) > ENUM_CAP:
-        raise CapacityExceeded("possibility walk exceeds the enumeration cap")
-    vals = [sum(rows, ()) for rows in itertools.product(*levels)]
-    del levels  # free the rows before wrapping: fewer live objects, fewer GC passes
-    return [Possibility((n, cols, v)) for v in vals]
-
-
-def _check_height(p: FiniteCondition, n) -> None:
-    if not 0 <= n <= p.height:
-        raise UsageError(f"height {n} outside [0, {p.height}]")
-
-
-def _poss_levels(p: FiniteCondition, n: int, cols, profile) -> list:
-    """The rows over cols of the levels below n, whose product is poss(p, n)
-    (see cond_poss), checked against their rules once every level has rows;
-    _level_rows caps each level's rows, and the caller caps their product."""
-    levels = []
-    for m in range(n):
-        fill = [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk]
-        levels.append([tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
-                      else _level_rows(p.creatures[m], cols, profile, fill))
-    for m, rows in enumerate(levels) if all(levels) else ():
-        for j, sel, ok in _level_rules(p, m, cols, profile):
-            seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
-            if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
-                raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
-    return levels
-
-
 def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
     """The local characterization of poss at level m, over rows of values in
     cols order, as (column, None, allowed values) for a trunk or selector
@@ -252,27 +203,85 @@ def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
             for j, i in enumerate(cols)]
 
 
-def _poss_test(p: FiniteCondition, n: int, profile):
-    """The local characterization of poss(p, n) as a predicate: level m's
-    rules read the m-th block of a branch's values."""
-    u = p.supp(n)
-    cols = tuple(sorted(u, key=str))
-    k = len(cols)
-    rules = [(m * k + j, None if sel is None else m * k + sel, ok)
-             for m in range(n) for j, sel, ok in _level_rules(p, m, cols, profile)]
+class PossSpace:
+    """poss(p, n) over cols, supp(p, n) sorted by str: the trunk times the
+    product of the level creatures' rows, earlier levels varying slowest (an
+    index that enters later reads its cells from the trunk).  A space reads
+    each level's rules (_level_rules) when built and its rows on the first
+    read of levels, which checks each level's row set once against its
+    rules: each rule reads one level, so a branch passes iff its rows do (a
+    level without rows leaves no branch to check).  len, lazy iteration,
+    space[k] and `nu in space` (the rules alone) cap nothing.  A space
+    reads p when read, so a caller consumes it before mutating p."""
 
-    def contains(nu: Possibility) -> bool:
-        v = nu.vals
-        return nu.u == u and all(
-            v[j] in (ok if sel is None else ok.get(v[sel], ())) for j, sel, ok in rules)
+    __slots__ = ("p", "n", "profile", "cols", "rules", "_levels")
 
-    return contains
+    def __init__(self, p: FiniteCondition, n: int, profile):
+        if not 0 <= n <= p.height:
+            raise UsageError(f"height {n} outside [0, {p.height}]")
+        self.p, self.n, self.profile, self._levels = p, n, profile, None
+        self.cols = tuple(sorted(p.supp(n), key=str))
+        self.rules = [_level_rules(p, m, self.cols, profile) for m in range(n)]
+
+    @property
+    def levels(self) -> list:
+        """The rows over cols of each level below n."""
+        if self._levels is None:
+            p, cols = self.p, self.cols
+            levels = [[tuple(p.trunk[m, i] for i in cols)] if m < p.trnklg
+                      else _level_rows(p.creatures[m], cols, self.profile,
+                                       [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk])
+                      for m in range(self.n)]
+            for m, rows in enumerate(levels) if all(levels) else ():
+                for j, sel, ok in self.rules[m]:
+                    seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
+                    if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
+                        raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
+            self._levels = levels
+        return self._levels
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.levels))
+
+    def __iter__(self):
+        n, cols = self.n, self.cols
+        return (Possibility((n, cols, sum(rows, ()))) for rows in itertools.product(*self.levels))
+
+    def __getitem__(self, k: int) -> Possibility:
+        """The k-th branch in iteration order: k in mixed radix, the last level fastest."""
+        if not 0 <= k < len(self):
+            raise IndexError(f"branch {k} outside [0, {len(self)})")
+        rows = []
+        for level in reversed(self.levels):
+            k, r = divmod(k, len(level))
+            rows.append(level[r])
+        return Possibility((self.n, self.cols, sum(reversed(rows), ())))
+
+    def __contains__(self, nu: Possibility) -> bool:
+        n, cols, v = nu
+        w = len(cols)
+        return n == self.n and cols == self.cols and all(
+            v[b + j] in (ok if sel is None else ok.get(v[b + sel], ()))
+            for b, rules in zip(range(0, n * w, w), self.rules) for j, sel, ok in rules)
+
+
+def cond_poss(p: FiniteCondition, n: int, profile, method="inductive"):
+    """poss(p, n) over supp(p, n): for "inductive" the PossSpace, refused past
+    ENUM_CAP branches (the only cap on the branch product); for "local" the
+    list of raw trunks that pass the local characterization alone."""
+    space = PossSpace(p, n, profile)
+    if method == "local":
+        return [nu for nu in poss_enumerate(n, p.supp(n), profile) if nu in space]
+    if method != "inductive":
+        raise UsageError(f"unknown method {method!r}")
+    if len(space) > ENUM_CAP:
+        raise CapacityExceeded("possibility walk exceeds the enumeration cap")
+    return space
 
 
 def cond_poss_contains(p: FiniteCondition, nu: Possibility, profile) -> bool:
     """Is nu in poss(p, nu.n)?  Decided by the local characterization."""
-    _check_height(p, nu.n)
-    return _poss_test(p, nu.n, profile)(nu)
+    return nu in PossSpace(p, nu.n, profile)
 
 
 def cond_leq(q: FiniteCondition, p: FiniteCondition, profile):

@@ -286,7 +286,7 @@ def test_poss_counts_and_base_case():
     p = chain_fragment(prof)
     assert [len(cond_poss(p, n, prof)) for n in (1, 2, 3)] == [1, 2, 32]
     base = cond_poss(p, 1, prof)
-    assert base == [trunk_possibility(p)]
+    assert list(base) == [trunk_possibility(p)]
     assert len(cond_poss(p, 0, prof)) == 1  # below the cut: trunk restriction
 
 
@@ -801,7 +801,7 @@ def test_poss_with_a_rowless_level_is_empty(monkeypatch):
     _with_stray_row(monkeypatch, 1, {"e1": 1})
     rows = conditions._level_rows
     monkeypatch.setattr(conditions, "_level_rows", lambda c, *args: [] if c.n == 2 else rows(c, *args))
-    assert cond_poss(grow_fragment(), 4, prof) == []
+    assert list(cond_poss(grow_fragment(), 4, prof)) == []
 
 
 def test_cover_step_refuses_a_name_table_without_a_branch_value():
@@ -1007,7 +1007,7 @@ def test_level_row_walks_match_the_branch_walks(data):
     prof = _SEED_PROFILE
     p = _draw_fragment(data, prof)
     for n in range(p.height + 1):
-        got, want = cond_poss(p, n, prof), _ref_poss(p, n, prof)
+        got, want = list(cond_poss(p, n, prof)), _ref_poss(p, n, prof)
         assert got == want and [nu.u for nu in got] == [nu.u for nu in want]
     n, U = p.trnklg, prof.universe
     betas = sorted(a for a in p.supp(n) if not U.is_mu(a))
