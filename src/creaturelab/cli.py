@@ -114,15 +114,18 @@ def _load_name(path, p, profile):
                  "name table of the fragment")
 
 
-def _load_cover(path, p) -> dict:
+def _load_cover(path, p, profile) -> dict:
     """The cover table read from path: its level is a level of p, its
-    indices are support indices at that level, each table key lists
-    (index, int) pairs over the indices in order, and each value is a list
-    of ints; anything else is a UsageError naming the file."""
+    indices are distinct support indices at that level, each table key
+    lists (index, int) pairs over the indices in order, and each value is a
+    list of ints; anything else is a UsageError naming the file, as is a
+    table that cover_validate refuses for p."""
+    from .conditions import cover_validate
+
     def decode(doc):
         level, indices = doc["level"], doc["indices"]
         if not (type(level) is int and level in p.levels and isinstance(indices, list)
-                and set(indices) <= p.supp(level)):
+                and set(indices) <= p.supp(level) and len(set(indices)) == len(indices)):
             raise ValueError("level and indices must name one level's support indices")
         def entry(k, v):
             key = id_from_json(json.loads(k))
@@ -138,7 +141,8 @@ def _load_cover(path, p) -> dict:
         table = unique_dict((entry(k, v) for k, v in doc["table"].items()), "table key")
         return {"level": level, "indices": indices, "table": table}
 
-    return _load(path, decode)
+    return _load(path, decode, lambda Y: cover_validate(Y, p, profile),
+                 "cover table of the fragment")
 
 
 def _parse_id(text):
@@ -434,7 +438,7 @@ def _cmd_cond_cover(args, profile, p):
 def _cmd_cond_evade(args, profile, p):
     from .conditions import evade_step
 
-    Y = _load_cover(args.cover, p)
+    Y = _load_cover(args.cover, p, profile)
     c = evade_step(p, args.n, Y, _index(profile, args.beta), profile)
     return 0, {"creature": creature_to_json(c)}
 

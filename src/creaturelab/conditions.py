@@ -259,10 +259,13 @@ class PossSpace:
 
     def __contains__(self, nu: Possibility) -> bool:
         n, cols, v = nu
-        w = len(cols)
-        return n == self.n and cols == self.cols and all(
-            v[b + j] in (ok if sel is None else ok.get(v[b + sel], ()))
-            for b, rules in zip(range(0, n * w, w), self.rules) for j, sel, ok in rules)
+        if n != self.n or cols != self.cols:
+            return False
+        for b, rules in zip(range(0, n * len(cols), len(cols)), self.rules):
+            for j, sel, ok in rules:
+                if v[b + j] not in (ok if sel is None else ok.get(v[b + sel], ())):
+                    return False
+        return True
 
 
 def cond_poss(p: FiniteCondition, n: int, profile, method="inductive"):
@@ -622,6 +625,22 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
             )
     Y = {"level": n, "indices": list(block), "table": {k: sorted(v) for k, v in table.items()}}
     return p.creatures[n].copy(), Y
+
+
+def cover_validate(Y: dict, p: FiniteCondition, profile) -> None:
+    """Raise DomainMismatch unless every key of the cover table Y gives its
+    indices values that some level-n row of p gives them: each (index,
+    value) pair passes level n's rules over the indices, which must be
+    eps-closed so that a slot's rule reads its selector in the key.  No row
+    is built."""
+    n, block = Y["level"], Y["indices"]
+    if not profile.universe.is_closed(block):
+        raise DomainMismatch(f"the cover table's indices {block} are not eps-closed")
+    rules = _level_rules(p, n, block, profile)
+    for key in Y["table"]:
+        v = [x for _, x in key]
+        if not all(v[j] in (ok if sel is None else ok.get(v[sel], ())) for j, sel, ok in rules):
+            raise DomainMismatch(f"table key {key} is no level-{n} row's values")
 
 
 def evade_step(p: FiniteCondition, n: int, Y: dict, beta, profile) -> MlCreature:

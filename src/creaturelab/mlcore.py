@@ -219,7 +219,7 @@ class MlCreature(Record):
         passes that level as n instead of storing an "n" field."""
         return MlCreature(
             obj["n"] if n is None else n,
-            frozenset(obj["u"]),
+            frozenset(unique_dict(((i, i) for i in obj["u"]), "support index")),
             unique_dict(((i, id_from_json(w)) for i, w in obj["w_eps"]), "w_eps index"),
             unique_dict((((a, k), id_from_json(w)) for a, k, w in obj["w_alpha"]),
                         "w_alpha slot"),

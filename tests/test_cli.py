@@ -1086,6 +1086,9 @@ REFUSED_FIELDS = {
     "evade-table-string": (_EVADE, "{cover}", ("table", _COVER_KEY), "xyz"),
     "evade-table-key-scalar": (_EVADE, "{cover}", ("table", "5"), [0]),
     "evade-table-float": (_EVADE, "{cover}", ("table", _COVER_KEY), [1.5]),
+    # a table key whose values no level-1 row gives the block (e0 picks 0 or 1)
+    "evade-table-key-value": (_EVADE, "{cover}", ("table",),
+                              lambda t: dict(t, **{'[["e0", 99], ["a0", 0]]': [0]})),
 }
 
 
@@ -1093,6 +1096,23 @@ REFUSED_FIELDS = {
 def test_malformed_fields_are_usage_errors(tmp_path, case):
     code, err = _run_mutated(tmp_path, *REFUSED_FIELDS[case])
     assert code == 2 and err.startswith("usage error:"), err
+
+
+def test_a_cover_that_lists_an_index_twice_is_a_usage_error(tmp_path):
+    """Indices e0, a0, e0 let one key give e0 two values, which no row
+    gives; the cover is refused (exit 2), not read as a key that never
+    matches a row."""
+    docs, argv = _pin_docs_once(), _EVADE.split()
+    cover = {"level": 1, "indices": ["e0", "a0", "e0"],
+             "table": {'[["e0", 0], ["a0", 0], ["e0", 1]]': [0]}}
+    for a in argv:
+        if a in docs:
+            (tmp_path / docs[a][0]).write_text(json.dumps(cover if a == "{cover}" else docs[a][1]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(tmp_path / docs[a][0]) if a in docs else a for a in argv]
+                    + ["--out", str(tmp_path / "out.json")])
+    assert code == 2 and "must name one level's support indices" in err.getvalue(), err.getvalue()
 
 
 def _twice(j, entry=None):
@@ -1116,6 +1136,9 @@ REPEATED_KEYS = {
                        ("w_eps",), _twice(0)),
     "creature-w-alpha": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
                          ("w_alpha",), _twice(0, ["a0", 0, [0, 1]])),
+    "creature-support": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
+                         ("u",), _twice(0)),
+    "fragment-creature-support": (_WIDE_POSS, "{wide}", ("creatures", "1", "u"), _twice(0)),
     "name-modulus": (_COVER, "{wide_name}", ("modulus",), _twice(0)),
     "name-bound": (_COVER, "{wide_name}", ("bound",), _twice(0)),
     "name-values-level": (_COVER, "{wide_name}", ("values",), _alias("1", "01")),

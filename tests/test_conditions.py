@@ -24,6 +24,7 @@ from creaturelab.conditions import (
     cond_separate_support,
     cond_validate,
     cover_step,
+    cover_validate,
     evade_step,
     halving_step,
     name_decided_at,
@@ -232,8 +233,12 @@ def test_validate_builds_no_level_row(monkeypatch):
     monkeypatch.setattr(conditions, "_level_rows", counted)
     p, prof = grow_fragment(), grow_profile()
     cond_validate(p, prof)
+    # the order check and membership read the rules alone
+    assert cond_leq(p, p, prof) == (True, [])
+    assert cond_poss_contains(p, trunk_possibility(p), prof)
     assert calls == []
-    cond_poss(p, p.height, prof)
+    space = cond_poss(p, p.height, prof)
+    assert len(space) == len(list(space)) == len(list(space)) == 128
     assert calls == [1, 2, 3]
 
 
@@ -730,6 +735,24 @@ def test_evade_step_refuses_cover_indices_outside_the_level():
         evade_step(p, 1, Y, "a1", prof)
 
 
+def test_cover_validate_reads_the_level_rules(monkeypatch):
+    prof = wide_profile()
+    p = cond_separate_support(wide_fragment(prof), prof)
+    _, Y = cover_step(p, 1, seeded_name(p, prof, [1], 4), "e0", prof)
+    monkeypatch.setattr(conditions, "_level_rows", None)  # no row is built
+    cover_validate(Y, p, prof)
+    e0, a0 = sorted(Y["table"])[0]
+    slot = {v for (_, k), (_, v) in Y["table"] if k == e0[1]}
+    for key, why in [
+        ((("e0", 99), a0), r"is no level-1 row's values"),
+        ((e0, ("a0", max(slot) + 1)), r"is no level-1 row's values"),
+    ]:
+        with pytest.raises(DomainMismatch, match=why):
+            cover_validate(dict(Y, table={**Y["table"], key: [0]}), p, prof)
+    with pytest.raises(DomainMismatch, match="not eps-closed"):
+        cover_validate({"level": 1, "indices": ["a0"], "table": {}}, p, prof)
+
+
 def test_evade_step_replay_still_refuses_a_shrink_that_misses(monkeypatch):
     # a slot family that never shrinks leaves beta on the table; the row
     # replay must refuse the result
@@ -1007,8 +1030,19 @@ def test_level_row_walks_match_the_branch_walks(data):
     prof = _SEED_PROFILE
     p = _draw_fragment(data, prof)
     for n in range(p.height + 1):
-        got, want = list(cond_poss(p, n, prof)), _ref_poss(p, n, prof)
+        space = cond_poss(p, n, prof)
+        got, want = list(space), _ref_poss(p, n, prof)
         assert got == want and [nu.u for nu in got] == [nu.u for nu in want]
+        # indexing and membership agree with the iteration; a branch with
+        # one cell moved is in the space iff it is a branch (-1 never is)
+        assert [space[k] for k in range(len(space))] == got
+        assert all(nu in space for nu in got)
+        if got and n:
+            _, cols, vals = data.draw(st.sampled_from(got))
+            j, branches = data.draw(st.integers(0, len(vals) - 1)), set(got)
+            for x in range(-1, 17):
+                moved = Possibility((n, cols, vals[:j] + (x,) + vals[j + 1:]))
+                assert (moved in space) == (moved in branches)
     n, U = p.trnklg, prof.universe
     betas = sorted(a for a in p.supp(n) if not U.is_mu(a))
     if not betas:
