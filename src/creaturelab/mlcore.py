@@ -270,17 +270,23 @@ def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     """c's one-level rows over cols (a superset of c's support): selector
     values vary slowest, then the slot columns in cols order, the last
     fastest.  A column outside c's support takes its value from fill's
-    (column, value) pairs.  More than ENUM_CAP rows are refused unbuilt."""
-    count = _level_count(c, profile)
-    if count > ENUM_CAP:
-        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
+    (column, value) pairs.  More than ENUM_CAP rows are refused unbuilt:
+    the count is read off the sorted value lists the rows are built from."""
     U, star = profile.universe, profile.star_param(c.n)
+    eps_of = U.eps_of
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
     picks = {e: sorted(star.val(c.w_eps[e])) for e in mus}
     # a slot column's sorted values, by the value its selector picks
     slots = {i: {k: sorted(profile.slot_param(c.n, k).val(c.w_alpha[i, k]))
-                 for k in picks[U.eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
-    eps_of, rows = U.eps_of, []
+                 for k in picks[eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
+    width = {e: dict.fromkeys(ks, 1) for e, ks in picks.items()}  # rows per selector value
+    for i, by_k in slots.items():
+        for k, values in by_k.items():
+            width[eps_of[i]][k] *= len(values)
+    count = math.prod(sum(w.values()) for w in width.values())
+    if count > ENUM_CAP:
+        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
+    rows = []
     for ks in itertools.product(*picks.values()):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
         rows += itertools.product(*[slots[i][pick[eps_of[i]]] if i in slots else (pick[i],)
@@ -369,10 +375,11 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
     property on the trunks over d's support: every extension through d, cut
     down to c's support, is an extension through c.  An extension is its
     trunk followed by one of the creature's one-level rows, which never
-    read the trunk, so the property is the same at every trunk (each row of
-    d, projected onto c's columns, is a row of c) and one subset test
-    decides it exactly.  Only a level of more than ENUM_CAP rows is refused,
-    no trunk means it holds vacuously, and a failure names the first trunk.
+    read the trunk, so the property is the same at every trunk: each row of
+    d, projected onto c's columns, is a row of c.  `_rows_within` decides
+    that exactly from the value sets, one selector block at a time, and
+    builds no row and no trunk, so nothing is capped.  No trunk means it
+    holds vacuously, and a failure names the first trunk.
 
     Returns (ok, diagnostics).
     """
@@ -402,15 +409,47 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
 
     if enumerate_axiom and not diagnostics:
         cols, sizes = _trunk_space(n, d.u, profile)
-        if all(sizes):
-            keep = [j for j, i in enumerate(cols) if i in c.u]
-            if keep:  # one itemgetter shape on both sides: a bare value for one column
-                rows_c = _level_rows(c, tuple(cols[j] for j in keep), profile)
-                allowed = set(map(itemgetter(*range(len(keep))), rows_c))
-                if not set(map(itemgetter(*keep), _level_rows(d, cols, profile))) <= allowed:
-                    first = Possibility((n, cols, (0,) * len(sizes)))
-                    diagnostics.append(f"restriction axiom fails at {first}")
+        if all(sizes) and not _rows_within(d, c, profile):
+            first = Possibility((n, cols, (0,) * len(sizes)))
+            diagnostics.append(f"restriction axiom fails at {first}")
     return not diagnostics, diagnostics
+
+
+def _rows_within(d: MlCreature, c: MlCreature, profile) -> bool:
+    """Is every one-level row of d, projected onto c's columns (c's support
+    lies inside d's), a row of c?  Per selector e a creature's rows form a
+    block: a value k of e's creature, then the product of e's bound slots'
+    value sets at k; the rows are the product of the blocks.  k heads a row
+    of d when every d slot bound to e is nonempty at k.  A selector of d
+    that heads none leaves d without rows, and the property holds.
+    Otherwise every projected block is nonempty, so their product lies
+    within c's rows iff each block lies within c's: every heading k is in
+    c's value set for e, and at k each c slot bound to e has d's value set
+    inside c's.  No row is built."""
+    U, n = profile.universe, d.n
+    star = profile.star_param(n)
+    bound = {}  # a selector of d -> its bound slots in d
+    for a in d.u:
+        if not U.is_mu(a):
+            bound.setdefault(U.eps_of[a], []).append(a)
+    heads = {}
+    for e in d.u:
+        if U.is_mu(e):
+            heads[e] = [k for k in star.val(d.w_eps[e]) if all(
+                profile.slot_param(n, k).val_size(d.w_alpha[a, k]) for a in bound.get(e, ()))]
+            if not heads[e]:
+                return True
+    for e in c.u:
+        if U.is_mu(e):
+            values = star.val(c.w_eps[e])
+            slots = [a for a in bound.get(e, ()) if a in c.u]
+            for k in heads[e]:
+                if k not in values:
+                    return False
+                slot = profile.slot_param(n, k)
+                if not all(slot.val(d.w_alpha[a, k]) <= slot.val(c.w_alpha[a, k]) for a in slots):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,14 @@ def _count(n, raw, name):
     return x
 
 
+def _refuse_unread(obj, keys, what):
+    """Refuse a key of obj outside keys: a misspelled optional field would
+    otherwise be read as absent and take its default."""
+    for key in obj:
+        if key not in keys:
+            raise UsageError(f"{what}: unknown key {key!r}")
+
+
 def make_toy_profile(spec: dict) -> ToyProfile:
     """Build a ToyProfile from a plain dict:
 
@@ -329,10 +337,11 @@ def make_toy_profile(spec: dict) -> ToyProfile:
                  "height": int, "maxposs": int, "maxsupp": int,
                  "gmin": int, "bmin": int}, ...]}
 
-    Every number is an int (bools are refused): kstar and the slot sizes
-    positive, the other fields nonnegative.  Requesting true recursion
-    magnitudes (a size past the subset-ladder limit, or a count field of
-    more than _COUNT_BITS bits) raises SizeInfeasible.
+    A key outside this shape is refused.  Every number is an int (bools
+    are refused): kstar and the slot sizes positive, the other fields
+    nonnegative.  Requesting true recursion magnitudes (a size past the
+    subset-ladder limit, or a count field of more than _COUNT_BITS bits)
+    raises SizeInfeasible.
     """
     try:
         uni = spec["universe"]
@@ -340,9 +349,12 @@ def make_toy_profile(spec: dict) -> ToyProfile:
         raw_levels = spec["levels"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed profile spec: {exc}") from exc
+    _refuse_unread(spec, {"universe", "levels"}, "profile")
+    _refuse_unread(uni, {"mu", "alpha", "eps_of"}, "universe")
 
     levels = []
     for n, raw in enumerate(raw_levels):
+        _refuse_unread(raw, {"kstar", "slot_sizes", *_COUNT_DEFAULTS}, f"level {n}")
         kstar = _size(n, raw["kstar"])
         sizes = raw["slot_sizes"]
         if isinstance(sizes, int):

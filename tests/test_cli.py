@@ -1098,6 +1098,17 @@ def test_malformed_fields_are_usage_errors(tmp_path, case):
     assert code == 2 and err.startswith("usage error:"), err
 
 
+@pytest.mark.parametrize("key, code", [("gmin", 3), ("g_min", 2)])
+def test_a_misspelled_profile_field_is_a_usage_error(tmp_path, key, code):
+    """A gmin of 2 bounds the cover table below its 4 values (exit 3);
+    spelled g_min it was read as absent, and the default 32 answered
+    (exit 0)."""
+    got, err = _run_mutated(tmp_path, _COVER, "{wide_profile}", ("levels",),
+                            lambda levels: [dict(lvl, **{key: 2}) for lvl in levels])
+    assert got == code, err
+    assert ("unknown key 'g_min'" in err) == (code == 2), err
+
+
 def test_a_cover_that_lists_an_index_twice_is_a_usage_error(tmp_path):
     """Indices e0, a0, e0 let one key give e0 two values, which no row
     gives; the cover is refused (exit 2), not read as a key that never

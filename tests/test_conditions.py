@@ -863,13 +863,11 @@ def _level_row_walks():
         "cond_poss": (p.creatures[1], lambda: cond_poss(p, 2, prof)),
         "evade_step": (p.creatures[1], lambda: evade_step(p, 1, Y, "a1", prof)),
         "ml_val": (c, lambda: ml_val(c, eta, prof)),
-        "ml_successor_check": (c, lambda: ml_successor_check(c, c, 0, prof, enumerate_axiom=True)),
         "ml_homogenize": (c, lambda: ml_homogenize(c, 0, prof, lambda nu: 0, 1)),
     }
 
 
-@pytest.mark.parametrize("entry", ["cond_poss", "evade_step", "ml_val",
-                                   "ml_successor_check", "ml_homogenize"])
+@pytest.mark.parametrize("entry", ["cond_poss", "evade_step", "ml_val", "ml_homogenize"])
 def test_level_rows_over_the_cap_are_refused(monkeypatch, entry):
     prof, walks = _level_row_walks()
     c, call = walks[entry]
@@ -879,6 +877,22 @@ def test_level_rows_over_the_cap_are_refused(monkeypatch, entry):
     monkeypatch.setattr(mlcore, "ENUM_CAP", count - 1)
     with pytest.raises(CapacityExceeded, match=f"^{count} level-{c.n} rows exceed"):
         call()
+
+
+def test_successor_check_answers_past_the_row_cap(monkeypatch):
+    """The enumerated successor check reads value sets and builds no row,
+    so the level-0 creature of the walks above is decided past the cap,
+    for itself and for a successor that drops a selector value."""
+    prof, walks = _level_row_walks()
+    c, _ = walks["ml_val"]
+    d = c.copy()
+    d.w_eps["e0"] = (0,)
+    d.w_alpha = {(a, k): w for (a, k), w in c.w_alpha.items() if a != "a0" or k == 0}
+    count = _level_count(c, prof)
+    monkeypatch.setattr(mlcore, "ENUM_CAP", count - 1)
+    assert ml_successor_check(c, c, 0, prof, enumerate_axiom=True) == (True, [])
+    assert ml_successor_check(d, c, 0, prof, enumerate_axiom=True) == (True, [])
+    assert ml_successor_check(c, d, 0, prof, enumerate_axiom=True)[0] is False
 
 
 def test_evade_step_empty_table_is_identity():

@@ -574,14 +574,14 @@ def test_successor_check_keeps_the_enumeration_refusals(monkeypatch):
            "maxposs": 2, "maxsupp": 16, "gmin": 32, "bmin": 8}
     big = make_toy_profile({"universe": UNI, "levels": [lvl] * 7})
     c = top_creature(big, 6, {"e0", "e1", "a0", "a1"})
-    # 65,536 rows decide it; the replay's walk over 16^24 trunks is refused
+    # the value sets decide it; the replay's walk over 16^24 trunks is refused
     assert ml_successor_check(c, c, 6, big, enumerate_axiom=True) == (True, [])
     with pytest.raises(CapacityExceeded, match="trunks exceed the enumeration cap$"):
         _ref_successor_check(c, c, 6, big)
-    # a level of more rows than the cap is refused before any is built
+    # no row is built, so a level of more rows than the cap is answered
     monkeypatch.setattr(mlcore, "ENUM_CAP", 65535)
-    with pytest.raises(CapacityExceeded, match="^65536 level-6 rows exceed the enumeration cap$"):
-        ml_successor_check(c, c, 6, big, enumerate_axiom=True)
+    assert mlcore._level_count(c, big) == 65536
+    assert ml_successor_check(c, c, 6, big, enumerate_axiom=True) == (True, [])
     empty = MlCreature(1, frozenset(), {}, {})
     with pytest.raises(UsageError):
         ml_successor_check(empty, empty, 1, profile(), enumerate_axiom=True)
@@ -603,6 +603,109 @@ def test_successor_check_builds_no_trunk():
     assert ml_successor_check(c, c, 1, prof, enumerate_axiom=True) == (True, [])
     with pytest.raises(CapacityExceeded, match="^16777216\\+ trunks exceed the enumeration cap$"):
         poss_enumerate(1, c.u, prof)
+
+
+# the block decision against the row-based subset test it replaces: d's
+# one-level rows, cut down to c's columns, must all be rows of c
+
+
+def _ref_rows_within(d, c, prof):
+    """Build d's rows over d's support and c's over c's, and test the
+    projection of the one against the other as sets."""
+    cols = tuple(sorted(d.u, key=str))
+    keep = [j for j, i in enumerate(cols) if i in c.u]
+    allowed = set(mlcore._level_rows(c, tuple(cols[j] for j in keep), prof))
+    return {tuple(row[j] for j in keep) for row in mlcore._level_rows(d, cols, prof)} <= allowed
+
+
+_TRIPLE_UNI = {"mu": ["e0", "e1", "e2"], "alpha": ["a0", "a1", "a2"],
+               "eps_of": {"a0": "e0", "a1": "e0", "a2": "e1"}}
+_TRIPLE_PROFILE = make_toy_profile({"universe": _TRIPLE_UNI, "levels": [_EQUIV_LVL]})
+
+
+def _draw_loose(data, prof, n, u, parent=None):
+    """A level-n creature over u whose component ids may be empty, `()`,
+    which ml_validate refuses; where parent has the same component, often a
+    subset of it."""
+    U, star = prof.universe, prof.star_param(n)
+
+    def pick(p, w):
+        within = p.top() if w is None or data.draw(st.booleans()) else w
+        return tuple(sorted(data.draw(st.sets(st.sampled_from(within))))) if within else ()
+
+    w_eps = {e: pick(star, parent and parent.w_eps.get(e)) for e in sorted(u) if U.is_mu(e)}
+    w_alpha = {(a, k): pick(prof.slot_param(n, k), parent and parent.w_alpha.get((a, k)))
+               for a in sorted(u) if not U.is_mu(a) for k in w_eps[U.eps_of[a]]}
+    return MlCreature(n, frozenset(u), w_eps, w_alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rows_within_matches_the_row_subset_test(data):
+    real = data.draw(st.sampled_from([_EQUIV_PROFILE, _TRIPLE_PROFILE]))
+    U = real.universe
+    # the three-selector universe at level 0, where the replay has one trunk
+    n = data.draw(st.sampled_from([0, 1])) if real is _EQUIV_PROFILE else 0
+    indices = st.sets(st.sampled_from(sorted(U.mu_part | U.alpha_part)))
+    cu = U.closure(data.draw(indices.filter(bool)))
+    du = U.closure(cu | data.draw(indices))
+    loose = data.draw(st.booleans())
+    c = (_draw_loose if loose else _draw_creature)(data, real, n, cu)
+    d = (_draw_loose if loose else _draw_creature)(data, real, n, du, parent=c)
+    assert mlcore._rows_within(d, c, real) == _ref_rows_within(d, c, real)
+    prof = _LenientProfile(real)  # the componentwise clauses pass
+    got = ml_successor_check(d, c, n, prof, enumerate_axiom=True)
+    assert got == _ref_successor_check(d, c, n, prof)
+    assert got[0] == _ref_rows_within(d, c, real)
+
+
+def test_a_value_whose_slot_is_empty_heads_no_row():
+    """d's selector keeps 1, which c's does not have, but d's slot at 1 is
+    empty: no row of d picks 1, so every row of d is one of c's."""
+    real = profile()
+    prof = _LenientProfile(real)
+    c = MlCreature(1, frozenset({"e0", "a0"}), {"e0": (0,)}, {("a0", 0): (0, 1, 2)})
+    d = MlCreature(1, c.u, {"e0": (0, 1)}, {("a0", 0): (0, 1), ("a0", 1): ()})
+    assert ml_successor_check(d, c, 1, prof, enumerate_axiom=True) == (True, [])
+    assert _ref_successor_check(d, c, 1, prof) == (True, [])
+    assert _ref_rows_within(d, c, real)
+    # with a value in that slot, d picks 1 in a row c does not have
+    d.w_alpha["a0", 1] = (2,)
+    ok, diag = ml_successor_check(d, c, 1, prof, enumerate_axiom=True)
+    assert (ok, diag) == _ref_successor_check(d, c, 1, prof)
+    assert diag == ["restriction axiom fails at Possibility(n=1, cols=('a0', 'e0'), vals=(0, 0))"]
+
+
+@pytest.mark.parametrize("wider", ["a0", "a1"])
+def test_every_slot_bound_to_a_selector_is_tested(wider):
+    """e0 binds a0 and a1; d's value set at one of them, whichever comes
+    first, leaves c's."""
+    real = _TRIPLE_PROFILE
+    prof = _LenientProfile(real)
+    c = MlCreature(0, frozenset({"e0", "a0", "a1"}), {"e0": (0,)},
+                   {("a0", 0): (0,), ("a1", 0): (0,)})
+    d = c.copy()
+    d.w_alpha[wider, 0] = (0, 1)
+    assert ml_successor_check(d, c, 0, prof, enumerate_axiom=True) == (
+        False, ["restriction axiom fails at Possibility(n=0, cols=('a0', 'a1', 'e0'), vals=())"])
+    assert _ref_successor_check(d, c, 0, prof)[0] is False
+    assert not _ref_rows_within(d, c, real)
+
+
+def test_successor_check_builds_no_row(monkeypatch):
+    real = profile()
+    c = top_creature(real, 1, {"e0", "a0", "e1", "a1"})
+    shrunk = c.copy()  # e0 keeps only 0, so the slot at 1 goes
+    shrunk.w_eps["e0"] = (0,)
+    del shrunk.w_alpha["a0", 1]
+    ml_validate(shrunk, real)
+    cases = [(c, c, real), (shrunk, c, real), (c, shrunk, _LenientProfile(real))]
+    want = [ml_successor_check(d, p, 1, prof, enumerate_axiom=True) for d, p, prof in cases]
+    assert [ok for ok, _ in want] == [True, True, False]
+    calls = []
+    monkeypatch.setattr(mlcore, "_level_rows", lambda *args: calls.append(args))
+    assert [ml_successor_check(d, p, 1, prof, enumerate_axiom=True) for d, p, prof in cases] == want
+    assert calls == []
 
 
 def test_successor_check_holds_vacuously_without_trunks():

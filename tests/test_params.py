@@ -1,6 +1,8 @@
 """Capacity recursion rows and desk-scale profiles."""
 
+import functools
 import json
+import operator
 
 import pytest
 
@@ -205,3 +207,16 @@ def test_toy_profile_numbers_must_be_integers(field, value):
     with pytest.raises(UsageError, match="^level 0: "):
         make_toy_profile(spec)
 
+
+
+@pytest.mark.parametrize("where, what, key", [
+    ((), "profile", "level"),
+    (("universe",), "universe", "epsof"),
+    (("levels", 1), "level 1", "g_min"),
+], ids=["top", "universe", "level"])
+def test_toy_profile_refuses_a_key_it_does_not_read(where, what, key):
+    """A misspelled field is refused, not read as absent with its default."""
+    spec = json.loads(json.dumps(TOY_SPEC))
+    functools.reduce(operator.getitem, where, spec)[key] = 2
+    with pytest.raises(UsageError, match=f"^{what}: unknown key '{key}'$"):
+        make_toy_profile(spec)
