@@ -13,7 +13,7 @@ seed is recorded in the output.
 Each process runs one command, so each handler (and each loader it runs)
 imports the layers it uses: an `atomic` command never loads mlcore,
 conditions, params or tower, and an `ml` or `params` command never loads
-conditions.
+conditions or the atomic checks, ops, certificates and niceness.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Shared exception types.
+"""Shared exception types, and the one refusal of a document key that no
+decoder reads.
 
 Every checker and transform fails loudly with one of these; no probabilistic
 verdicts anywhere.
@@ -74,3 +75,12 @@ class DependsOnBeta(CreatureLabError):
 
 class UsageError(CreatureLabError):
     """Malformed input (CLI or JSON payload)."""
+
+
+def refuse_unread(obj, keys, what) -> None:
+    """Refuse a key of the document obj outside keys, naming it: a
+    misspelled optional field would otherwise be read as absent and take
+    its default."""
+    for key in obj:
+        if key not in keys:
+            raise UsageError(f"{what}: unknown key {key!r}")

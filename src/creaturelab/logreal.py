@@ -1,16 +1,18 @@
 """Exact arithmetic in the group Q + sum_p Q*log2(p).
 
-A LogReal is a rational plus a finite rational combination of base-2 logarithms
-of primes.  The family {1} u {log2 p : p prime} is linearly independent over Q,
-so equality is decidable symbolically from the canonical form.  Order is one
-integer comparison: with D the least common denominator, D*x = Q + sum
-a_p*log2(p) = log2(2**Q * prod p**a_p), so the sign of x is the order of two
-products of prime powers, which differ by unique factorization.  Past
-_POWER_BITS bits of powers, and for `approx` and `lr_cmp_pow2`, the
-answer is read off integer enclosures instead: `_log2_bracket`
-gives integers lo <= 2**bits * log2(n) <= hi, with `bits` doubled until the
-enclosure is tight enough.  That loop terminates because a nonzero element is
-nonzero as a real number; past _MAX_PREC bits it refuses with Indeterminate.
+A LogReal x is stored as its integer form den * x = num + sum a*log2(p):
+den > 0, num and each a integers, the primes p sorted, no zero a, no key 2
+(log2(2) = 1 is rational) and gcd(den, num, every a) = 1.  As {1} u
+{log2 p : p prime} is linearly independent over Q, equal values have equal
+forms.  Arithmetic works on these integers; `q` and `logs` are read-only
+views that give them as Fractions.  The sign of x is that of
+num + sum a*log2(p) = log2(2**num * prod p**a): the order of two products
+of prime powers, which differ by unique factorization.  Past _POWER_BITS
+bits of powers, and for `approx` and `lr_cmp_pow2`, integer enclosures
+decide: `_log2_bracket` gives lo <= 2**bits * log2(n) <= hi, with `bits`
+doubled until the enclosure is tight enough.  That terminates, as a
+nonzero element is nonzero as a real; past _MAX_PREC bits it refuses with
+Indeterminate.
 """
 
 from __future__ import annotations
@@ -19,20 +21,11 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import CapacityExceeded, Indeterminate, UsageError
+from .errors import CapacityExceeded, Indeterminate, UsageError, refuse_unread
 from .records import Frozen
 
-__all__ = [
-    "LogReal",
-    "as_fraction",
-    "lr",
-    "lr_zero",
-    "lr_from_rational",
-    "lr_log2_int",
-    "lr_log2_fraction",
-    "lr_compare",
-    "lr_cmp_pow2",
-]
+__all__ = ["LogReal", "as_fraction", "lr", "lr_zero", "lr_from_rational", "lr_log2_int",
+           "lr_log2_fraction", "lr_compare", "lr_cmp_pow2"]
 
 # bits of the first enclosure and of the last one tried before Indeterminate;
 # a sign reaches them only past _POWER_BITS
@@ -63,6 +56,14 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise UsageError(f"not a rational: {x!r}")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of as_fraction(x); an int builds no Fraction."""
+    if type(x) is int:
+        return x, 1
+    x = as_fraction(x)
+    return x.numerator, x.denominator
 
 
 def _is_prime(n: int) -> bool:
@@ -110,90 +111,79 @@ def _factorize(n: int) -> dict:
     return out
 
 
-def _merge_logs(a: tuple, b: tuple, sign: int) -> tuple:
-    """The log terms of a + sign * b for canonical a and b, canonical: keys
-    sorted, a coefficient that cancels dropped."""
-    if not b:
-        return a
-    acc = dict(a)
-    for p, c in b:
-        c = acc.pop(p, 0) + c if sign > 0 else acc.pop(p, 0) - c
-        if c:
-            acc[p] = c
-    return tuple(sorted(acc.items()))
-
-
 class LogReal(Frozen):
-    """Canonical form: prime keys sorted, zero coefficients absent, no key
-    2 (log2(2) = 1 is rational), so equal forms are equal values.  make and
-    from_json are the validating entry points; arithmetic on canonical
-    values builds canonical values directly."""
+    """_form is the integer form (den, num, terms) of the module docstring.
+    make and from_json validate; LogReal(q, logs) takes canonical views as q
+    and logs give them, and arithmetic builds canonical forms directly."""
 
-    __slots__ = ("q", "logs")
+    __slots__ = ("_form", "_hash")
 
     def __init__(self, q: Fraction, logs: tuple[tuple[int, Fraction], ...] = ()):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "logs", logs)
+        den = math.lcm(q.denominator, *(c.denominator for _, c in logs))
+        _set_form(self, (den, q.numerator * (den // q.denominator),
+                         tuple((p, c.numerator * (den // c.denominator)) for p, c in logs)))
 
-    # the partition games rank norms through sets and dicts
-    # (checks._ranks), so == and hash are spelled out, not read from
-    # __slots__ as Frozen's are
+    @property
+    def q(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._form[1], self._form[0])
+
+    @property
+    def logs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The coefficient of each log2(p), primes ascending."""
+        den, _, terms = self._form
+        return tuple((p, Fraction(a, den)) for p, a in terms)
+
+    # the partition games rank norms through sets and dicts (checks._ranks),
+    # so == and hash are spelled out, not read from __slots__ as Frozen's are
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.q, self.logs) == (other.q, other.logs)
+            return self._form == other._form
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.q, self.logs))
+    def __hash__(self):  # kept after the first call, which builds the views
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash((self.q, self.logs)))
+            return self._hash
+
+    def __reduce__(self):
+        return LogReal, (self.q, self.logs)
 
     @staticmethod
     def make(q, logs: Mapping[int, Fraction] | None = None) -> "LogReal":
         q = as_fraction(q)
         items = []
-        if logs:
-            for p in sorted(logs):
-                c = as_fraction(logs[p])
-                if c == 0:
-                    continue
-                if p < 2 or not _is_prime(p):
-                    raise UsageError(f"log base entry {p} is not a prime")
-                if p == 2:
-                    q += c  # log2(2) = 1 folds into the rational part
-                    continue
+        for p in sorted(logs or ()):
+            c = as_fraction(logs[p])
+            if c and (p < 2 or not _is_prime(p)):
+                raise UsageError(f"log base entry {p} is not a prime")
+            if p == 2:
+                q += c  # log2(2) = 1 folds into the rational part
+            elif c:
                 items.append((p, c))
         return LogReal(q, tuple(items))
 
-    # -- arithmetic ---------------------------------------------------------
-
     def __add__(self, other: "LogReal") -> "LogReal":
-        other = lr(other)
-        return LogReal(self.q + other.q, _merge_logs(self.logs, other.logs, 1))
+        return _reduced(*_merge(self, lr(other), 1))
 
     def __sub__(self, other: "LogReal") -> "LogReal":
-        other = lr(other)
-        return LogReal(self.q - other.q, _merge_logs(self.logs, other.logs, -1))
+        return _reduced(*_merge(self, lr(other), -1))
 
     def scale(self, r) -> "LogReal":
         """Multiply by a rational scalar."""
-        r = as_fraction(r)
-        if r == 0:
-            return lr_zero()
-        return LogReal(self.q * r, tuple((p, c * r) for p, c in self.logs))
-
-    # -- predicates ---------------------------------------------------------
+        n, d = _ratio(r)
+        den, num, terms = self._form
+        return _reduced(den * d, num * n, {p: a * n for p, a in terms if n})
 
     def is_rational(self) -> bool:
-        return not self.logs
+        return not self._form[2]
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or 1."""
-        if not self.logs:
-            n = self.q.numerator
-            return (n > 0) - (n < 0)
-        _, q, terms = _integer_form(self)
-        return _form_sign(q, terms)
-
-    # -- comparisons (total order) -------------------------------------------
+        _, num, terms = self._form
+        return _form_sign(num, terms) if terms else (num > 0) - (num < 0)
 
     def __lt__(self, other) -> bool:
         return lr_compare(self, other) < 0
@@ -207,50 +197,83 @@ class LogReal(Frozen):
     def __ge__(self, other) -> bool:
         return lr_compare(self, other) >= 0
 
-    # -- serialization ------------------------------------------------------
-
     def to_json(self) -> dict:
-        return {
-            "q": f"{self.q.numerator}/{self.q.denominator}",
-            "logs": {str(p): f"{c.numerator}/{c.denominator}" for p, c in self.logs},
-        }
+        q = self.q
+        return {"q": f"{q.numerator}/{q.denominator}",
+                "logs": {str(p): f"{c.numerator}/{c.denominator}" for p, c in self.logs}}
 
     @staticmethod
     def from_json(obj) -> "LogReal":
         if not isinstance(obj, dict) or "q" not in obj:
             raise UsageError(f"not a LogReal payload: {obj!r}")
+        refuse_unread(obj, ("q", "logs"), "LogReal payload")
         logs = {int(p): as_fraction(v) for p, v in obj.get("logs", {}).items()}
         return LogReal.make(as_fraction(obj["q"]), logs)
 
     def __repr__(self) -> str:
-        parts = [str(self.q)] if (self.q or not self.logs) else []
-        for p, c in self.logs:
-            parts.append(f"{c}*log2({p})")
+        parts = [str(self.q)] if (self._form[1] or not self._form[2]) else []
+        parts += [f"{c}*log2({p})" for p, c in self.logs]
         return "LogReal(" + " + ".join(parts) + ")"
 
     def approx(self) -> float:
-        """The float nearest the value: the one both ends of an enclosure
-        round to (int / int division rounds correctly)."""
-        den, q, terms = _integer_form(self)
-        for lo, hi, bits in _enclosures(q, terms):
+        """The nearest float: both ends of an enclosure round to it (int / int rounds exactly)."""
+        den, num, terms = self._form
+        for lo, hi, bits in _enclosures(num, terms):
             scale = den << bits
             if lo / scale == hi / scale:
                 return lo / scale
         raise Indeterminate(f"float of {self!r} undecided at precision {_MAX_PREC}")
 
 
+_new = object.__new__
+_set_form, _set_hash = (vars(LogReal)[f].__set__ for f in LogReal.__slots__)
+
+
+def _lr(form: tuple[int, int, tuple]) -> LogReal:
+    """The LogReal of a canonical integer form, unchecked."""
+    x = _new(LogReal)
+    _set_form(x, form)
+    return x
+
+
+def _merge(a: LogReal, b: LogReal, sign: int) -> tuple[int, int, dict]:
+    """(den, num, terms) with den * (a + sign * b) = num + sum c * log2(p) over
+    terms {p: c}, no c zero, den the least common multiple of a's and b's."""
+    (da, na, ta), (db, nb, tb) = a._form, b._form
+    den = da if da == db else math.lcm(da, db)
+    ma, mb = den // da, sign * (den // db)
+    terms = dict(ta) if ma == 1 else {p: c * ma for p, c in ta}
+    for p, c in tb:
+        c = terms.pop(p, 0) + c * mb
+        if c:
+            terms[p] = c
+    return den, na * ma + nb * mb, terms
+
+
+def _reduced(den: int, num: int, terms: dict) -> LogReal:
+    """The LogReal den * x = num + sum c * log2(p) over terms {p: c} (den > 0,
+    no c zero), canonical: primes sorted, each integer over the gcd of all."""
+    terms = tuple(sorted(terms.items()))
+    g = math.gcd(den, num)
+    if g != 1 and terms:
+        g = math.gcd(g, *[c for _, c in terms])
+    if g != 1:
+        den, num, terms = den // g, num // g, tuple((p, c // g) for p, c in terms)
+    return _lr((den, num, terms))
+
+
 def lr(x) -> LogReal:
-    """The one coercion to LogReal: a LogReal, an int, a Fraction or a
-    rational string."""
-    return x if isinstance(x, LogReal) else LogReal(as_fraction(x))
+    """The one coercion to LogReal: a LogReal, an int, a Fraction or a rational string."""
+    return x if isinstance(x, LogReal) else lr_from_rational(x)
 
 
 def lr_zero() -> LogReal:
-    return LogReal(Fraction(0))
+    return _lr((1, 0, ()))
 
 
 def lr_from_rational(r) -> LogReal:
-    return LogReal(as_fraction(r))
+    num, den = _ratio(r)
+    return _lr((den, num, ()))
 
 
 def lr_log2_int(n: int) -> LogReal:
@@ -258,7 +281,7 @@ def lr_log2_int(n: int) -> LogReal:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"lr_log2_int needs a positive integer, got {n!r}")
     factors = _factorize(n)  # ascending primes
-    return LogReal(Fraction(factors.pop(2, 0)), tuple((p, Fraction(e)) for p, e in factors.items()))
+    return _lr((1, factors.pop(2, 0), tuple(factors.items())))
 
 
 def lr_log2_fraction(r) -> LogReal:
@@ -302,21 +325,6 @@ def _log2_bracket(n: int, bits: int) -> tuple[int, int]:
         if z >= two:
             z, d = (z + 1) >> 1, d + 1
     return (e << bits) + c, (e << bits) + d + (z > one)
-
-
-def _log2_range(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
-    """Integers a <= 2**bits * log2(lo) and 2**bits * log2(hi) <= b; 0 < lo <= hi."""
-    a = _log2_bracket(lo.numerator, bits)[0] - _log2_bracket(lo.denominator, bits)[1]
-    b = _log2_bracket(hi.numerator, bits)[1] - _log2_bracket(hi.denominator, bits)[0]
-    return a, b
-
-
-def _integer_form(x: LogReal) -> tuple[int, int, list]:
-    """(den, q, terms) with den * x = q + sum a * log2(p) over terms (p, a):
-    den the least common denominator of x, q and each a integers."""
-    den = math.lcm(x.q.denominator, *(c.denominator for _, c in x.logs))
-    q = x.q.numerator * (den // x.q.denominator)
-    return den, q, [(p, c.numerator * (den // c.denominator)) for p, c in x.logs]
 
 
 def _enclosures(q: int, terms):
@@ -371,24 +379,14 @@ def _form_sign(q: int, terms) -> int:
 
 
 def lr_compare(a: LogReal, b: LogReal) -> int:
-    """Total order: -1, 0, 1.  Equality is decided symbolically.
-
-    With a log present, a - b is read as one integer form over the least
-    common denominator of both, built from the numerators and denominators
-    directly; if its logs cancel, its rational part decides."""
+    """Total order: -1, 0, 1, decided symbolically: with a log present, as
+    the sign of a - b's integer form over the least common denominator."""
     a, b = lr(a), lr(b)
-    aq, bq = a.q, b.q
-    if not a.logs and not b.logs:
-        x, y = aq.numerator * bq.denominator, bq.numerator * aq.denominator
+    (da, na, ta), (db, nb, tb) = a._form, b._form
+    if not ta and not tb:
+        x, y = na * db, nb * da
         return (x > y) - (x < y)
-    den = math.lcm(aq.denominator, bq.denominator, *(c.denominator for _, c in a.logs),
-                   *(c.denominator for _, c in b.logs))
-    terms = {p: c.numerator * (den // c.denominator) for p, c in a.logs}
-    for p, c in b.logs:
-        t = terms.pop(p, 0) - c.numerator * (den // c.denominator)
-        if t:
-            terms[p] = t
-    q = aq.numerator * (den // aq.denominator) - bq.numerator * (den // bq.denominator)
+    _, q, terms = _merge(a, b, -1)
     if not terms:
         return (q > 0) - (q < 0)
     return _form_sign(q, terms.items())
@@ -406,27 +404,28 @@ def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:
     integer e (d = 1), z involves a prime log, so it is irrational while
     2**e is not.  Hence d * log2(z) != n and the enclosures separate them:
     from lo <= scale * z <= hi, log2(z) lies between the brackets of
-    log2(lo / scale) and log2(hi / scale).  No power of z or of 2 is formed
-    beyond the size of z itself.
+    log2(lo / scale) and log2(hi / scale), each in lowest terms.  No power
+    of z or of 2 is formed beyond the size of z itself.
     """
     z = lr(z)
-    e = as_fraction(e)
+    en, ed = _ratio(e)
     if z.sign() <= 0:
         return -1  # 2**e > 0 always
-    if z.is_rational() and e.denominator == 1:
-        num, den = z.q.numerator, z.q.denominator
+    den, num, terms = z._form
+    if not terms and ed == 1:
         k = num.bit_length() - den.bit_length()
-        if e != k:
-            return 1 if e < k else -1
+        if en != k:
+            return 1 if en < k else -1
         num, den = (num, den << k) if k >= 0 else (num << -k, den)
         return (num > den) - (num < den)
-    den, q, terms = _integer_form(z)
-    for lo, hi, bits in _enclosures(q, terms):
-        scale = den << bits
+    for lo, hi, bits in _enclosures(num, terms):
         if lo > 0:
-            a, b = _log2_range(Fraction(lo, scale), Fraction(hi, scale), bits)
-            if a * e.denominator > e.numerator << bits:
+            scale = den << bits
+            g, h = math.gcd(lo, scale), math.gcd(hi, scale)
+            a = _log2_bracket(lo // g, bits)[0] - _log2_bracket(scale // g, bits)[1]
+            b = _log2_bracket(hi // h, bits)[1] - _log2_bracket(scale // h, bits)[0]
+            if a * ed > en << bits:
                 return 1
-            if b * e.denominator < e.numerator << bits:
+            if b * ed < en << bits:
                 return -1
-    raise Indeterminate(f"compare {z!r} vs 2**{e} undecided")
+    raise Indeterminate(f"compare {z!r} vs 2**{Fraction(en, ed)} undecided")

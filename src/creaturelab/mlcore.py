@@ -40,6 +40,7 @@ from .errors import (
     TypeMismatch,
     UsageError,
     ZeroNorm,
+    refuse_unread,
 )
 from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json, unique_dict
 from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
@@ -216,7 +217,10 @@ class MlCreature(Record):
     @staticmethod
     def from_json(obj, n=None) -> "MlCreature":
         """Inverse of to_json; a fragment keys its creatures by level and
-        passes that level as n instead of storing an "n" field."""
+        passes that level as n instead of storing an "n" field.  A key
+        that to_json does not write is refused."""
+        fields = MlCreature.__slots__  # n, then the fields a fragment's creature holds
+        refuse_unread(obj, fields if n is None else fields[1:], "creature")
         return MlCreature(
             obj["n"] if n is None else n,
             frozenset(unique_dict(((i, i) for i in obj["u"]), "support index")),

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from .atomic import plateau_family
 from .atomic.base import LADDER_LIMIT
-from .atomic.niceness import make_nice
-from .errors import Indeterminate, SizeInfeasible, UsageError
+from .errors import Indeterminate, SizeInfeasible, UsageError, refuse_unread
 from .mlcore import IndexUniverse
 from .records import Record
 from .tower import TowerNat, add, lit, mul, pow_, ref, tower_compare
@@ -321,14 +320,6 @@ def _count(n, raw, name):
     return x
 
 
-def _refuse_unread(obj, keys, what):
-    """Refuse a key of obj outside keys: a misspelled optional field would
-    otherwise be read as absent and take its default."""
-    for key in obj:
-        if key not in keys:
-            raise UsageError(f"{what}: unknown key {key!r}")
-
-
 def make_toy_profile(spec: dict) -> ToyProfile:
     """Build a ToyProfile from a plain dict:
 
@@ -349,12 +340,12 @@ def make_toy_profile(spec: dict) -> ToyProfile:
         raw_levels = spec["levels"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed profile spec: {exc}") from exc
-    _refuse_unread(spec, {"universe", "levels"}, "profile")
-    _refuse_unread(uni, {"mu", "alpha", "eps_of"}, "universe")
+    refuse_unread(spec, {"universe", "levels"}, "profile")
+    refuse_unread(uni, {"mu", "alpha", "eps_of"}, "universe")
 
     levels = []
     for n, raw in enumerate(raw_levels):
-        _refuse_unread(raw, {"kstar", "slot_sizes", *_COUNT_DEFAULTS}, f"level {n}")
+        refuse_unread(raw, {"kstar", "slot_sizes", *_COUNT_DEFAULTS}, f"level {n}")
         kstar = _size(n, raw["kstar"])
         sizes = raw["slot_sizes"]
         if isinstance(sizes, int):
@@ -370,5 +361,7 @@ def resolve_nice_size(M: int, m_max):
     """Base size of the constructed (M, m_max)-regular parameter, when one
     exists within budget; the resolution step for the symbolic kstar/f
     fields."""
+    from .atomic.niceness import make_nice
+
     p = make_nice(M, m_max)
     return len(p.base())

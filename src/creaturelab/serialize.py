@@ -14,7 +14,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import UsageError, refuse_unread
 from .logreal import as_fraction
 from .atomic.base import id_from_json, id_to_json, unique_dict
 from .atomic import (
@@ -80,6 +80,16 @@ def parse_rational(text) -> Fraction:
 
 _REQUIRED = object()
 _RATIONAL = (int, float, str)
+# the fields each kind of atomic parameter document reads besides "kind"
+_KIND_FIELDS = {
+    "subset-log": ("base_size", "name"),
+    "capped-ladder": ("m_max", "base_size", "name"),
+    "plateau": ("height", "base_size", "name"),
+    "two-point": ("m_max",),
+    "halving-pairs": ("base_size",),
+    "reservoir": (),
+    "ladder": ("norms_by_size", "base_size", "name"),
+}
 
 
 def _field(obj, kind, name, types, default=_REQUIRED):
@@ -98,10 +108,14 @@ def _field(obj, kind, name, types, default=_REQUIRED):
 
 
 def atomic_param_from_json(obj):
-    """Build an atomic parameter from a registry document {'kind': ..., ...}."""
+    """Build an atomic parameter from a registry document {'kind': ..., ...};
+    a key that its kind does not read is refused."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("atomic parameter document needs a 'kind' field")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise UsageError(f"unknown atomic parameter kind: {kind!r}")
+    refuse_unread(obj, ("kind",) + _KIND_FIELDS[kind], f"{kind!r} parameter document")
 
     def get(name, types, default=_REQUIRED):
         return _field(obj, kind, name, types, default)
@@ -123,16 +137,15 @@ def atomic_param_from_json(obj):
         return HalvingPairFamily(base_size=get("base_size", (int,), 16))
     if kind == "reservoir":
         return ReservoirFamily()
-    if kind == "ladder":
-        raw = get("norms_by_size", (dict,))
-        base_size = get("base_size", (int,))
-        try:
-            norms = {int(k): parse_rational(v) for k, v in raw.items()}
-        except ValueError:
-            raise UsageError(f"'ladder' parameter field 'norms_by_size' needs integer sizes, "
-                             f"got {sorted(raw)}")
-        return SubsetLadderFamily(get("name", (str,), "ladder"), base_size, norms)
-    raise UsageError(f"unknown atomic parameter kind: {kind!r}")
+    # "ladder", the one kind left
+    raw = get("norms_by_size", (dict,))
+    base_size = get("base_size", (int,))
+    try:
+        norms = {int(k): parse_rational(v) for k, v in raw.items()}
+    except ValueError:
+        raise UsageError(f"'ladder' parameter field 'norms_by_size' needs integer sizes, "
+                         f"got {sorted(raw)}")
+    return SubsetLadderFamily(get("name", (str,), "ladder"), base_size, norms)
 
 
 def creature_to_json(c) -> dict:

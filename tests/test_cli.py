@@ -350,6 +350,22 @@ _LAYERS = {"creaturelab.mlcore", "creaturelab.conditions", "creaturelab.params",
            "creaturelab.tower"}
 
 
+def _fresh_process(code, *argv):
+    """The stdout of python -c code argv... in a fresh interpreter on src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _command_modules(files, command):
+    """[dataclasses loaded by the CLI import, exit code, *modules loaded] of
+    one command run in a fresh process."""
+    write, _ = files
+    inputs = _pin_inputs(write)
+    return _fresh_process(_IMPORT_PROBE, *(inputs.get(a, a) for a in command.split())).split()
+
+
 @pytest.mark.parametrize("command, absent", [
     ("atomic verify --in {toyh} --property axioms", _LAYERS),
     ("ml norm --profile {wide_profile} --in {creature}", {"creaturelab.conditions"}),
@@ -358,16 +374,45 @@ _LAYERS = {"creaturelab.mlcore", "creaturelab.conditions", "creaturelab.params",
 def test_each_command_group_loads_only_its_layers(files, command, absent):
     """A fresh process per command: importing the CLI loads no dataclasses,
     and running a command loads only the layers its group uses."""
-    write, _ = files
-    inputs = _pin_inputs(write)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE]
-                         + [inputs.get(a, a) for a in command.split()],
-                         env=env, capture_output=True, text=True, check=True)
-    dataclasses, code, *modules = out.stdout.split()
+    dataclasses, code, *modules = _command_modules(files, command)
     assert dataclasses == "False" and code == "0"
     assert "creaturelab.atomic" in modules and not absent & set(modules)
+
+
+_ATOMIC_CHECKS = {"creaturelab.atomic.checks", "creaturelab.atomic.ops",
+                  "creaturelab.atomic.certificates", "creaturelab.atomic.niceness"}
+
+
+@pytest.mark.parametrize("command", [
+    "ml norm --profile {wide_profile} --in {creature}",
+    "ml norm --profile {wide_profile} --in {creature} --threshold 2",
+    "ml halve --profile {wide_profile} --in {creature}",
+    "params --level 0",
+], ids=["ml-norm", "ml-norm-threshold", "ml-halve", "params"])
+def test_ml_and_params_commands_load_no_atomic_check(files, command):
+    """These commands build families but never check or transform one, so
+    the atomic checks, ops, certificates and niceness stay unloaded."""
+    _, code, *modules = _command_modules(files, command)
+    assert code == "0" and "creaturelab.atomic.families" in modules
+    assert not _ATOMIC_CHECKS & set(modules)
+
+
+def test_the_atomic_package_loads_its_checks_on_first_use():
+    """A name of the checks, ops, certificates or niceness, read from the
+    package or imported from it, loads all four at once; other names stay
+    unknown."""
+    probe = """\
+import sys
+import creaturelab.atomic as A
+before = [m for m in sys.argv[1:] if m in sys.modules]
+f = A.homogenize_product
+from creaturelab.atomic import toy_witness_pair, PropertyCertificate
+from creaturelab.atomic.ops import homogenize_product
+print(before, f is homogenize_product, all(m in sys.modules for m in sys.argv[1:]),
+      hasattr(A, "no_such_name"), toy_witness_pair.__module__)
+"""
+    out = _fresh_process(probe, *sorted(_ATOMIC_CHECKS))
+    assert out.split() == ["[]", "True", "True", "False", "creaturelab.atomic.families"]
 
 
 def test_atomic_make_nice(files):
@@ -1089,6 +1134,18 @@ REFUSED_FIELDS = {
     # a table key whose values no level-1 row gives the block (e0 picks 0 or 1)
     "evade-table-key-value": (_EVADE, "{cover}", ("table",),
                               lambda t: dict(t, **{'[["e0", 99], ["a0", 0]]': [0]})),
+    # a key that no decoder reads, each once read as absent with exit 0: the
+    # misspelled log term of d was dropped (d read 5), the misspelled base
+    # size left the default base-16 family, and the extra keys were ignored
+    "creature-d-unread-key": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
+                              ("d",), {"q": "5", "lgos": {"3": "1"}}),
+    "creature-unread-key": ("ml norm --profile {wide_profile} --in {creature}", "{creature}",
+                            ("colour",), 1),
+    "fragment-creature-level-key": (_WIDE_POSS, "{wide}", ("creatures", "1", "n"), 1),
+    "family-unread-key": ("atomic verify --in {toya} --property axioms", "{toya}",
+                          ("base_sise",), 4),
+    "product-family-unread-key": ("atomic order --in {prod} --x 1/4", "{prod}",
+                                  ("coordinates", 1, "param", "base_size"), 4),
 }
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from creaturelab.logreal import (
     _is_prime,
     _log2_bracket,
     as_fraction,
+    lr,
     lr_cmp_pow2,
     lr_compare,
     lr_from_rational,
@@ -441,3 +444,114 @@ def test_bools_are_not_rationals():
         with pytest.raises(UsageError):
             lr_log2_int(bad)
     assert as_fraction(1) == parse_rational(1) == 1 and lr_log2_int(1) == lr_zero()
+
+
+# the stored integer form: den * x = num + sum a * log2(p); the q and logs
+# views, and every path that builds a value, agree with the Fraction
+# reference above
+
+
+def _typed_views(x):
+    """q is a Fraction and logs a tuple of (int, Fraction) pairs."""
+    return (type(x.q) is F and type(x.logs) is tuple
+            and all(type(t) is tuple and type(t[0]) is int and type(t[1]) is F for t in x.logs))
+
+
+def _stored_form(x):
+    """The integers behind the views are the canonical form: den > 0, primes
+    ascending without 2, no zero coefficient, gcd(den, num, every a) = 1."""
+    den, num, terms = x._form
+    keys = [p for p, _ in terms]
+    return (den > 0 and keys == sorted(set(keys)) and 2 not in keys
+            and all(type(a) is int and a for _, a in terms)
+            and math.gcd(den, num, *(a for _, a in terms)) == 1
+            and (x.q, x.logs) == (F(num, den), tuple((p, F(a, den)) for p, a in terms)))
+
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=9),
+                    st.sampled_from(["0", "-0", "1", "-1", "-3/4", "5/2", "6/4", "7"]))
+
+
+def _scale_reference(x, r):
+    r = F(r)
+    return LogReal.make(x.q * r, {p: c * r for p, c in x.logs})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(logreals(), scalars)
+def test_scale_by_an_int_a_fraction_or_a_string_equals_the_make_reference(x, r):
+    got, want = x.scale(r), _scale_reference(x, r)
+    assert (got.q, got.logs) == (want.q, want.logs) and _canonical(got)
+    assert got == want and hash(got) == hash(want)
+    assert _typed_views(got) and _stored_form(got)
+    if F(r) == 0:
+        assert got == lr_zero() and got.logs == ()
+
+
+def test_scale_refuses_what_is_not_a_rational():
+    for bad in (True, 1.5, "x", None):
+        with pytest.raises(UsageError):
+            lr_log2_int(3).scale(bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(logreals(), logreals())
+def test_equal_values_are_equal_and_hash_alike_on_every_path(a, b):
+    s = a + b
+    paths = [
+        _reference(a, b, 1),
+        LogReal.make(s.q, dict(s.logs)),
+        LogReal(s.q, s.logs),
+        LogReal.from_json(s.to_json()),
+        pickle.loads(pickle.dumps(s)),
+        copy.copy(s),
+        copy.deepcopy(s),
+        (s - b) + b,
+        s.scale(3).scale(F(1, 3)),
+        s - lr_zero(),
+    ]
+    hash(paths[4])  # a hash read before the copies are made is not carried into them
+    for x in paths + [pickle.loads(pickle.dumps(paths[4])), copy.copy(paths[4])]:
+        assert x == s and s == x and not x != s
+        assert hash(x) == hash(s) == hash((x.q, x.logs))
+        assert repr(x) == repr(s) and x.to_json() == s.to_json()
+        assert _typed_views(x) and _stored_form(x)
+    assert len({s, *paths}) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(logreals(), logreals(), st.booleans(), st.integers(-6, 6), st.integers(1, 5))
+def test_cmp_pow2_on_forms_built_by_arithmetic(a, b, subtract, n, d):
+    z = a - b if subtract else a + b
+    assume(z.sign() > 0)
+    e = F(n, d)
+    if e.denominator == 1:  # exact: the sign of z - 2**e
+        want = lr_compare(z, lr_from_rational(F(2) ** e.numerator))
+    else:  # 2**e is irrational; floats decide where they are far apart
+        f, g = z.approx(), 2.0 ** (n / d)
+        assume(abs(f - g) > 1e-9 * g)
+        want = (f > g) - (f < g)
+    assert lr_cmp_pow2(z, e) == want
+    assert lr_cmp_pow2(_reference(a, b, -1 if subtract else 1), e) == want
+
+
+def test_every_constructor_gives_fraction_views_over_a_canonical_form():
+    x = lr_log2_int(360).scale(F(-2, 9)) + F(5, 6)
+    values = [
+        lr(3), lr(F(-3, 4)), lr("7/2"), lr(x), lr_zero(), lr_from_rational("-5/10"),
+        lr_log2_int(1), lr_log2_int(720), lr_log2_fraction(F(9, 40)),
+        LogReal.make(F(1, 2), {2: F(1, 2), 3: 0, 5: "-2/6"}), LogReal(F(3, 2), ((3, F(1, 2)),)),
+        LogReal.from_json({"q": "4/6", "logs": {"3": "2/4", "7": "0"}}),
+        x, x + x, x - x, x.scale(0), x.scale(-3), x + 1, x - F(5, 6),
+    ]
+    for v in values:
+        assert _typed_views(v) and _stored_form(v), v
+    assert lr(x) is x
+    assert x - x == lr_zero() and (x - x)._form == (1, 0, ())
+
+
+def test_a_logreal_payload_with_an_unread_key_is_refused():
+    """A misspelled "logs" was read as absent, dropping the log term."""
+    with pytest.raises(UsageError, match="unknown key 'lgos'"):
+        LogReal.from_json({"q": "5", "lgos": {"3": "1"}})
+    assert LogReal.from_json({"q": "5"}) == lr_from_rational(5)
