@@ -34,6 +34,7 @@ from .errors import (
     ModulusTooDeep,
     SizeInfeasible,
     UsageError,
+    refuse_unread,
 )
 from .serialize import (
     atomic_param_from_json,
@@ -123,6 +124,7 @@ def _load_cover(path, p, profile) -> dict:
     from .conditions import cover_validate
 
     def decode(doc):
+        refuse_unread(doc, ("level", "indices", "table"), "cover table")
         level, indices = doc["level"], doc["indices"]
         if not (type(level) is int and level in p.levels and isinstance(indices, list)
                 and set(indices) <= p.supp(level) and len(set(indices)) == len(indices)):
@@ -242,10 +244,14 @@ def _cmd_atomic_make_nice(args):
 
 
 def _decode_product(doc):
-    """A product document: {'coordinates': [{'param': {...}, 'w': id}, ...]}."""
+    """A product document: {'coordinates': [{'param': {...}, 'w': id}, ...]};
+    a key it does not name is refused."""
+    refuse_unread(doc, ("coordinates",), "product document")
     coords = doc.get("coordinates")
     if not coords:
         raise UsageError("product document needs a non-empty 'coordinates' list")
+    for c in coords:
+        refuse_unread(c, ("param", "w"), "product coordinate")
     params = [atomic_param_from_json(c["param"]) for c in coords]
     ws = [id_from_json(c["w"]) for c in coords]
     return params, ws
@@ -290,8 +296,11 @@ def _cmd_atomic_order(args):
 def _cmd_atomic_disjoint(args):
     from . import atomic
 
-    p, w1, w2 = _load(args.infile, lambda doc: (
-        atomic_param_from_json(doc["param"]), id_from_json(doc["w1"]), id_from_json(doc["w2"])))
+    def decode(doc):
+        refuse_unread(doc, ("param", "w1", "w2"), "disjoint document")
+        return atomic_param_from_json(doc["param"]), id_from_json(doc["w1"]), id_from_json(doc["w2"])
+
+    p, w1, w2 = _load(args.infile, decode)
     w1, w2 = (_creature_of(p, w, args.infile) for w in (w1, w2))
     v1, v2 = atomic.disjoint_successors(p, w1, w2, parse_rational(args.x))
     return 0, {"v1": repr(v1), "v2": repr(v2),

@@ -37,9 +37,9 @@ from .errors import (
     OracleInconsistent,
     PreconditionFailed,
     UsageError,
+    refuse_unread,
 )
 from .atomic.base import ENUM_CAP, unique_dict
-from .atomic.ops import disjoint_successors
 from .logreal import as_fraction
 from .records import Record
 from .mlcore import (
@@ -123,6 +123,8 @@ class FiniteCondition(Record):
 
     @staticmethod
     def from_json(obj) -> "FiniteCondition":
+        """Inverse of to_json; a key that to_json does not write is refused."""
+        refuse_unread(obj, FiniteCondition.__slots__, "fragment")
         creatures = unique_dict(((int(n), MlCreature.from_json(c, int(n)))
                                  for n, c in obj["creatures"].items()), "creature level")
         return FiniteCondition(
@@ -203,25 +205,46 @@ def _level_rules(p: FiniteCondition, m: int, cols, profile) -> list:
             for j, i in enumerate(cols)]
 
 
+def _row_allowed(p: FiniteCondition, m: int, cols, row, profile) -> bool:
+    """Does row, values over cols at level m, pass the local
+    characterization of poss: an index's cell below its entry level holds
+    its trunk value, and a cell above lies in the value set of its level's
+    creature (for an alpha, of the slot its selector's value in row picks;
+    no other slot is read).  The one membership test, shared by
+    `nu in PossSpace` and cover_validate."""
+    U, c = profile.universe, p.creatures.get(m)  # no creature below the cut
+    for i, x in zip(cols, row):
+        if c is None or i not in c.u:
+            if x != p.trunk[m, i]:
+                return False
+        elif U.is_mu(i):
+            if x not in profile.star_param(m).val(c.w_eps[i]):
+                return False
+        else:
+            k = row[cols.index(U.eps_of[i])]
+            if (i, k) not in c.w_alpha or x not in profile.slot_param(m, k).val(c.w_alpha[i, k]):
+                return False
+    return True
+
+
 class PossSpace:
     """poss(p, n) over cols, supp(p, n) sorted by str: the trunk times the
     product of the level creatures' rows, earlier levels varying slowest (an
     index that enters later reads its cells from the trunk).  A space reads
-    each level's rules (_level_rules) when built and its rows on the first
-    read of levels, which checks each level's row set once against its
-    rules: each rule reads one level, so a branch passes iff its rows do (a
-    level without rows leaves no branch to check).  len, lazy iteration,
-    space[k] and `nu in space` (the rules alone) cap nothing.  A space
-    reads p when read, so a caller consumes it before mutating p."""
+    its rows on the first read of levels, which checks each level's row set
+    once against that level's rules (_level_rules): each rule reads one
+    level, so a branch passes iff its rows do (a level without rows leaves
+    no branch to check).  len, lazy iteration, space[k] and `nu in space`
+    (each level's row through _row_allowed) cap nothing.  A space reads p
+    when read, so a caller consumes it before mutating p."""
 
-    __slots__ = ("p", "n", "profile", "cols", "rules", "_levels")
+    __slots__ = ("p", "n", "profile", "cols", "_levels")
 
     def __init__(self, p: FiniteCondition, n: int, profile):
         if not 0 <= n <= p.height:
             raise UsageError(f"height {n} outside [0, {p.height}]")
         self.p, self.n, self.profile, self._levels = p, n, profile, None
         self.cols = tuple(sorted(p.supp(n), key=str))
-        self.rules = [_level_rules(p, m, self.cols, profile) for m in range(n)]
 
     @property
     def levels(self) -> list:
@@ -233,7 +256,7 @@ class PossSpace:
                                        [(i, p.trunk[m, i]) for i in cols if (m, i) in p.trunk])
                       for m in range(self.n)]
             for m, rows in enumerate(levels) if all(levels) else ():
-                for j, sel, ok in self.rules[m]:
+                for j, sel, ok in _level_rules(p, m, cols, self.profile):
                     seen = set(map(itemgetter(j) if sel is None else itemgetter(sel, j), rows))
                     if not (seen <= ok if sel is None else all(v in ok.get(k, ()) for k, v in seen)):
                         raise UsageError(f"characterizations disagree at level {m}, index {cols[j]!r}")
@@ -259,13 +282,9 @@ class PossSpace:
 
     def __contains__(self, nu: Possibility) -> bool:
         n, cols, v = nu
-        if n != self.n or cols != self.cols:
-            return False
-        for b, rules in zip(range(0, n * len(cols), len(cols)), self.rules):
-            for j, sel, ok in rules:
-                if v[b + j] not in (ok if sel is None else ok.get(v[b + sel], ())):
-                    return False
-        return True
+        w = len(cols)
+        return n == self.n and cols == self.cols and all(
+            _row_allowed(self.p, m, cols, v[m * w:m * w + w], self.profile) for m in range(n))
 
 
 def cond_poss(p: FiniteCondition, n: int, profile, method="inductive"):
@@ -349,7 +368,11 @@ def cond_and(p: FiniteCondition, eta: Possibility, n: int, u, profile) -> Finite
 
 def cond_separate_support(p: FiniteCondition, profile) -> FiniteCondition:
     """Shrink the selector creatures of every level until their value sets
-    are pairwise disjoint across the level's mu-indices."""
+    are pairwise disjoint across the level's mu-indices.  Only this
+    transform loads the atomic ops (and with them the checks and
+    certificates), so the other cond and demo commands do not."""
+    from .atomic.ops import disjoint_successors
+
     q = p.copy()
     U = profile.universe
     for n in q.levels:
@@ -417,6 +440,8 @@ class NameTable(Record):
 
     @staticmethod
     def from_json(obj) -> "NameTable":
+        """Inverse of to_json; a key that to_json does not write is refused."""
+        refuse_unread(obj, NameTable.__slots__, "name table")
         return NameTable(
             unique_dict(((n, h) for n, h in obj["modulus"]), "modulus level"),
             unique_dict((
@@ -629,17 +654,14 @@ def cover_step(p: FiniteCondition, n: int, r: NameTable, eps0, profile):
 
 def cover_validate(Y: dict, p: FiniteCondition, profile) -> None:
     """Raise DomainMismatch unless every key of the cover table Y gives its
-    indices values that some level-n row of p gives them: each (index,
-    value) pair passes level n's rules over the indices, which must be
-    eps-closed so that a slot's rule reads its selector in the key.  No row
-    is built."""
+    indices values that some level-n row of p gives them: the key's values
+    pass _row_allowed at level n over the indices, which must be eps-closed
+    so that a slot cell reads its selector in the key.  No row is built."""
     n, block = Y["level"], Y["indices"]
     if not profile.universe.is_closed(block):
         raise DomainMismatch(f"the cover table's indices {block} are not eps-closed")
-    rules = _level_rules(p, n, block, profile)
     for key in Y["table"]:
-        v = [x for _, x in key]
-        if not all(v[j] in (ok if sel is None else ok.get(v[sel], ())) for j, sel, ok in rules):
+        if not _row_allowed(p, n, block, [x for _, x in key], profile):
             raise DomainMismatch(f"table key {key} is no level-{n} row's values")
 
 

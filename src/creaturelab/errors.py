@@ -80,7 +80,10 @@ class UsageError(CreatureLabError):
 def refuse_unread(obj, keys, what) -> None:
     """Refuse a key of the document obj outside keys, naming it: a
     misspelled optional field would otherwise be read as absent and take
-    its default."""
+    its default.  An obj that is no JSON object is a TypeError, which a
+    loader reports as a malformed document."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} is a {type(obj).__name__}, not an object")
     for key in obj:
         if key not in keys:
             raise UsageError(f"{what}: unknown key {key!r}")

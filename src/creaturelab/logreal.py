@@ -4,8 +4,8 @@ A LogReal x is stored as its integer form den * x = num + sum a*log2(p):
 den > 0, num and each a integers, the primes p sorted, no zero a, no key 2
 (log2(2) = 1 is rational) and gcd(den, num, every a) = 1.  As {1} u
 {log2 p : p prime} is linearly independent over Q, equal values have equal
-forms.  Arithmetic works on these integers; `q` and `logs` are read-only
-views that give them as Fractions.  The sign of x is that of
+forms.  Arithmetic, order, repr, JSON and hash work on these integers;
+`q` and `logs` are read-only Fraction views.  The sign of x is that of
 num + sum a*log2(p) = log2(2**num * prod p**a): the order of two products
 of prime powers, which differ by unique factorization.  Past _POWER_BITS
 bits of powers, and for `approx` and `lr_cmp_pow2`, integer enclosures
@@ -18,6 +18,7 @@ Indeterminate.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -25,7 +26,7 @@ from .errors import CapacityExceeded, Indeterminate, UsageError, refuse_unread
 from .records import Frozen
 
 __all__ = ["LogReal", "as_fraction", "lr", "lr_zero", "lr_from_rational", "lr_log2_int",
-           "lr_log2_fraction", "lr_compare", "lr_cmp_pow2"]
+           "lr_log2_fraction", "lr_minus_log2", "lr_compare", "lr_min", "lr_cmp_pow2"]
 
 # bits of the first enclosure and of the last one tried before Indeterminate;
 # a sign reaches them only past _POWER_BITS
@@ -141,11 +142,13 @@ class LogReal(Frozen):
             return self._form == other._form
         return NotImplemented
 
-    def __hash__(self):  # kept after the first call, which builds the views
+    def __hash__(self):  # hash((q, logs)), kept after the first call
         try:
             return self._hash
         except AttributeError:
-            _set_hash(self, hash((self.q, self.logs)))
+            den, num, terms = self._form
+            _set_hash(self, hash((_hash_ratio(num, den),
+                                  tuple((p, _hash_ratio(a, den)) for p, a in terms))))
             return self._hash
 
     def __reduce__(self):
@@ -198,9 +201,8 @@ class LogReal(Frozen):
         return lr_compare(self, other) >= 0
 
     def to_json(self) -> dict:
-        q = self.q
-        return {"q": f"{q.numerator}/{q.denominator}",
-                "logs": {str(p): f"{c.numerator}/{c.denominator}" for p, c in self.logs}}
+        den, num, terms = self._form
+        return {"q": _str_ratio(num, den), "logs": {str(p): _str_ratio(a, den) for p, a in terms}}
 
     @staticmethod
     def from_json(obj) -> "LogReal":
@@ -210,9 +212,10 @@ class LogReal(Frozen):
         logs = {int(p): as_fraction(v) for p, v in obj.get("logs", {}).items()}
         return LogReal.make(as_fraction(obj["q"]), logs)
 
-    def __repr__(self) -> str:
-        parts = [str(self.q)] if (self._form[1] or not self._form[2]) else []
-        parts += [f"{c}*log2({p})" for p, c in self.logs]
+    def __repr__(self) -> str:  # the JSON rationals as str(Fraction) writes them
+        den, num, terms = self._form
+        parts = [_str_ratio(num, den).removesuffix("/1")] if num or not terms else []
+        parts += [f"{_str_ratio(a, den).removesuffix('/1')}*log2({p})" for p, a in terms]
         return "LogReal(" + " + ".join(parts) + ")"
 
     def approx(self) -> float:
@@ -227,6 +230,21 @@ class LogReal(Frozen):
 
 _new = object.__new__
 _set_form, _set_hash = (vars(LogReal)[f].__set__ for f in LogReal.__slots__)
+
+
+def _str_ratio(m: int, n: int) -> str:
+    """m/n (n > 0) in lowest terms, as "m/n"."""
+    g = math.gcd(m, n)
+    return f"{m // g}/{n // g}"
+
+
+def _hash_ratio(m: int, n: int) -> int:
+    """hash(Fraction(m, n)) for n > 0 by the library reference's rule for
+    rationals; it lies strictly between -P and P, so it is its own hash."""
+    g, P = math.gcd(m, n), sys.hash_info.modulus
+    m, n = m // g, n // g
+    h = sys.hash_info.inf if n % P == 0 else abs(m) * pow(n, -1, P) % P
+    return -2 if m < 0 and h == 1 else -h if m < 0 else h
 
 
 def _lr(form: tuple[int, int, tuple]) -> LogReal:
@@ -253,7 +271,7 @@ def _merge(a: LogReal, b: LogReal, sign: int) -> tuple[int, int, dict]:
 def _reduced(den: int, num: int, terms: dict) -> LogReal:
     """The LogReal den * x = num + sum c * log2(p) over terms {p: c} (den > 0,
     no c zero), canonical: primes sorted, each integer over the gcd of all."""
-    terms = tuple(sorted(terms.items()))
+    terms = tuple(sorted(terms.items())) if terms else ()
     g = math.gcd(den, num)
     if g != 1 and terms:
         g = math.gcd(g, *[c for _, c in terms])
@@ -280,8 +298,27 @@ def lr_log2_int(n: int) -> LogReal:
     """log2 of a positive integer, as an exact combination of prime logs."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"lr_log2_int needs a positive integer, got {n!r}")
+    if not n & (n - 1):  # a power of two
+        return _lr((1, n.bit_length() - 1, ()))
     factors = _factorize(n)  # ascending primes
     return _lr((1, factors.pop(2, 0), tuple(factors.items())))
+
+
+def lr_minus_log2(x: LogReal, n: int, y: LogReal) -> LogReal:
+    """x - log2(n) - y for a positive integer n: the three integer forms
+    merged over one denominator, then reduced once."""
+    (dx, nx, tx), (dy, ny, ty), (_, e, tn) = x._form, y._form, lr_log2_int(n)._form
+    den = dx if dx == dy else math.lcm(dx, dy)
+    mx, my = den // dx, den // dy
+    num = nx * mx - ny * my - e * den
+    if not (tx or ty or tn):
+        g = math.gcd(den, num)
+        return _lr((den // g, num // g, ()))
+    terms = {}
+    for t, m in ((tx, mx), (ty, -my), (tn, -den)):
+        for p, c in t:
+            terms[p] = terms.get(p, 0) + c * m
+    return _reduced(den, num, {p: c for p, c in terms.items() if c})
 
 
 def lr_log2_fraction(r) -> LogReal:
@@ -379,17 +416,30 @@ def _form_sign(q: int, terms) -> int:
 
 
 def lr_compare(a: LogReal, b: LogReal) -> int:
-    """Total order: -1, 0, 1, decided symbolically: with a log present, as
-    the sign of a - b's integer form over the least common denominator."""
+    """Total order: -1, 0, 1, decided symbolically: by numerators over one
+    denominator and log part, else by the sign of a - b's integer form."""
+    if a is b:
+        return 0
     a, b = lr(a), lr(b)
     (da, na, ta), (db, nb, tb) = a._form, b._form
+    if da == db and ta == tb:
+        return (na > nb) - (na < nb)
     if not ta and not tb:
         x, y = na * db, nb * da
         return (x > y) - (x < y)
     _, q, terms = _merge(a, b, -1)
-    if not terms:
-        return (q > 0) - (q < 0)
-    return _form_sign(q, terms.items())
+    return _form_sign(q, terms.items()) if terms else (q > 0) - (q < 0)
+
+
+def lr_min(xs: list) -> LogReal:
+    """min(xs) for a nonempty list of LogReals, with no call where den and
+    log part agree."""
+    least = xs[0]
+    for x in xs[1:]:
+        (dl, nl, tl), (dx, nx, tx) = least._form, x._form
+        if nx < nl if dl == dx and tl == tx else lr_compare(x, least) < 0:
+            least = x
+    return least
 
 
 def lr_cmp_pow2(z: LogReal, e: Fraction) -> int:

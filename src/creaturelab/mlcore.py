@@ -30,20 +30,10 @@ import math
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .errors import (
-    CapacityExceeded,
-    DomainMismatch,
-    Indeterminate,
-    NormTooSmall,
-    NotNice,
-    PreconditionFailed,
-    TypeMismatch,
-    UsageError,
-    ZeroNorm,
-    refuse_unread,
-)
+from .errors import (CapacityExceeded, DomainMismatch, Indeterminate, NormTooSmall, NotNice,
+                     PreconditionFailed, TypeMismatch, UsageError, ZeroNorm, refuse_unread)
 from .atomic.base import ENUM_CAP, TUPLE_CAP, id_from_json, id_to_json, unique_dict
-from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_log2_int, lr_zero
+from .logreal import LogReal, lr, lr_cmp_pow2, lr_from_rational, lr_min, lr_minus_log2, lr_zero
 from .records import Record
 
 
@@ -150,18 +140,13 @@ class Possibility(tuple):
             vals[m * len(cols) + j] for m in range(n) for j in keep)))
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "u": list(self.cols),
-            "values": [[m, i, v] for (m, i), v in self.values],
-        }
+        return {"n": self.n, "u": list(self.cols), "values": [[m, i, v] for (m, i), v in self.values]}
 
     @staticmethod
     def from_json(obj) -> "Possibility":
-        return Possibility.make(
-            obj["n"], obj["u"],
-            unique_dict((((m, i), v) for m, i, v in obj["values"]), "possibility cell"),
-        )
+        refuse_unread(obj, ("n", "u", "values"), "possibility")
+        cells = unique_dict((((m, i), v) for m, i, v in obj["values"]), "possibility cell")
+        return Possibility.make(obj["n"], obj["u"], cells)
 
 
 def _trunk_space(n, u: frozenset, profile):
@@ -169,17 +154,15 @@ def _trunk_space(n, u: frozenset, profile):
     range(sizes[j])."""
     if not u:
         raise UsageError("u must be nonempty")
-    cols = tuple(sorted(u, key=str))
-    U = profile.universe
-    sizes = [profile.kstar(m) if U.is_mu(i) else profile.fmax(m) for m in range(n) for i in cols]
+    cols, is_mu = tuple(sorted(u, key=str)), profile.universe.is_mu
+    sizes = [profile.kstar(m) if is_mu(i) else profile.fmax(m) for m in range(n) for i in cols]
     return cols, sizes
 
 
 def poss_enumerate(n, u, profile) -> list:
     """All trunks of height n over u, smallest-cell-first product order;
     more than ENUM_CAP are refused before any is built."""
-    u = frozenset(u)
-    cols, sizes = _trunk_space(n, u, profile)
+    cols, sizes = _trunk_space(n, frozenset(u), profile)
     for total in itertools.accumulate(sizes, mul):
         if total > ENUM_CAP:
             raise CapacityExceeded(f"{total}+ trunks exceed the enumeration cap")
@@ -195,10 +178,7 @@ class MlCreature(Record):
     __slots__ = ("n", "u", "w_eps", "w_alpha", "d")
 
     def __init__(self, n: int, u: frozenset, w_eps: dict, w_alpha: dict, d: LogReal | None = None):
-        self.n = n
-        self.u = u
-        self.w_eps = w_eps
-        self.w_alpha = w_alpha
+        self.n, self.u, self.w_eps, self.w_alpha = n, u, w_eps, w_alpha
         self.d = lr_zero() if d is None else d
 
     def copy(self) -> "MlCreature":
@@ -274,8 +254,11 @@ def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     """c's one-level rows over cols (a superset of c's support): selector
     values vary slowest, then the slot columns in cols order, the last
     fastest.  A column outside c's support takes its value from fill's
-    (column, value) pairs.  More than ENUM_CAP rows are refused unbuilt:
-    the count is read off the sorted value lists the rows are built from."""
+    (column, value) pairs.  More than ENUM_CAP rows (_level_count) are
+    refused unbuilt."""
+    count = _level_count(c, profile)
+    if count > ENUM_CAP:
+        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
     U, star = profile.universe, profile.star_param(c.n)
     eps_of = U.eps_of
     mus = [i for i in cols if i in c.u and U.is_mu(i)]
@@ -283,13 +266,6 @@ def _level_rows(c: MlCreature, cols, profile, fill=()) -> list:
     # a slot column's sorted values, by the value its selector picks
     slots = {i: {k: sorted(profile.slot_param(c.n, k).val(c.w_alpha[i, k]))
                  for k in picks[eps_of[i]]} for i in cols if i in c.u and not U.is_mu(i)}
-    width = {e: dict.fromkeys(ks, 1) for e, ks in picks.items()}  # rows per selector value
-    for i, by_k in slots.items():
-        for k, values in by_k.items():
-            width[eps_of[i]][k] *= len(values)
-    count = math.prod(sum(w.values()) for w in width.values())
-    if count > ENUM_CAP:
-        raise CapacityExceeded(f"{count} level-{c.n} rows exceed the enumeration cap")
     rows = []
     for ks in itertools.product(*picks.values()):
         pick = dict(itertools.chain(fill, zip(mus, ks)))
@@ -316,19 +292,20 @@ def ml_val(c: MlCreature, eta: Possibility, profile) -> list:
 
 
 def ml_minnor(c: MlCreature, profile) -> LogReal:
-    """The least norm of c's atomic creatures."""
+    """The least norm of c's atomic creatures, each read once (lr_min)."""
     star = profile.star_param(c.n)
     norms = [star.nor(w) for w in c.w_eps.values()]
     norms += [profile.slot_param(c.n, k).nor(w) for (_, k), w in c.w_alpha.items()]
     if not norms:
         raise UsageError("creature has no atomic components")
-    return min(norms)
+    return lr_min(norms)
 
 
 def ml_nor_z(c: MlCreature, profile) -> LogReal:
-    """The argument of the norm's logarithm; nor(c) = log2(z)/maxposs when
-    z > 1 and 0 otherwise."""
-    return ml_minnor(c, profile) - lr_log2_int(len(c.u)) - c.d
+    """z = ml_minnor(c) - log2|u| - d, the argument of the norm's logarithm:
+    nor(c) = log2(z)/maxposs when z > 1 and 0 otherwise.  log2|u| and d
+    leave the least norm in one merge of integer forms (lr_minus_log2)."""
+    return lr_minus_log2(ml_minnor(c, profile), len(c.u), c.d)
 
 
 def ml_norm_positive(c: MlCreature, profile) -> bool:
@@ -362,9 +339,9 @@ def _at_level(n, *creatures):
 def _norm_drop_ok(z_before: LogReal, z_after: LogReal, k: int) -> bool:
     """nor_after >= nor_before - k/maxposs, on the z scale: either the
     before-norm already clips below k/maxposs, or 2^k * z_after >= z_before."""
-    if lr_cmp_pow2(z_before, Fraction(k)) <= 0:
+    if lr_cmp_pow2(z_before, k) <= 0:
         return True
-    return z_after.scale(Fraction(2 ** k)) >= z_before
+    return z_after.scale(2 ** k) >= z_before
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +351,19 @@ def _norm_drop_ok(z_before: LogReal, z_after: LogReal, k: int) -> bool:
 
 def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_axiom=False):
     """Is d a successor of c?  Componentwise atomic successorship over c's
-    support, support growth with eps-closure, non-decreasing halving
-    component.  With enumerate_axiom, additionally decides the restriction
-    property on the trunks over d's support: every extension through d, cut
-    down to c's support, is an extension through c.  An extension is its
-    trunk followed by one of the creature's one-level rows, which never
-    read the trunk, so the property is the same at every trunk: each row of
-    d, projected onto c's columns, is a row of c.  `_rows_within` decides
-    that exactly from the value sets, one selector block at a time, and
-    builds no row and no trunk, so nothing is capped.  No trunk means it
-    holds vacuously, and a failure names the first trunk.
-
-    Returns (ok, diagnostics).
-    """
+    support (each slot family read once), support growth with eps-closure,
+    non-decreasing halving component.  With enumerate_axiom, also the
+    restriction property on the trunks over d's support: every extension
+    through d, cut down to c's support, is one through c.  The rows of an
+    extension never read its trunk, so this is the same at every trunk:
+    each row of d, projected onto c's columns, is a row of c, which
+    `_rows_within` decides from the value sets alone, building no row and
+    no trunk.  Only a failure builds the trunk space, to name the first
+    trunk (with no trunk the property holds vacuously); an empty support
+    is refused there.  Returns (ok, diagnostics)."""
     if d.n != n or c.n != n:
         return False, ["level mismatch"]
-    diagnostics = []
-    U = profile.universe
+    diagnostics, U = [], profile.universe
     if not c.u <= d.u:
         diagnostics.append("support must not shrink")
     if d.d < c.d:
@@ -400,20 +373,21 @@ def ml_successor_check(d: MlCreature, c: MlCreature, n: int, profile, enumerate_
         if eps not in d.w_eps or not star.in_succ(d.w_eps[eps], w):
             diagnostics.append(f"star component at {eps} is not a successor")
     picks = {eps: star.val(w) for eps, w in d.w_eps.items()}
-    for (alpha, k) in c.w_alpha:
+    slots = {}
+    for (alpha, k), w in c.w_alpha.items():
         if alpha not in d.u:
             diagnostics.append(f"slot owner {alpha} missing")
             continue
         if k not in picks[U.eps_of[alpha]]:
             continue  # selector dropped k; slot is no longer demanded
-        if (alpha, k) not in d.w_alpha or not profile.slot_param(n, k).in_succ(
-            d.w_alpha[(alpha, k)], c.w_alpha[(alpha, k)]
-        ):
+        if k not in slots:
+            slots[k] = profile.slot_param(n, k)
+        if (alpha, k) not in d.w_alpha or not slots[k].in_succ(d.w_alpha[alpha, k], w):
             diagnostics.append(f"slot component at {(alpha, k)} is not a successor")
 
-    if enumerate_axiom and not diagnostics:
-        cols, sizes = _trunk_space(n, d.u, profile)
-        if all(sizes) and not _rows_within(d, c, profile):
+    if enumerate_axiom and not diagnostics and not (d.u and _rows_within(d, c, profile)):
+        cols, sizes = _trunk_space(n, d.u, profile)  # refuses an empty support
+        if all(sizes):
             first = Possibility((n, cols, (0,) * len(sizes)))
             diagnostics.append(f"restriction axiom fails at {first}")
     return not diagnostics, diagnostics
@@ -429,30 +403,35 @@ def _rows_within(d: MlCreature, c: MlCreature, profile) -> bool:
     Otherwise every projected block is nonempty, so their product lies
     within c's rows iff each block lies within c's: every heading k is in
     c's value set for e, and at k each c slot bound to e has d's value set
-    inside c's.  No row is built."""
+    inside c's.  No row is built, each slot family is read once, and a
+    component that d shares with c is within it unread."""
     U, n = profile.universe, d.n
-    star = profile.star_param(n)
+    star, slot, heads = profile.star_param(n), {}, {}
     bound = {}  # a selector of d -> its bound slots in d
     for a in d.u:
         if not U.is_mu(a):
             bound.setdefault(U.eps_of[a], []).append(a)
-    heads = {}
     for e in d.u:
         if U.is_mu(e):
-            heads[e] = [k for k in star.val(d.w_eps[e]) if all(
-                profile.slot_param(n, k).val_size(d.w_alpha[a, k]) for a in bound.get(e, ()))]
-            if not heads[e]:
+            heads[e] = ks = []
+            for k in star.val(d.w_eps[e]):
+                if e in bound and k not in slot:
+                    slot[k] = profile.slot_param(n, k)
+                if all(slot[k].val_size(d.w_alpha[a, k]) for a in bound.get(e, ())):
+                    ks.append(k)
+            if not ks:
                 return True
     for e in c.u:
         if U.is_mu(e):
-            values = star.val(c.w_eps[e])
-            slots = [a for a in bound.get(e, ()) if a in c.u]
-            for k in heads[e]:
-                if k not in values:
+            if d.w_eps[e] != c.w_eps[e]:
+                values = star.val(c.w_eps[e])
+                if not all(k in values for k in heads[e]):
                     return False
-                slot = profile.slot_param(n, k)
-                if not all(slot.val(d.w_alpha[a, k]) <= slot.val(c.w_alpha[a, k]) for a in slots):
-                    return False
+            for a in bound.get(e, ()):
+                for k in heads[e] if a in c.u else ():
+                    v, w = d.w_alpha[a, k], c.w_alpha[a, k]
+                    if v != w and not slot[k].val(v) <= slot[k].val(w):
+                        return False
     return True
 
 
@@ -500,53 +479,37 @@ def ml_unhalve(dcr: MlCreature, c: MlCreature, n: int, profile) -> MlCreature:
 
 def ml_local_type(c: MlCreature, enumeration, profile) -> tuple:
     """Isomorphism type of c over an ordered listing of its support."""
-    if sorted(enumeration, key=str) != sorted(c.u, key=str) or len(set(enumeration)) != len(
-        enumeration
-    ):
+    if (sorted(enumeration, key=str) != sorted(c.u, key=str)
+            or len(set(enumeration)) != len(enumeration)):
         raise DomainMismatch("enumeration must list the support exactly once")
     U = profile.universe
     pos = {i: j for j, i in enumerate(enumeration)}
     kinds = tuple(U.is_mu(i) for i in enumeration)
-    linkage = tuple(
-        pos[U.eps_of[i]] if not U.is_mu(i) else None for i in enumeration
-    )
-    comps = []
-    for i in enumeration:
-        if U.is_mu(i):
-            comps.append(("eps", c.w_eps[i]))
-        else:
-            comps.append(
-                ("alpha", tuple(sorted((k, w) for (a, k), w in c.w_alpha.items() if a == i)))
-            )
-    return (c.d, len(c.u), kinds, linkage, tuple(comps))
+    linkage = tuple(None if U.is_mu(i) else pos[U.eps_of[i]] for i in enumeration)
+    comps = tuple(("eps", c.w_eps[i]) if U.is_mu(i) else
+                  ("alpha", tuple(sorted((k, w) for (a, k), w in c.w_alpha.items() if a == i)))
+                  for i in enumeration)
+    return (c.d, len(c.u), kinds, linkage, comps)
 
 
 def ml_merge(c1: MlCreature, c2: MlCreature, enum1, enum2, n: int, profile) -> MlCreature:
     """Union of two creatures of the same local type on overlapping or
     disjoint supports."""
     _at_level(n, c1, c2)
-    t1 = ml_local_type(c1, enum1, profile)
-    t2 = ml_local_type(c2, enum2, profile)
-    if t1 != t2:
+    if ml_local_type(c1, enum1, profile) != ml_local_type(c2, enum2, profile):
         raise TypeMismatch("local types differ")
     shared = c1.u & c2.u
-    for j, (i1, i2) in enumerate(zip(enum1, enum2)):
+    for i1, i2 in zip(enum1, enum2):
         if (i1 in shared or i2 in shared) and i1 != i2:
             raise TypeMismatch("enumerations must agree on the shared support")
     z1 = ml_nor_z(c1, profile)
-    if lr_cmp_pow2(z1, Fraction(profile.maxposs(n))) <= 0:  # nor <= 1
+    if lr_cmp_pow2(z1, profile.maxposs(n)) <= 0:  # nor <= 1
         raise NormTooSmall("merge needs norm above 1")
     if 2 * len(c1.u) >= profile.maxsupp(n):
         # a support at half capacity already forces norm zero
         raise NormTooSmall("merged support would exceed the norm-zero threshold")
 
-    out = MlCreature(
-        n,
-        c1.u | c2.u,
-        {**c2.w_eps, **c1.w_eps},
-        {**c2.w_alpha, **c1.w_alpha},
-        c1.d,
-    )
+    out = MlCreature(n, c1.u | c2.u, {**c2.w_eps, **c1.w_eps}, {**c2.w_alpha, **c1.w_alpha}, c1.d)
     ml_validate(out, profile)
     for orig in (c1, c2):
         ok, diag = ml_successor_check(out, orig, n, profile)
@@ -573,13 +536,10 @@ def ml_enlarge(c: MlCreature, new_index, n: int, profile) -> MlCreature:
     out = c.copy()
     out.u = grown
     star = profile.star_param(n)
-    for eps in grown - c.u:
-        if U.is_mu(eps):
-            out.w_eps[eps] = star.top()
+    out.w_eps.update((e, star.top()) for e in grown - c.u if U.is_mu(e))
     for alpha in grown - c.u:
         if not U.is_mu(alpha):
-            sel = out.w_eps[U.eps_of[alpha]]
-            for k in sorted(star.val(sel)):
+            for k in sorted(star.val(out.w_eps[U.eps_of[alpha]])):
                 out.w_alpha[(alpha, k)] = profile.slot_param(n, k).top()
     ml_validate(out, profile)
     if not _norm_drop_ok(ml_nor_z(c, profile), ml_nor_z(out, profile), 1):
@@ -594,18 +554,10 @@ def ml_enlarge(c: MlCreature, new_index, n: int, profile) -> MlCreature:
 
 def _prune_orphan_slots(c: MlCreature, profile) -> None:
     """Drop c's slot creatures whose selector value their star no longer has."""
-    star = profile.star_param(c.n)
-    U = profile.universe
+    U, star = profile.universe, profile.star_param(c.n)
     for (a, k) in list(c.w_alpha):
         if k not in star.val(c.w_eps[U.eps_of[a]]):
             del c.w_alpha[(a, k)]
-
-
-def _shrink_within(p, w, keep):
-    v = p.best_successor_within(w, frozenset(keep))
-    if v is None:
-        raise NotNice("no successor inside a color class")
-    return v
 
 
 def _eliminate(coords, ids, param, color, fixed, side):
@@ -629,7 +581,10 @@ def _eliminate(coords, ids, param, color, fixed, side):
                         for f in fixed for combo in itertools.product(*grids))
             classes.setdefault(key, []).append(v)
         x = coords[j]
-        ids[x] = _shrink_within(param(x), ids[x], max(classes.values(), key=len))
+        v = param(x).best_successor_within(ids[x], frozenset(max(classes.values(), key=len)))
+        if v is None:
+            raise NotNice("no successor inside a color class")
+        ids[x] = v
     return tuple(grid(x)[0] for x in coords)
 
 
@@ -647,16 +602,10 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     if range_size < 1:
         raise UsageError("range_size must be positive")
     etas = poss_enumerate(n, c.u, profile)
-    U = profile.universe
-    out = c.copy()
-    star = profile.star_param(n)
+    U, star, out = profile.universe, profile.star_param(n), c.copy()
     mus = sorted((i for i in c.u if U.is_mu(i)), key=str)
     alphas = sorted((i for i in c.u if not U.is_mu(i)), key=str)
-
     cells = mus + alphas
-
-    def slot(s):
-        return profile.slot_param(n, s[1])
 
     def color(trunk, avals):
         eta, ks = trunk
@@ -668,7 +617,8 @@ def ml_homogenize(c: MlCreature, n: int, profile, G, range_size: int):
     for eta in etas:
         for ks in itertools.product(*(sorted(star.val(out.w_eps[e])) for e in mus)):
             active = [(a, ks[mus.index(U.eps_of[a])]) for a in alphas]
-            least = _eliminate(active, out.w_alpha, slot, color, ((eta, ks),), "alpha")
+            least = _eliminate(active, out.w_alpha, lambda s: profile.slot_param(n, s[1]), color,
+                               ((eta, ks),), "alpha")
             table[eta, ks] = color((eta, ks), least)
 
     # phase 2: make the table constant in the selector choices

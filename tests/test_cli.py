@@ -388,13 +388,29 @@ _ATOMIC_CHECKS = {"creaturelab.atomic.checks", "creaturelab.atomic.ops",
     "ml norm --profile {wide_profile} --in {creature} --threshold 2",
     "ml halve --profile {wide_profile} --in {creature}",
     "params --level 0",
-], ids=["ml-norm", "ml-norm-threshold", "ml-halve", "params"])
+    "cond poss --profile {wide_profile} --in {wide}",
+    "cond leq --profile {wide_profile} --in {sep} --against {wide}",
+    "cond rapid-read --profile {chain_profile} --in {chain} --name {chain_name} --M 1",
+    "cond cover --profile {wide_profile} --in {sep} --n 1 --eps e0 --name {wide_name}",
+    "cond evade --profile {wide_profile} --in {sep} --n 1 --cover {cover} --beta a1",
+    "demo distinguish --profile {wide_profile} --in {wide} --i e0 --j e1",
+], ids=["ml-norm", "ml-norm-threshold", "ml-halve", "params", "cond-poss", "cond-leq",
+        "cond-rapid-read", "cond-cover", "cond-evade", "demo-distinguish"])
 def test_ml_and_params_commands_load_no_atomic_check(files, command):
     """These commands build families but never check or transform one, so
-    the atomic checks, ops, certificates and niceness stay unloaded."""
+    the atomic checks, ops, certificates and niceness stay unloaded; so do
+    the cond and demo commands other than cond separate."""
     _, code, *modules = _command_modules(files, command)
     assert code == "0" and "creaturelab.atomic.families" in modules
     assert not _ATOMIC_CHECKS & set(modules)
+
+
+def test_cond_separate_loads_the_atomic_ops(files):
+    """Separation shrinks selectors with disjoint_successors, so it loads
+    the atomic ops, checks and certificates (and not the niceness)."""
+    _, code, *modules = _command_modules(files, "cond separate --profile {wide_profile} --in {wide}")
+    assert code == "0"
+    assert _ATOMIC_CHECKS & set(modules) == _ATOMIC_CHECKS - {"creaturelab.atomic.niceness"}
 
 
 def test_the_atomic_package_loads_its_checks_on_first_use():
@@ -1146,6 +1162,17 @@ REFUSED_FIELDS = {
                           ("base_sise",), 4),
     "product-family-unread-key": ("atomic order --in {prod} --x 1/4", "{prod}",
                                   ("coordinates", 1, "param", "base_size"), 4),
+    # the misspelled floors were read as no floor (exit 0, where a floor of
+    # 100 at level 1 fails with exit 1); the other keys were ignored
+    "fragment-floors-misspelled": (_WIDE_POSS, "{wide}", ("flors",), [[1, "100"]]),
+    "fragment-unread-key": (_WIDE_POSS, "{wide}", ("colour",), 1),
+    "name-table-unread-key": (_RAPID, "{chain_name}", ("modulos",), [[1, 2]]),
+    "possibility-unread-key": (_RAPID, "{chain_name}", ("values", "1", 0, 0, "colour"), 1),
+    "product-unread-key": ("atomic order --in {prod} --x 1/4", "{prod}", ("colour",), 1),
+    "product-coordinate-unread-key": ("atomic order --in {prod} --x 1/4", "{prod}",
+                                      ("coordinates", 0, "colour"), 1),
+    "disjoint-unread-key": ("atomic disjoint --in {dis} --x 1", "{dis}", ("colour",), 1),
+    "cover-unread-key": (_EVADE, "{cover}", ("colour",), 1),
 }
 
 

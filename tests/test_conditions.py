@@ -462,8 +462,9 @@ def test_separate_support():
 
 def test_separate_support_refuses_an_overlap_it_did_not_remove(monkeypatch):
     # a separation step that leaves the value sets overlapping must be
-    # refused with a typed error, also under python -O
-    monkeypatch.setattr(conditions, "disjoint_successors", lambda p, w1, w2, x: (w1, w2))
+    # refused with a typed error, also under python -O; the transform
+    # imports disjoint_successors from the atomic ops when it runs
+    monkeypatch.setattr("creaturelab.atomic.ops.disjoint_successors", lambda p, w1, w2, x: (w1, w2))
     prof = wide_profile()
     with pytest.raises(NotSeparated):
         cond_separate_support(wide_fragment(prof), prof)

@@ -24,6 +24,8 @@ from creaturelab.logreal import (
     lr_from_rational,
     lr_log2_fraction,
     lr_log2_int,
+    lr_min,
+    lr_minus_log2,
     lr_zero,
 )
 from creaturelab.serialize import parse_rational
@@ -555,3 +557,70 @@ def test_a_logreal_payload_with_an_unread_key_is_refused():
     with pytest.raises(UsageError, match="unknown key 'lgos'"):
         LogReal.from_json({"q": "5", "lgos": {"3": "1"}})
     assert LogReal.from_json({"q": "5"}) == lr_from_rational(5)
+
+
+# repr, JSON and hash read the stored integer form; the Fraction views q and
+# logs, as they were read before, are the reference
+
+_P = 2**61 - 1  # sys.hash_info.modulus on 64-bit builds: a denominator hashing to inf
+
+
+def _repr_reference(x):
+    parts = [str(x.q)] if (x.q or not x.logs) else []
+    parts += [f"{c}*log2({p})" for p, c in x.logs]
+    return "LogReal(" + " + ".join(parts) + ")"
+
+
+def _json_reference(x):
+    return {"q": f"{x.q.numerator}/{x.q.denominator}",
+            "logs": {str(p): f"{c.numerator}/{c.denominator}" for p, c in x.logs}}
+
+
+wide = st.one_of(st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20),
+                 st.sampled_from([F(0), F(-1), F(1), F(-1, 3), F(1, _P), F(-5, 2 * _P), F(_P)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(wide, st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), wide, max_size=4),
+       st.sampled_from(["both", "rational", "logs"]))
+def test_repr_json_and_hash_of_the_form_equal_the_fraction_view_reference(q, logs, shape):
+    x = LogReal.make(0 if shape == "logs" else q, {} if shape == "rational" else logs)
+    assert repr(x) == _repr_reference(x)
+    assert x.to_json() == _json_reference(x)
+    assert hash(x) == hash((x.q, x.logs)) == hash(LogReal(x.q, x.logs))
+    assert LogReal.from_json(x.to_json()) == x
+
+
+def test_hash_keeps_the_numeric_hash_corner_cases():
+    """-1 hashes as -2, and a denominator that the hash modulus divides as
+    +-inf, in the coefficients as in q."""
+    for q, logs in [(F(-1), {}), (F(-1), {3: F(-1)}), (F(1, _P), {}), (F(-2, _P), {5: F(3, _P)}),
+                    (F(0), {3: F(_P - 1)}), (F(_P + 1, 7), {})]:
+        x = LogReal.make(q, logs)
+        assert hash(x) == hash((x.q, x.logs)), (q, logs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(logreals(), st.fractions(min_value=-8, max_value=8, max_denominator=6),
+       st.fractions(min_value=-8, max_value=8, max_denominator=6))
+def test_compare_of_equal_log_parts_agrees_with_the_merge_path(x, r, s):
+    a, b = x + r, x + s  # one log part; equal denominators where r and s allow
+    assert a.logs == b.logs
+    want = (a - b).sign()  # the merge of a and -b, signed
+    assert lr_compare(a, b) == want == -lr_compare(b, a) == (r > s) - (r < s)
+    assert lr_compare(a, a) == 0 == lr_compare(a, LogReal(a.q, a.logs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(logreals(), min_size=1, max_size=6))
+def test_least_of_forms_is_the_builtin_min(xs):
+    assert lr_min(xs) is min(xs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(logreals(), st.integers(1, 70), logreals())
+def test_minus_log2_equals_the_chain_of_differences(x, n, y):
+    got, want = lr_minus_log2(x, n, y), x - lr_log2_int(n) - y
+    assert got == want and got._form == want._form and _stored_form(got)
+    with pytest.raises(UsageError):
+        lr_minus_log2(x, 0, y)

@@ -32,6 +32,7 @@ from creaturelab.mlcore import (
     ml_homogenize,
     ml_local_type,
     ml_merge,
+    ml_minnor,
     ml_nor_z,
     ml_norm_cmp,
     ml_norm_positive,
@@ -41,6 +42,7 @@ from creaturelab.mlcore import (
     ml_validate,
     poss_enumerate,
 )
+from creaturelab.atomic.families import subset_log_family
 from creaturelab.params import make_toy_profile
 
 UNI = {"mu": ["e0", "e1"], "alpha": ["a0", "a1"],
@@ -1071,3 +1073,89 @@ def test_malformed_inputs_are_refused_by_type_and_message(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# z in one merge: ml_nor_z against the chain of LogReal differences it replaces
+
+_SIX = {"mu": ["e0", "e1", "e2"], "alpha": ["a0", "a1", "a2"],
+        "eps_of": {"a0": "e0", "a1": "e1", "a2": "e2"}}
+_SUPPORTS = [["e0"], ["e0", "a0"], ["e0", "a0", "e1"], ["e0", "a0", "e1", "a1"],
+             ["e0", "a0", "e1", "a1", "e2"], ["e0", "a0", "e1", "a1", "e2", "a2"]]
+
+
+class _LogNorms:
+    """A profile whose families norm a value set of size k by log2(k)."""
+
+    def __init__(self, prof):
+        self._prof = prof
+
+    def __getattr__(self, name):
+        return getattr(self._prof, name)
+
+    def star_param(self, n):
+        return subset_log_family(self._prof.kstar(n))
+
+    def slot_param(self, n, k):
+        return subset_log_family(self._prof.slot_param(n, k).n)
+
+
+def _seeded_creature(rng, prof, u):
+    """A level-1 creature over u with seeded value sets and a halving
+    component with log terms."""
+    U, star = prof.universe, prof.star_param(1)
+
+    def pick(family):
+        return tuple(sorted(rng.sample(family.top(), rng.randint(1, len(family.top())))))
+
+    w_eps = {e: pick(star) for e in u if U.is_mu(e)}
+    w_alpha = {(a, k): pick(prof.slot_param(1, k)) for a in u if not U.is_mu(a)
+               for k in w_eps[U.eps_of[a]]}
+    d = lr_from_rational(Fraction(rng.randint(0, 5), rng.randint(1, 4))) + lr_log2_int(
+        rng.choice([1, 3, 5, 6, 15])).scale(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    return MlCreature(1, frozenset(u), w_eps, w_alpha, d)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nor_z_equals_the_chain_of_differences(seed):
+    """|u| runs over 1..6, powers of two or not, d holds log terms, and the
+    least norm is rational (plateau families) or not (log2 of a size)."""
+    lvl = {"kstar": 4, "slot_sizes": 5, "height": 7, "maxposs": 2, "maxsupp": 16,
+           "gmin": 32, "bmin": 8}
+    toy = make_toy_profile({"universe": _SIX, "levels": [lvl, lvl]})
+    rng = random.Random(seed)
+    for prof in (toy, _LogNorms(toy)):
+        for u in _SUPPORTS:
+            c = _seeded_creature(rng, prof, u)
+            want = ml_minnor(c, prof) - lr_log2_int(len(c.u)) - c.d
+            got = ml_nor_z(c, prof)
+            assert got == want and repr(got) == repr(want) and got.to_json() == want.to_json()
+
+
+def test_nor_z_of_an_empty_support_is_refused():
+    prof = profile()
+    for c in (MlCreature(1, frozenset(), {}, {}), MlCreature(1, frozenset(), {"e0": (0, 1)}, {})):
+        with pytest.raises(UsageError):
+            ml_minnor(c, prof) - lr_log2_int(len(c.u)) - c.d
+        with pytest.raises(UsageError):
+            ml_nor_z(c, prof)
+
+
+def test_only_a_failing_restriction_property_reads_the_trunk_space(monkeypatch):
+    """The value sets decide the property; the trunk space is built only to
+    name the first trunk of a failure."""
+    real = profile()
+    prof = _LenientProfile(real)
+    built = []
+    trunk_space = mlcore._trunk_space
+    monkeypatch.setattr(mlcore, "_trunk_space", lambda *a: built.append(a) or trunk_space(*a))
+    c = top_creature(real, 1, {"e0", "a0"})
+    assert ml_successor_check(c, c, 1, prof, enumerate_axiom=True) == (True, [])
+    assert built == []
+    d = c.copy()
+    d.w_eps["e0"] = (0,)
+    d.w_alpha = {("a0", 0): (0, 1, 2)}
+    c.w_eps["e0"] = (1,)
+    c.w_alpha = {("a0", 1): (0, 1, 2)}
+    ok, diag = ml_successor_check(d, c, 1, prof, enumerate_axiom=True)
+    assert len(built) == 1 and not ok
+    assert diag == [f"restriction axiom fails at {poss_enumerate(1, d.u, real)[0]}"]
